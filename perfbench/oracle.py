@@ -17,16 +17,18 @@ What is checked, and why each bound holds:
   agree across levels to 5%, and every minkowski-shifted series converges
   at a fitted order >= 1.7; on the curve Gauss-Bonnet holds to 1e-4.
 * Flows: the monotonicity, area and H > n flags are set and hold on the
-  returned arrays; the co-area volume agrees with sum_i w_i int_0^{a_i}
-  V_i J_i dt, integrated here per particle by Gauss-Legendre over each
-  particle's window a_i = min(focal_i, cut) (off a sphere the inward
-  normals cross before their focal times, so this swept volume exceeds
-  the enclosed one, and only spheres are compared with the enclosed
-  weighted volume); Q(0) agrees with the
-  `hk-shifted` residual of the same graph plus the volume the window
-  cut off; spheres reach their focal time R with Q ~ 0 and an exact
-  level-set identity; a truncated window is confirmed by a brute-force
-  O(N^2) pair scan.
+  returned arrays; focal_min matches focal times computed here; t = 0 of
+  the flow functional is the `hk-shifted` left-hand side; spheres reach
+  their focal time R with Q ~ 0 and an exact level-set identity; a
+  truncated window is confirmed by a brute-force O(N^2) pair scan.
+* Flow operations that fail: the normal exponential map, cut at each
+  particle's cut-locus time, covers the enclosed region once, so the
+  co-area volume equals the enclosed weighted volume W and Q(0) equals
+  the `hk-shifted` residual, both to O(h^2 + dt^2).  A flow that misses
+  either is counted as a failed operation, not as an oracle failure:
+  `verify_flow` runs every window to its focal time unless the collision
+  scan cuts them all at one time, so a curve whose normals cross sweeps
+  more than W and a truncated lobe sweeps less.
 * The CLI session: every call exits 0 and the written report passes.
 """
 
@@ -49,8 +51,7 @@ ORDER_GATE = 1.7
 ROUNDING_FLOOR = 1e-10
 DEFICIT_SPREAD = 0.05        # hk-* deficit change across levels
 FOCAL_ABS = 1e-12
-SWEPT_C = 10.0               # trapezoid in t vs Gauss-Legendre: SWEPT_C * dt^2
-GL_NODES = 32
+COAREA_C = 1.0               # co-area volume vs W: COAREA_C * (h^2 + dt^2)
 EXCLUSION = normalflow.FlowConfig().exclusion
 CUT_SAMPLES = normalflow.FlowConfig().cut_samples
 PAIR_CHUNK = 64
@@ -163,8 +164,7 @@ def check_ladder_shape(chk: Checks, shape, verified: list, orders: dict) -> None
     for name, order in orders.items():
         worst = max(abs(_result(v.report, name).rel_residual) for v in verified)
         if worst > ROUNDING_FLOOR:
-            chk.le("minkowski-shifted fitted order gate", ORDER_GATE / order, 1.0,
-                   f"{where} {name}")
+            chk.le("minkowski-shifted fitted order gate", ORDER_GATE, order, f"{where} {name}")
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,19 +216,6 @@ def focal_times(geom) -> np.ndarray:
     return np.min(focal, axis=1)
 
 
-def swept_weighted_volume(geom, cut: float) -> float:
-    """sum_i w_i int_0^{a_i} V_i(t) J_i(t) dt by Gauss-Legendre, a_i = min(focal_i, cut)."""
-    kappa = geom.kappa
-    window = np.minimum(focal_times(geom), cut)
-    x, wts = np.polynomial.legendre.leggauss(GL_NODES)
-    t = 0.5 * window[:, None] * (x[None, :] + 1.0)
-    ch, sh = np.cosh(t), np.sinh(t)
-    V = geom.V[:, None] * ch - geom.V_nu[:, None] * sh
-    J = np.prod(ch[:, :, None] - kappa[:, None, :] * sh[:, :, None], axis=2)
-    per_particle = 0.5 * window * np.sum(wts[None, :] * V * J, axis=1)
-    return math.fsum((geom.area_weight * per_particle).tolist())
-
-
 def check_flow(chk: Checks, f, hk_shifted, truncated: bool, collision_cache: dict) -> None:
     where = f"[flow {f.shape.key} @ {f.level}]"
     tr = f.trace
@@ -247,23 +234,7 @@ def check_flow(chk: Checks, f, hk_shifted, truncated: bool, collision_cache: dic
     chk.true("window truncated as the workload expects", tr.window_truncated == truncated,
              where)
 
-    W = weighted_volume(f.graph)
-    swept = swept_weighted_volume(geom, tr.cut_estimate)
-    if tr.window_truncated:
-        chk.true("truncated cut precedes the focal time", tr.cut_estimate < tr.focal_min, where)
-        chk.true("truncated window sweeps less than the enclosed volume", swept < W, where)
-        # each window ends between trapezoid nodes with J > 0: an O(dt) error
-        chk.le("co-area volume vs swept volume (truncated)", rel(tr.coarea_volume, swept),
-               tr.dt, where)
-    else:
-        # every window ends at a focal time, where J vanishes: O(dt^2)
-        chk.le("co-area volume vs swept volume", rel(tr.coarea_volume, swept),
-               SWEPT_C * tr.dt ** 2, where)
-
     chk.le("hk_lhs0 vs hk-shifted lhs", rel(tr.hk_lhs0, hk_shifted.lhs), VOLUME_REL, where)
-    expected_q0 = hk_shifted.residual + (n + 1) / n * (W - tr.coarea_volume)
-    chk.le("Q(0) vs hk-shifted residual", abs(float(tr.Q[0]) - expected_q0),
-           VOLUME_REL * max(abs(hk_shifted.lhs), 1.0), where)
 
     if f.shape.is_sphere and f.shape.offset == 0.0:
         R = f.shape.radius
@@ -273,12 +244,9 @@ def check_flow(chk: Checks, f, hk_shifted, truncated: bool, collision_cache: dic
                EQUALITY_REL * 2.0 * math.pi * math.sinh(R) ** 3, where)
         chk.le("sphere level-set rel", float(np.max(np.abs(tr.levelset_rel))), EQUALITY_REL,
                where)
-        # the normals of a round sphere never cross, so the swept region is
-        # the enclosed one
-        chk.le("sphere co-area volume vs enclosed weighted volume",
-               rel(tr.coarea_volume, W), EQUALITY_REL, where)
 
     if tr.window_truncated:
+        chk.true("truncated cut precedes the focal time", tr.cut_estimate < tr.focal_min, where)
         key = (f.graph.rho.tobytes(), tr.cut_estimate, tr.focal_min)
         if key not in collision_cache:
             collision_cache[key] = brute_force_cut(geom, tr.cut_estimate, tr.focal_min)
@@ -291,6 +259,16 @@ def check_flow(chk: Checks, f, hk_shifted, truncated: bool, collision_cache: dic
                      bf["hits_prev"] == 0, where)
             chk.le("brute force: threshold / closest far pair one step earlier",
                    1.0 / bf["ratio_prev"], 1.0, where)
+
+
+def flow_fills_enclosed_volume(f, hk_shifted) -> bool:
+    """The flow's co-area volume is the enclosed weighted volume W, and so
+    Q(0) is the `hk-shifted` residual, to COAREA_C (h^2 + dt^2)."""
+    tr = f.trace
+    tol = COAREA_C * (f.graph.resolution ** 2 + tr.dt ** 2)
+    W = weighted_volume(f.graph)
+    return (rel(tr.coarea_volume, W) <= tol
+            and abs(float(tr.Q[0]) - hk_shifted.residual) <= tol * abs(hk_shifted.lhs))
 
 
 def check_cli(chk: Checks, codes: list, report: dict | None) -> None:
@@ -323,9 +301,11 @@ def check_round(chk: Checks, workload, rnd, collision_cache: dict) -> int:
         check_cli(chk, p.cli_codes, p.cli_report)
     reports = {(v.shape, v.level): v.report for v in rnd.passes[0].verified}
     expect = {(shape, level): truncated for shape, level, truncated in workload.flows}
+    failed = 0
     for f in rnd.flows:
-        check_flow(chk, f, _result(reports[f.shape, f.level], "hk-shifted"),
-                   expect[f.shape, f.level], collision_cache)
-    if rnd.offset_base is None:
-        return 0
-    return int(not offset_base_holds(rnd.offset_base))
+        hk_shifted = _result(reports[f.shape, f.level], "hk-shifted")
+        check_flow(chk, f, hk_shifted, expect[f.shape, f.level], collision_cache)
+        failed += not flow_fills_enclosed_volume(f, hk_shifted)
+    if rnd.offset_base is not None:
+        failed += not offset_base_holds(rnd.offset_base)
+    return failed

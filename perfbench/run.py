@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Run hkverify benchmark workloads and print their metrics.
 
-    python3 perfbench/run.py --workload verify-ladder --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20
+    python3 perfbench/run.py --workload verify-ladder --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload all --seed 1
 
 One workload runs in this process: set-up time first (fresh interpreters
 importing the package), then whole rounds until --seconds have passed,
-each round checked by oracle.py outside its timed region.  `--workload
-all` runs every workload of BENCHMARK.json, each in its own fresh
-process.  The last line of standard output is one JSON object:
+each round checked by oracle.py outside its timed region.  --seconds
+defaults to run_seconds of BENCHMARK.json.  `--workload all` runs every
+workload of BENCHMARK.json, each in its own fresh process.  The last line of standard output is one JSON object:
 {"correct", "attempted", "failed", "metrics"}, where metrics are the
 end-to-end metrics with --trace 0 and the per-layer metrics with
 --trace 1.  A traced run also writes its spans and per-layer figures
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", default="all")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=spec()["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (SRC / "hkverify" / "__init__.py").is_file():

@@ -10,10 +10,10 @@ end-to-end metric it prints each set's median and its quartile spread
 (Q3 - Q1 of statistics.quantiles(n=4), as a share of the median) and
 checks:
 
-* every spread except setup_s's is within the metric's bound (the target
-  is a third of it, marked "ok" below and "wide" above);
-* the second set's median is not worse than the first's by more than the
-  bound;
+* every spread is within the metric's bound (the target is a third of
+  it, marked "ok" below and "wide" above);
+* the second set's median differs from the first's by at most the bound,
+  either way;
 * the share of failed operations is exactly the same in every run.
 
 Raw results go to .bench_out/steady.json.  Exits 1 if a check fails.
@@ -94,11 +94,10 @@ def main(argv=None) -> int:
                 values = [r["metrics"][name]["value"] for r in runs]
                 medians.append(statistics.median(values))
                 spreads.append(spread(values) if len(values) > 1 else 0.0)
-            wide = name != "setup_s" and max(spreads) > bound
-            drift = len(medians) > 1 and medians[1] > medians[0] * (1.0 + bound)
+            wide = max(spreads) > bound
+            drift = len(medians) > 1 and abs(medians[1] / medians[0] - 1.0) > bound
             ok &= not (wide or drift)
-            tag = "FAIL" if wide or drift else (
-                "ok" if name == "setup_s" or max(spreads) <= bound / 3 else "wide")
+            tag = "FAIL" if wide or drift else ("ok" if max(spreads) <= bound / 3 else "wide")
             print(f"  {name:<14} bound {bound:<5g} medians "
                   + " ".join(f"{m:.5g}" for m in medians)
                   + "  spreads " + " ".join(f"{s:.4f}" for s in spreads) + f"  {tag}")
