@@ -293,7 +293,7 @@ def offset_base_holds(outcome) -> bool:
 def check_round(chk: Checks, workload, rnd, collision_cache: dict) -> int:
     """Check one round's outputs; returns the number of failed operations."""
     for p in rnd.passes:
-        for v in p.verified:
+        for v in p.verified + p.extra:
             check_verification(chk, v)
         for shape in workload.ladder:
             check_ladder_shape(chk, shape, [v for v in p.verified if v.shape is shape],

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Run hkverify benchmark workloads and print their metrics.
 
-    python3 perfbench/run.py --workload verify-ladder --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload verify-ladder --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
-One workload runs in this process: set-up time first (fresh interpreters
-importing the package), then whole rounds until --seconds have passed,
-each round checked by oracle.py outside its timed region.  --seconds
+One workload runs in this process: a set-up sample (a fresh interpreter
+importing the package) and an untimed warm-up first, then whole rounds
+until the round end nearest to --seconds, each round checked by oracle.py
+outside its timed region, with further set-up samples between the rounds.  --seconds
 defaults to run_seconds of BENCHMARK.json.  `--workload all` runs every
 workload of BENCHMARK.json, each in its own fresh process.  The last line of standard output is one JSON object:
 {"correct", "attempted", "failed", "metrics"}, where metrics are the
@@ -35,7 +36,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
-SETUP_SAMPLES = 3
+# set-up samples per run: one before the rounds, then one after each round
+# until there are SETUP_SAMPLES, and more at the end if the rounds were fewer
+SETUP_SAMPLES = 4
 SETUP_CODE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import hkverify; "
     "from hkverify import identities; identities.tolerance_table()"
@@ -48,18 +51,13 @@ def child_env() -> dict:
     return env
 
 
-def measure_setup() -> float:
-    """Median wall time of a fresh interpreter importing the package and
-    loading the tolerance table (after one discarded start that may
-    compile bytecode)."""
-    times = []
-    for k in range(SETUP_SAMPLES + 1):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-c", SETUP_CODE, str(SRC)], check=True,
-                       env=child_env(), cwd=ROOT)
-        if k:
-            times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def setup_sample() -> float:
+    """Wall time of a fresh interpreter importing the package and loading
+    the tolerance table."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", SETUP_CODE, str(SRC)], check=True,
+                   env=child_env(), cwd=ROOT)
+    return time.perf_counter() - start
 
 
 def spec() -> dict:
@@ -81,10 +79,12 @@ def run_workload(args) -> int:
 
     import oracle
     import tracer as tracing
-    from workloads import WORKLOADS, run_round
+    from workloads import WORKLOADS, run_round, warm_up
 
     workload = WORKLOADS[args.workload]
-    setup_s = measure_setup()
+    setup_sample()                  # discarded: it may compile bytecode
+    setup = [setup_sample()]
+    warm_up(workload)
 
     tracer = tracing.Tracer() if args.trace else tracing.NullTracer()
     uninstall = tracing.install(tracer) if args.trace else None
@@ -109,24 +109,35 @@ def run_workload(args) -> int:
             for p in rnd.passes:
                 samples["ladder_s"].append(p.ladder_s)
                 samples["cli_s"].append(p.cli_s)
-                for v in p.verified:
+                for v in p.verified + p.extra:
                     if v.shape.n == 2:
                         verify_s.setdefault((v.level, v.shape.key), []).append(v.seconds)
             del rnd
-            if time.perf_counter() - start >= args.seconds:
+            # stop at the round end nearest to --seconds: a run is whole
+            # rounds, and a workload whose round is long (flow-smooth's is
+            # ~30 s) would otherwise overrun by up to a whole round
+            elapsed = time.perf_counter() - start
+            if elapsed + 0.5 * elapsed / rounds >= args.seconds:
                 break
+            if len(setup) < SETUP_SAMPLES:
+                setup.append(setup_sample())
+        while len(setup) < SETUP_SAMPLES:
+            setup.append(setup_sample())
     finally:
         if uninstall is not None:
             uninstall()
         os.rmdir(scratch)
 
-    end_to_end = {name: statistics.median(vals) for name, vals in samples.items()}
+    # Timings are means over the run, not medians: a shared host alternates
+    # between faster and slower spells lasting seconds, so a run's samples
+    # fall in two clusters and their median jumps between them from run to
+    # run, while their mean moves with the share of time spent in each
+    end_to_end = {name: statistics.fmean(vals) for name, vals in samples.items()}
     for level in (128, 256):
-        # the median per shape, averaged over the workload's shapes: the
-        # pooled median would jump between the shapes' clusters
+        # the mean per shape, averaged over the workload's n = 2 shapes
         end_to_end[f"verify_s_{level}"] = statistics.fmean(
-            statistics.median(vals) for (lv, _), vals in verify_s.items() if lv == level)
-    end_to_end["setup_s"] = setup_s
+            statistics.fmean(vals) for (lv, _), vals in verify_s.items() if lv == level)
+    end_to_end["setup_s"] = statistics.median(setup)
     end_to_end["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     print(f"workload {workload.name}: seed {args.seed}, {rounds} rounds in "

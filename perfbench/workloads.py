@@ -5,11 +5,12 @@ and one thread:
 
 1. the ladder pass: generate every ladder shape at every level, roll it
    in azimuth, verify it with every applicable check, then fit the
-   minkowski-shifted convergence orders;
+   minkowski-shifted convergence orders; on the flow workloads, then
+   verify each n = 2 ladder shape `extra_128` more times at 128x256;
 2. one in-process `cli.main` session in a scratch directory;
    (1 and 2 repeat `passes` times)
 3. `verify_flow` on the workload's flow surfaces (reusing the rolled
-   graphs of the first ladder pass);
+   graphs of the first ladder pass), spread between the passes;
 4. verify-ladder only: the offset-base sphere, which is not timed.
 
 Every call into the package goes through a module attribute
@@ -88,9 +89,12 @@ class Workload:
     # (shape, level) is also on the ladder
     flows: tuple
     offset_base: bool = False
-    # ladder passes and CLI sessions per round: flow-smooth repeats them so
-    # that their figures rest on as many samples as its 14 s flow allows
+    # ladder passes and CLI sessions per round: the flow workloads repeat
+    # them so that their figures rest on as many samples as the flows allow
     passes: int = 1
+    # verifications of each n = 2 ladder shape at 128x256 per pass beyond
+    # the ladder's own: they add verify_s_128 samples where passes are few
+    extra_128: int = 0
 
 
 # Every workload runs every stage so that every metric is measured on
@@ -101,8 +105,8 @@ WORKLOADS = {
         Workload("verify-ladder", (SPHERE, OFFSET, LOBE, TWIST, CURVE),
                  ((CURVE, 1024, False), (SPHERE, 64, False)), offset_base=True),
         Workload("flow-smooth", (LOBE, SPHERE, CURVE), ((LOBE, 128, False), (SPHERE, 64, False)),
-                 passes=3),
-        Workload("flow-truncated", (WIDE, CURVE), ((WIDE, 64, True),)),
+                 passes=6, extra_128=4),
+        Workload("flow-truncated", (WIDE, CURVE), ((WIDE, 64, True),), passes=2, extra_128=4),
     )
 }
 
@@ -156,6 +160,7 @@ class Pass:
 
     ladder_s: float = 0.0
     verified: list = field(default_factory=list)
+    extra: list = field(default_factory=list)       # the extra 128x256 verifications
     orders: dict = field(default_factory=dict)      # shape key -> {series: order}
     cli_s: float = 0.0
     cli_codes: list = field(default_factory=list)
@@ -170,7 +175,7 @@ class Round:
     offset_base: object = None                    # report, or the refusal
 
     def operations(self) -> int:
-        return (sum(len(p.verified) + len(p.cli_codes) for p in self.passes)
+        return (sum(len(p.verified) + len(p.extra) + len(p.cli_codes) for p in self.passes)
                 + len(self.flows) + (self.offset_base is not None))
 
 
@@ -209,6 +214,18 @@ def ladder_and_cli(workload: Workload, rng: np.random.Generator, scratch: str,
             out.orders[shape.key] = fitted_orders([v for v in out.verified if v.shape is shape])
         out.ladder_s = time.perf_counter() - start
 
+    n2 = [shape for shape in workload.ladder if shape.n == 2]
+    for _ in range(workload.extra_128):
+        for idx in rng.permutation(len(n2)):
+            shape = n2[idx]
+            roll = int(rng.integers(0, shape.grid(128)[-1]))
+            with tracer.span("bench.extra"):
+                t0 = time.perf_counter()
+                graph = shape.generate(128).rotated(roll)
+                report = identities.run_verification(graph, checks=shape.checks())
+                seconds = time.perf_counter() - t0
+            out.extra.append(Verified(shape, 128, graph, report, seconds))
+
     workdir = tempfile.mkdtemp(prefix="cli-", dir=scratch)
     try:
         with tracer.span("bench.cli"), contextlib.redirect_stdout(io.StringIO()), \
@@ -227,24 +244,43 @@ def ladder_and_cli(workload: Workload, rng: np.random.Generator, scratch: str,
 
 def run_round(workload: Workload, rng: np.random.Generator, scratch: str, tracer) -> Round:
     out = Round()
+    flows = [workload.flows[idx] for idx in rng.permutation(len(workload.flows))]
+    # flow j runs after pass j*passes//len(flows): the passes spread over
+    # the round instead of bunching before a long flow, so their timings
+    # sample more moments of the host
+    after = [min(workload.passes - 1, j * workload.passes // len(flows))
+             for j in range(len(flows))]
     with tracer.span("bench.round"):
-        for _ in range(workload.passes):
+        for k in range(workload.passes):
             out.passes.append(ladder_and_cli(workload, rng, scratch, tracer))
-        graphs = {(v.shape, v.level): v.graph for v in out.passes[0].verified}
-        for idx in rng.permutation(len(workload.flows)):
-            shape, level, _ = workload.flows[idx]
-            graph = graphs[shape, level]
-            with tracer.span("bench.flow"):
-                t0 = time.perf_counter()
-                trace = normalflow.verify_flow(graph)
-                seconds = time.perf_counter() - t0
-            out.flows.append(Flowed(shape, level, graph, trace, seconds))
-            out.flow_s += seconds
+            if k == 0:
+                graphs = {(v.shape, v.level): v.graph for v in out.passes[0].verified}
+            for (shape, level, _), slot in zip(flows, after):
+                if slot != k:
+                    continue
+                graph = graphs[shape, level]
+                with tracer.span("bench.flow"):
+                    t0 = time.perf_counter()
+                    trace = normalflow.verify_flow(graph)
+                    seconds = time.perf_counter() - t0
+                out.flows.append(Flowed(shape, level, graph, trace, seconds))
+                out.flow_s += seconds
 
     if workload.offset_base:
         with tracer.pause():
             out.offset_base = offset_base_verification()
     return out
+
+
+def warm_up(workload: Workload) -> None:
+    """Verify at every ladder level once, untimed and unchecked: without
+    this, the first ladder pass of a run took ~9% longer than later ones."""
+    levels = {}
+    for shape in workload.ladder:
+        for level in shape.levels:
+            levels.setdefault(shape.grid(level), shape)
+    for grid, shape in levels.items():
+        identities.run_verification(shape.generate(grid[0]), checks=shape.checks())
 
 
 def offset_base_verification():
