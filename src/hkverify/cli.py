@@ -320,10 +320,11 @@ def build_parser() -> _Parser:
     flow.add_argument("--surface", required=True)
     flow.add_argument("--trace", default=None, help="write trace CSV here")
     flow.add_argument("--summary", default=None, help="write summary JSON here")
-    flow.add_argument("--samples", type=int, default=400)
-    flow.add_argument("--safety", type=float, default=0.9)
-    flow.add_argument("--cut-samples", type=int, default=96)
-    flow.add_argument("--exclusion", type=float, default=3.0)
+    flow_defaults = normalflow.FlowConfig()
+    flow.add_argument("--samples", type=int, default=flow_defaults.samples)
+    flow.add_argument("--safety", type=float, default=flow_defaults.safety)
+    flow.add_argument("--cut-samples", type=int, default=flow_defaults.cut_samples)
+    flow.add_argument("--exclusion", type=float, default=flow_defaults.exclusion)
     flow.set_defaults(func=cmd_flow)
 
     conv = sub.add_parser("convergence", help="residual convergence order study")

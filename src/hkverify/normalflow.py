@@ -11,8 +11,14 @@ evolution equations in closed form:
 
 so the only numerical errors are the initial geometry and the quadrature
 in flow time.  A particle stays active until the first of its focal time
-(a Jacobian factor vanishes) and a global collision estimate; the flow
-functional
+(a Jacobian factor vanishes) and a global collision estimate.  The
+collision estimate scans a time grid; at each step it takes candidate
+pairs from KD-trees on Poincare ball coordinates, one tree per bucket of
+particles with collision thresholds within a factor BUCKET_RATIO of each
+other, queried at half the smaller of the two buckets' largest
+thresholds.  Euclidean ball distance is at most half the geodesic one, so
+the candidates include every colliding pair, and the exact geodesic test
+decides.  The flow functional
 
     Q(t) = e^{(n+1)t} [ sum_active (V-Vnu)/(H-n) J w0
                         - (n+1)/n * int_t^{t_max} sum_active V J w0 dtau ]
@@ -40,6 +46,7 @@ from . import hypgeo
 from ._util import atomic_write_text
 from .errors import FlowAssumptionError, FocalTimeError
 from .hypersurface import RadialGraph, SurfaceGeometry, build_geometry
+from .identities import H_MARGIN
 
 __all__ = [
     "DENOM_TOL",
@@ -58,7 +65,8 @@ __all__ = [
 ]
 
 DENOM_TOL = 1e-12
-H_MARGIN = 1e-8
+# Threshold ratio spanned by one candidate bucket of the collision scan.
+BUCKET_RATIO = 2.0
 
 
 def evolve_curvature(kappa, t):
@@ -143,6 +151,7 @@ class FlowParticles:
     spacing0: np.ndarray = field(init=False)    # (N,) local grid spacing w0^(1/n)
     t_focal: np.ndarray = field(init=False)     # (N,)
     active_until: np.ndarray = field(init=False)
+    cut_pair: dict | None = field(init=False, default=None)  # set by estimate_cut_time
 
     def __post_init__(self):
         self.spacing0 = self.w0 ** (1.0 / self.n)
@@ -169,6 +178,32 @@ class FlowParticles:
         return hypgeo.geodesic(self.y, -self.nu0, np.full(self.count(), float(t)))
 
 
+def _candidate_pairs(ball: np.ndarray, thr: np.ndarray):
+    """Index pairs (i, j) that may satisfy d_hyp < min(thr_i, thr_j).
+
+    The bucketed query of estimate_cut_time; particles with a zero
+    threshold cannot collide and are left out.
+    """
+    live = np.flatnonzero(thr > 0.0)
+    level = np.floor(np.log(np.max(thr) / thr[live]) / math.log(BUCKET_RATIO))
+    order = np.argsort(level, kind="stable")
+    starts = np.flatnonzero(np.diff(level[order])) + 1
+    buckets = []
+    for idx in np.split(live[order], starts):
+        buckets.append((idx, cKDTree(ball[idx]), float(np.max(thr[idx]))))
+    firsts, seconds = [], []
+    for a, (idx_a, tree_a, top_a) in enumerate(buckets):
+        pairs = tree_a.query_pairs(top_a / 2.0, output_type="ndarray")
+        firsts.append(idx_a[pairs[:, 0]])
+        seconds.append(idx_a[pairs[:, 1]])
+        for idx_b, tree_b, top_b in buckets[a + 1:]:
+            cross = tree_a.sparse_distance_matrix(
+                tree_b, min(top_a, top_b) / 2.0, output_type="ndarray")
+            firsts.append(idx_a[cross["i"]])
+            seconds.append(idx_b[cross["j"]])
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
 def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = 3.0) -> float:
     """Scan a time grid for the first collision between far-apart particles.
 
@@ -177,16 +212,28 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = 3.0) 
     kappa_i sinh tau); a pair collides when its geodesic distance drops
     below the smaller of the two thresholds.  Pairs closer than
     `exclusion` spacings at t = 0 are same-sheet neighbors and never count.
-    Candidate pairs come from a KD-tree on Poincare ball coordinates,
-    where the Euclidean distance never exceeds half the geodesic one.
+
+    Candidate pairs come from KD-trees on Poincare ball coordinates, one
+    per bucket of particles whose thresholds lie within a factor
+    BUCKET_RATIO of each other.  Each bucket pair is queried at half the
+    smaller of its two largest thresholds.  Since d_euc <= d_hyp / 2 in
+    the ball, the candidates are a superset of the colliding pairs, and
+    the exact hit test on geodesic distances decides.  A single query at
+    the largest threshold would find the same collisions, but late in the
+    flow, when thresholds spread over several octaves, it returns far more
+    candidates than can collide.
 
     Returns the first grid time with a collision, +inf if none occurs
     before the smallest focal time.  Either way each particle's
-    active_until becomes min(estimate, own focal time).
+    active_until becomes min(estimate, own focal time).  The colliding
+    far pair with the smallest ratio of distance to threshold is recorded
+    in particles.cut_pair (i < j, d_init, d_hit and threshold), or None
+    when there is no collision.
     """
     if particles.count() < 2:
         raise ValueError("need at least two particles to estimate a cut time")
     cut = math.inf
+    cut_pair = None
     focal_min = float(np.min(particles.t_focal))
     kappa_min = particles.kappa0[:, 0] if particles.kappa0.ndim == 2 else particles.kappa0
     for tau in np.sort(np.asarray(t_grid, dtype=float)):
@@ -195,18 +242,15 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = 3.0) 
         thr = particles.spacing0 * np.maximum(
             np.cosh(tau) - kappa_min * np.sinh(tau), 0.0
         )
-        rmax = float(np.max(thr))
-        if rmax <= 0.0:
+        if float(np.max(thr)) <= 0.0:
             continue
         pos = particles.positions_at(tau)
-        ball = hypgeo.hyper_to_ball(pos)
-        # d_euc <= d_hyp / 2 in the ball, so this radius cannot miss a pair
-        pairs = cKDTree(ball).query_pairs(rmax / 2.0, output_type="ndarray")
-        if pairs.shape[0] == 0:
+        i, j = _candidate_pairs(hypgeo.hyper_to_ball(pos), thr)
+        if i.shape[0] == 0:
             continue
-        i, j = pairs[:, 0], pairs[:, 1]
         d = hypgeo.dist(pos[i], pos[j])
-        hit = d < np.minimum(thr[i], thr[j])
+        limit = np.minimum(thr[i], thr[j])
+        hit = d < limit
         if not np.any(hit):
             continue
         ih, jh = i[hit], j[hit]
@@ -216,9 +260,20 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = 3.0) 
         )
         if np.any(far):
             cut = float(tau)
+            cut_pair = _deepest_pair(np.minimum(ih, jh)[far], np.maximum(ih, jh)[far],
+                                     d_init[far], d[hit][far], limit[hit][far])
             break
     particles.active_until = np.minimum(particles.t_focal, cut)
+    particles.cut_pair = cut_pair
     return cut
+
+
+def _deepest_pair(i, j, d_init, d_hit, limit) -> dict:
+    """The hit with the smallest d_hit / limit, ties to the lowest (i, j)."""
+    order = np.lexsort((j, i))
+    k = order[int(np.argmin((d_hit / limit)[order]))]
+    return {"i": int(i[k]), "j": int(j[k]), "d_init": float(d_init[k]),
+            "d_hit": float(d_hit[k]), "threshold": float(limit[k])}
 
 
 def _active_sums(particles: FlowParticles, tau: float):
@@ -313,6 +368,7 @@ class FlowTrace:
     levelset_ok: bool
     round_surface: bool
     window_truncated: bool
+    cut_pair: dict | None   # colliding pair behind cut_estimate, None when cut = inf
 
     def passed(self) -> bool:
         return (self.q_monotone_ok and self.area_decreasing_ok
@@ -351,6 +407,7 @@ class FlowTrace:
             "levelset_ok": self.levelset_ok,
             "round_surface": self.round_surface,
             "window_truncated": self.window_truncated,
+            "cut_pair": self.cut_pair,
             "pass": self.passed(),
         }
 
@@ -461,4 +518,5 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
         levelset_ok=levelset_ok,
         round_surface=round_surface,
         window_truncated=bool(cut < focal_min),
+        cut_pair=particles.cut_pair,
     )

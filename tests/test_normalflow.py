@@ -15,7 +15,13 @@ import pytest
 
 from hkverify import hypgeo
 from hkverify.errors import FlowAssumptionError, FocalTimeError
-from hkverify.hypersurface import RadialGraph, gen_sphere, weighted_volume
+from hkverify.hypersurface import (
+    RadialGraph,
+    build_geometry,
+    gen_perturbed_sphere,
+    gen_sphere,
+    weighted_volume,
+)
 from hkverify.normalflow import (
     FlowConfig,
     FlowParticles,
@@ -191,8 +197,44 @@ def antipodal_pair(R=1.0, s0=0.05):
     return FlowParticles(
         n=1, y=y, nu0=nu, kappa0=np.zeros((2, 1)),
         V0=np.full(2, math.cosh(R)), Vnu0=np.full(2, math.sinh(R)),
-        w0=np.full(2, s0),
+        w0=np.broadcast_to(np.asarray(s0, dtype=float), (2,)).copy(),
     )
+
+
+def brute_force_cut(particles, t_grid, exclusion=3.0, chunk=512):
+    """O(N^2) reference for the collision rule in estimate_cut_time's docstring.
+
+    Every pair i < j is screened by its Minkowski product from one Gram
+    matrix per row chunk, kept when within 1e-12 of cosh(min(thr_i, thr_j))
+    (far wider than the rounding of either product); hypgeo.dist then
+    decides exactly, as the scan does.
+    """
+    N = particles.count()
+    focal_min = float(np.min(particles.t_focal))
+    kappa_min = particles.kappa0[:, 0]
+    sign = np.ones(particles.n + 2)
+    sign[0] = -1.0
+    for tau in np.sort(np.asarray(t_grid, dtype=float)):
+        if tau >= focal_min or tau < 0.0:
+            continue
+        thr = particles.spacing0 * np.maximum(
+            np.cosh(tau) - kappa_min * np.sinh(tau), 0.0)
+        bound = np.cosh(thr) + 1e-12
+        pos = particles.positions_at(tau)
+        for lo in range(0, N, chunk):
+            hi = min(lo + chunk, N)
+            c = -(pos[lo:hi] * sign) @ pos[lo:].T
+            r, s = np.nonzero(c < bound[lo:hi, None])
+            i, j = r + lo, s + lo
+            keep = (i < j) & (c[r, s] < bound[j])
+            i, j = i[keep], j[keep]
+            hit = hypgeo.dist(pos[i], pos[j]) < np.minimum(thr[i], thr[j])
+            i, j = i[hit], j[hit]
+            far = hypgeo.dist(particles.y[i], particles.y[j]) >= exclusion * np.maximum(
+                particles.spacing0[i], particles.spacing0[j])
+            if np.any(far):
+                return float(tau)
+    return math.inf
 
 
 class TestCutTime:
@@ -214,11 +256,46 @@ class TestCutTime:
         assert cut >= t_star - 1e-9
         assert cut <= t_star + 2 * (grid[1] - grid[0])
         assert np.all(p.active_until == cut)  # flat particles never focus
+        pair = p.cut_pair
+        assert (pair["i"], pair["j"]) == (0, 1)
+        assert pair["d_init"] == pytest.approx(2.0, rel=1e-12)
+        assert pair["d_hit"] < pair["threshold"]
+        assert pair["threshold"] == pytest.approx(0.05 * math.cosh(cut), rel=1e-12)
 
     def test_exclusion_suppresses_known_neighbors(self):
         p = antipodal_pair()
         cut = estimate_cut_time(p, np.linspace(0.0, 1.2, 601), exclusion=100.0)
         assert cut == math.inf
+        assert p.cut_pair is None
+
+    @pytest.mark.parametrize("case", ["sphere", "lobe", "pair"])
+    def test_matches_brute_force(self, case):
+        # the bucketed candidate query must find exactly the collisions of
+        # an all-pairs scan: the same cut float, the same windows
+        if case == "pair":
+            # spacings 0.05 and 0.0005 put the two particles six threshold
+            # buckets apart, so the hit comes from a cross-bucket query
+            make = lambda: antipodal_pair(s0=[0.05, 0.0005])
+            grid = np.linspace(0.0, 1.2, 2401)
+        else:
+            if case == "sphere":
+                g = gen_sphere(1.0, grid=(32, 64))
+            else:
+                g = gen_perturbed_sphere(1.0, 0.2, (2, 0), grid=(48, 96))
+            geom = build_geometry(g)
+            make = lambda: FlowParticles.from_geometry(geom)
+            grid = np.linspace(0.0, float(np.min(make().t_focal)), 96, endpoint=False)
+        p, ref = make(), make()
+        cut = estimate_cut_time(p, grid)
+        want = brute_force_cut(ref, grid)
+        assert cut == want
+        assert np.array_equal(p.active_until, np.minimum(ref.t_focal, want))
+        if case == "sphere":
+            assert cut == math.inf
+        elif case == "lobe":
+            assert cut == pytest.approx(0.7488, abs=1e-4)
+        else:
+            assert math.isfinite(cut) and p.cut_pair["threshold"] < 0.001
 
     def test_needs_two_particles(self, surface):
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
@@ -269,6 +346,7 @@ class TestVerifyFlow:
         assert trace.round_surface is True
         assert trace.window_truncated is False
         assert trace.cut_estimate == math.inf
+        assert trace.cut_pair is None
         assert trace.focal_min == pytest.approx(R, abs=1e-12)
         assert trace.t_safe == pytest.approx(0.9 * R, abs=1e-12)
         assert np.all(np.abs(trace.levelset_rel) <= trace.levelset_tol_rel)
@@ -297,6 +375,11 @@ class TestVerifyFlow:
         trace = verify_flow(g, geom=geom)
         assert trace.window_truncated is True
         assert trace.cut_estimate < trace.focal_min
+        pair = trace.cut_pair
+        assert 0 <= pair["i"] < pair["j"] < geom.node_count()
+        assert pair["d_hit"] < pair["threshold"]
+        spacing = np.sqrt(geom.area_weight[[pair["i"], pair["j"]]])
+        assert pair["d_init"] >= FlowConfig().exclusion * np.max(spacing)
         assert trace.passed()
 
     def test_circle_and_ellipse(self, surface):
@@ -332,6 +415,6 @@ class TestVerifyFlow:
                     "samples", "Q0", "Q_final", "q_slack", "levelset_tol_rel",
                     "max_levelset_rel", "q_monotone_ok", "area_decreasing_ok",
                     "h_above_n_ok", "levelset_ok", "round_surface",
-                    "window_truncated", "pass"):
+                    "window_truncated", "cut_pair", "pass"):
             assert key in s
         assert s["pass"] is True
