@@ -310,9 +310,17 @@ class VerificationReport:
         atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _config_hash(config: dict) -> str:
+def _config_hash(config: dict, rho: np.ndarray) -> str:
+    """sha256 of the canonical JSON config, then of rho as float64 bytes.
+
+    The profile's shape is in the config; its values are hashed as raw
+    little-endian bytes because a JSON dump of them cost about a third
+    of a verification.
+    """
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    digest = hashlib.sha256(canon.encode())
+    digest.update(np.ascontiguousarray(rho, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEEP,
@@ -336,18 +344,19 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
     if alexandrov_k is None:
         alexandrov_k = [2] if graph.n >= 2 else []
 
+    surface = {"n": graph.n, "grid": list(graph.rho.shape), "meta": dict(graph.meta)}
     config = {
         "checks": list(checks),
         "eps_sweep": [float(e) for e in eps_sweep],
         "k_list": [int(k) for k in k_list],
         "alexandrov_k": [int(k) for k in alexandrov_k],
         "tol": tol if isinstance(tol, str) else float(tol),
-        "surface": graph.to_dict(),
+        "surface": surface,
     }
     report = VerificationReport(
-        surface={"n": graph.n, "grid": list(graph.rho.shape), "meta": dict(graph.meta)},
+        surface=surface,
         provenance={
-            "config_hash": _config_hash(config),
+            "config_hash": _config_hash(config, graph.rho),
             "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "tolerance_table_version": tolerance_table()["version"],
         },

@@ -268,6 +268,11 @@ class TestReportMachinery:
         c = run_verification(g, geom=geom, tol=1e-3)
         assert a.provenance["config_hash"] == b.provenance["config_hash"]
         assert a.provenance["config_hash"] != c.provenance["config_hash"]
+        # one ulp anywhere in the profile changes the hash
+        rho = g.rho.copy()
+        rho[7, 11] = np.nextafter(rho[7, 11], 2.0)
+        d = run_verification(RadialGraph(2, rho, meta=dict(g.meta)), geom=geom)
+        assert a.provenance["config_hash"] != d.provenance["config_hash"]
 
     def test_report_round_trips_as_json(self, surface, tmp_path):
         g, geom = surface("sphere", radius=1.0, n=1, grid=64)
