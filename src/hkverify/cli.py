@@ -216,11 +216,11 @@ def _convergence_residuals(args, n_phi: int):
                     out[r.name] = abs(r.rel_residual)
                     gate[r.name] = True
         elif check == "minkowski-classical":
-            r = identities.minkowski_classical(geom, graph)
+            r = identities.minkowski_classical(geom)
             out[r.name] = abs(r.rel_residual)
             gate[r.name] = True
         elif check == "gauss-bonnet":
-            r = identities.gauss_bonnet(geom, graph)
+            r = identities.gauss_bonnet(geom)
             out[r.name] = abs(r.rel_residual)
             gate[r.name] = True
         else:

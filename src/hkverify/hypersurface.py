@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import lpmv
@@ -41,9 +42,11 @@ from ._util import atomic_write_text, exact_sum
 from .errors import DegenerateSurfaceError, GenerationError, RejectedShapeError
 
 __all__ = [
+    "H_MARGIN",
     "RadialGraph",
     "SurfaceGeometry",
     "build_geometry",
+    "geometry_for",
     "area_integral",
     "weighted_volume",
     "enclosed_volume",
@@ -54,6 +57,9 @@ __all__ = [
 ]
 
 MIN_GRID = 8
+# margin by which H must exceed its bound (0 or n) before a check or
+# flow that divides by H or H - n accepts a surface
+H_MARGIN = 1e-8
 
 
 @dataclass
@@ -197,13 +203,11 @@ class SurfaceGeometry:
     kappa holds the principal curvatures sorted ascending per node;
     kappa_shifted is kappa - 1 (the hyperbolic-convexity eigenvalues).
     area_weight already contains the full quadrature weight, so surface
-    integrals are plain weighted sums.
+    integrals are plain weighted sums.  V, V_nu and weighted_volume are
+    all taken about `base`.
     """
 
-    n: int
-    grid: tuple
-    h_phi: float
-    h_theta: float
+    graph: RadialGraph
     position: np.ndarray
     normal: np.ndarray
     metric: np.ndarray
@@ -217,12 +221,30 @@ class SurfaceGeometry:
     base: np.ndarray
 
     @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def grid(self) -> tuple:
+        return self.graph.rho.shape
+
+    @property
     def resolution(self) -> float:
-        return self.h_phi if self.n == 2 else self.h_theta
+        return self.graph.resolution
 
     @property
     def mean_curvature(self) -> np.ndarray:
         return np.sum(self.kappa, axis=-1)
+
+    @cached_property
+    def weighted_volume(self) -> float:
+        """Integral of V over the enclosed region, about `base`."""
+        return weighted_volume(self.graph, self.base)
+
+    @cached_property
+    def enclosed_volume(self) -> float:
+        """Unweighted volume of the enclosed region."""
+        return enclosed_volume(self.graph)
 
     def node_count(self) -> int:
         return self.area_weight.size
@@ -248,16 +270,47 @@ def _sigma_weights(graph: RadialGraph) -> np.ndarray:
     return np.broadcast_to(w, graph.rho.shape).copy()
 
 
-def weighted_volume(graph: RadialGraph, base=None) -> float:
-    """Integral of the potential V over the enclosed region.
+def _directions(graph: RadialGraph) -> np.ndarray:
+    """Unit vector on the parameter sphere of each node, shape (*grid, n+1)."""
+    if graph.n == 1:
+        theta = graph.angles()
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    phi, theta = graph.angles()
+    sp = np.sin(phi)[:, None]
+    cp = np.cos(phi)[:, None]
+    return np.stack(
+        [sp * np.cos(theta)[None, :], sp * np.sin(theta)[None, :],
+         np.broadcast_to(cp, graph.rho.shape)],
+        axis=-1,
+    )
 
-    The radial integral of cosh(r) sinh(r)^n is exact
-    (sinh(rho)^{n+1} / (n+1) per direction), only the angular quadrature is
-    discrete.  Requires the potential's base point to be the star center,
-    which is the coordinate origin of the graph.
+
+def weighted_volume(graph: RadialGraph, base=None) -> float:
+    """Integral of the potential V = -<x, base> over the enclosed region.
+
+    The integrand is linear in x = (cosh r, sinh r w), so per direction w
+    the radial integral is exact:
+
+        b_0 sinh(rho)^{n+1} / (n+1) - (b_space . w) int_0^rho sinh(r)^{n+1} dr,
+
+    where the last integral is (cosh rho - 1)^2 (cosh rho + 2) / 3 for
+    n = 2 and (sinh rho cosh rho - rho) / 2 for n = 1.  Only the angular
+    quadrature is discrete.  `base` defaults to the graph's center, the
+    coordinate origin, where the second term vanishes.
     """
-    _require_centered_base(graph.n, base)
-    radial = np.sinh(graph.rho) ** (graph.n + 1) / (graph.n + 1)
+    if base is None:
+        base = hypgeo.origin(graph.n)
+    else:
+        base = np.asarray(base, dtype=float)
+        hypgeo.validate_point(base)
+    rho = graph.rho
+    if graph.n == 2:
+        c = np.cosh(rho)
+        tilt = (c - 1.0) ** 2 * (c + 2.0) / 3.0
+    else:
+        tilt = (np.sinh(rho) * np.cosh(rho) - rho) / 2.0
+    radial = (base[0] * np.sinh(rho) ** (graph.n + 1) / (graph.n + 1)
+              - (_directions(graph) @ base[1:]) * tilt)
     return exact_sum(radial * _sigma_weights(graph))
 
 
@@ -270,16 +323,18 @@ def enclosed_volume(graph: RadialGraph) -> float:
     return exact_sum(radial * _sigma_weights(graph))
 
 
-def _require_centered_base(n: int, base) -> np.ndarray:
-    o = hypgeo.origin(n)
-    if base is None:
-        return o
-    base = np.asarray(base, dtype=float)
-    if base.shape != o.shape or not np.allclose(base, o, atol=1e-14):
-        raise ValueError(
-            "exact radial integration needs the base point at the graph center"
-        )
-    return o
+def geometry_for(graph: RadialGraph, geom: SurfaceGeometry | None = None) -> SurfaceGeometry:
+    """The geometry of `graph`: `geom` itself, or a centered one if None.
+
+    Raises ValueError when `geom` was built from another graph (a
+    different dimension or different rho bits).
+    """
+    if geom is None:
+        return build_geometry(graph)
+    if geom.graph is not graph and (
+            geom.n != graph.n or not np.array_equal(geom.graph.rho, graph.rho)):
+        raise ValueError("the geometry was not built from this graph")
+    return geom
 
 
 def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
@@ -324,7 +379,7 @@ def _build_n1(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
     hform = (-d2 + 2.0 * (lamp / lam) * d1 * d1 + lam * lamp) / v
     kappa = (hform / g)[:, None]
 
-    w = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    w = _directions(graph)
     w_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
     position = np.concatenate([lamp[:, None], lam[:, None] * w], axis=-1)
     nu_space = (lamp[:, None] * w - (d1 / lam)[:, None] * w_t) / v[:, None]
@@ -335,10 +390,7 @@ def _build_n1(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
     weight = np.sqrt(g) * h
 
     return SurfaceGeometry(
-        n=1,
-        grid=(graph.n_theta,),
-        h_phi=float("nan"),
-        h_theta=h,
+        graph=graph,
         position=position,
         normal=normal,
         metric=g.reshape(-1, 1, 1),
@@ -408,11 +460,7 @@ def _build_n2(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
     k_lo = 0.5 * (tr - disc)
     k_hi = 0.5 * (tr + disc)
 
-    w = np.stack(
-        [sp * np.cos(theta)[None, :], sp * np.sin(theta)[None, :],
-         np.broadcast_to(cp, (P, T))],
-        axis=-1,
-    )
+    w = _directions(graph)
     w_phi = np.stack(
         [cp * np.cos(theta)[None, :], cp * np.sin(theta)[None, :],
          np.broadcast_to(-sp, (P, T))],
@@ -450,10 +498,7 @@ def _build_n2(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
     kappa = np.stack([k_lo.ravel(), k_hi.ravel()], axis=-1)
 
     return SurfaceGeometry(
-        n=2,
-        grid=(P, T),
-        h_phi=hp,
-        h_theta=ht,
+        graph=graph,
         position=position.reshape(N, 4),
         normal=normal.reshape(N, 4),
         metric=metric,
@@ -584,7 +629,7 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
     geom = build_geometry(graph)
     H = geom.mean_curvature
     worst = int(np.argmin(H))
-    if H[worst] <= n + 1e-8:
+    if H[worst] <= n + H_MARGIN:
         raise RejectedShapeError(
             f"mean curvature {H[worst]:.6g} is not above {n}", node=worst
         )

@@ -7,12 +7,15 @@ where h is the colatitude (n = 2) or azimuth (n = 1) step.
 
 The verified statements, for a closed hypersurface with principal
 curvatures kappa_i, shifted curvatures kappa_i - 1, potential V and
-support function V_nu:
+support function V_nu, all taken about the geometry's base point
+`geom.base` (a check reads nothing but the geometry):
 
 * For every real eps and 1 <= k <= n,
       int (V - eps V_nu) E_{k-1}(kappa - eps) = int V_nu E_k(kappa - eps).
 * int V_nu = (n + 1) * int_enclosed V  (the k = 1, eps = 0 case, with the
-  volume side integrated radially).
+  volume side integrated radially).  About the graph's center the
+  discrete identity is exact to rounding; about any other base point it
+  holds to O(h^2).
 * If H > 0:  int V / H >= (n+1)/n * int_enclosed V.
 * If H > n:  int (V - V_nu) / (H - n) >= (n+1)/n * int_enclosed V, with
   equality exactly on geodesic spheres.
@@ -29,8 +32,6 @@ import datetime as _dt
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -39,14 +40,7 @@ import numpy as np
 from . import symfun
 from ._util import atomic_write_text
 from .errors import PreconditionError
-from .hypersurface import (
-    RadialGraph,
-    SurfaceGeometry,
-    area_integral,
-    build_geometry,
-    enclosed_volume,
-    weighted_volume,
-)
+from .hypersurface import H_MARGIN, RadialGraph, SurfaceGeometry, area_integral, geometry_for
 
 __all__ = [
     "CheckResult",
@@ -60,12 +54,10 @@ __all__ = [
     "alexandrov_diagnostic",
     "gauss_bonnet",
     "run_verification",
-    "thread_count",
     "DEFAULT_EPS_SWEEP",
 ]
 
 DEFAULT_EPS_SWEEP = (0.0, 0.5, 1.0)
-H_MARGIN = 1e-8
 
 
 @dataclass
@@ -169,16 +161,16 @@ def minkowski_shifted(geom: SurfaceGeometry, eps: float = 1.0, k: int = 1,
     return _identity(name, lhs, rhs, tol_abs, {**_grid_meta(geom), "eps": eps, "k": k})
 
 
-def minkowski_classical(geom: SurfaceGeometry, graph: RadialGraph, tol="auto") -> CheckResult:
+def minkowski_classical(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Support-function integral against (n+1) times the weighted volume."""
     lhs = area_integral(geom, geom.V_nu)
-    rhs = (geom.n + 1) * weighted_volume(graph)
+    rhs = (geom.n + 1) * geom.weighted_volume
     scale = max(abs(lhs), abs(rhs), 1e-300)
     tol_abs = resolve_tolerance("minkowski-classical", geom, scale, tol)
     return _identity("minkowski-classical", lhs, rhs, tol_abs, _grid_meta(geom))
 
 
-def hk_brendle(geom: SurfaceGeometry, graph: RadialGraph, tol="auto") -> CheckResult:
+def hk_brendle(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Heintze-Karcher inequality int V/H >= (n+1)/n int V, needs H > 0."""
     H = geom.mean_curvature
     worst = int(np.argmin(H))
@@ -187,14 +179,14 @@ def hk_brendle(geom: SurfaceGeometry, graph: RadialGraph, tol="auto") -> CheckRe
             f"mean curvature {H[worst]:.6g} is not positive", check="hk-brendle", node=worst
         )
     lhs = area_integral(geom, geom.V / H)
-    rhs = (geom.n + 1) / geom.n * weighted_volume(graph)
+    rhs = (geom.n + 1) / geom.n * geom.weighted_volume
     scale = max(abs(lhs), abs(rhs), 1e-300)
     tol_abs = resolve_tolerance("hk-brendle", geom, scale, tol)
     meta = {**_grid_meta(geom), "H_min": float(H[worst])}
     return _inequality("hk-brendle", lhs, rhs, tol_abs, meta)
 
 
-def hk_shifted(geom: SurfaceGeometry, graph: RadialGraph, tol="auto") -> CheckResult:
+def hk_shifted(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Shifted inequality int (V - V_nu)/(H - n) >= (n+1)/n int V, needs H > n."""
     H = geom.mean_curvature
     worst = int(np.argmin(H))
@@ -204,14 +196,14 @@ def hk_shifted(geom: SurfaceGeometry, graph: RadialGraph, tol="auto") -> CheckRe
             check="hk-shifted", node=worst,
         )
     lhs = area_integral(geom, (geom.V - geom.V_nu) / (H - geom.n))
-    rhs = (geom.n + 1) / geom.n * weighted_volume(graph)
+    rhs = (geom.n + 1) / geom.n * geom.weighted_volume
     scale = max(abs(lhs), abs(rhs), 1e-300)
     tol_abs = resolve_tolerance("hk-shifted", geom, scale, tol)
     meta = {**_grid_meta(geom), "H_min": float(H[worst])}
     return _inequality("hk-shifted", lhs, rhs, tol_abs, meta)
 
 
-def alexandrov_diagnostic(geom: SurfaceGeometry, graph: RadialGraph, k: int = 2,
+def alexandrov_diagnostic(geom: SurfaceGeometry, k: int = 2,
                           tol="auto") -> list[CheckResult]:
     """Three chained diagnostics behind higher-order umbilicity rigidity.
 
@@ -273,11 +265,11 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, graph: RadialGraph, k: int = 2,
     return [ratio, slack, umb]
 
 
-def gauss_bonnet(geom: SurfaceGeometry, graph: RadialGraph, tol="auto") -> CheckResult:
+def gauss_bonnet(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Curve check: total geodesic curvature minus enclosed area is 2 pi."""
     if geom.n != 1:
         raise PreconditionError("gauss-bonnet applies to curves only", check="gauss-bonnet")
-    lhs = area_integral(geom, geom.kappa[:, 0]) - enclosed_volume(graph)
+    lhs = area_integral(geom, geom.kappa[:, 0]) - geom.enclosed_volume
     rhs = 2.0 * np.pi
     tol_abs = resolve_tolerance("gauss-bonnet", geom, rhs, tol)
     return _identity("gauss-bonnet", lhs, rhs, tol_abs, _grid_meta(geom))
@@ -331,10 +323,10 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
     checks defaults to the identities and inequalities that apply at the
     surface's dimension.  The Alexandrov diagnostics only run when asked
     for (their constancy verdict describes the shape rather than checking
-    an identity).
+    an identity).  `geom` defaults to the centered geometry of `graph`;
+    one built from another graph is refused with ValueError.
     """
-    if geom is None:
-        geom = build_geometry(graph)
+    geom = geometry_for(graph, geom)
     if checks is None:
         checks = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
         if graph.n == 1:
@@ -361,47 +353,19 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
             "tolerance_table_version": tolerance_table()["version"],
         },
     )
-    tasks = []
+    single = {"minkowski-classical": minkowski_classical, "hk-brendle": hk_brendle,
+              "hk-shifted": hk_shifted, "gauss-bonnet": gauss_bonnet}
     for check in checks:
-        if check == "minkowski-shifted":
+        if check in single:
+            report.add(single[check](geom, tol))
+        elif check == "minkowski-shifted":
             for k in k_list:
                 for eps in eps_sweep:
-                    tasks.append(lambda k=k, eps=eps: minkowski_shifted(geom, eps, k, tol))
-        elif check == "minkowski-classical":
-            tasks.append(lambda: minkowski_classical(geom, graph, tol))
-        elif check == "hk-brendle":
-            tasks.append(lambda: hk_brendle(geom, graph, tol))
-        elif check == "hk-shifted":
-            tasks.append(lambda: hk_shifted(geom, graph, tol))
-        elif check == "gauss-bonnet":
-            tasks.append(lambda: gauss_bonnet(geom, graph, tol))
+                    report.add(minkowski_shifted(geom, eps, k, tol))
         elif check == "alexandrov":
             for k in alexandrov_k:
-                tasks.append(lambda k=k: alexandrov_diagnostic(geom, graph, k, tol))
+                for result in alexandrov_diagnostic(geom, k, tol):
+                    report.add(result)
         else:
             raise ValueError(f"unknown check {check!r}")
-
-    # Checks are pure and independent; results land in submission order so
-    # the report is deterministic regardless of worker count.
-    workers = thread_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda fn: fn(), tasks))
-    else:
-        outcomes = [fn() for fn in tasks]
-    for outcome in outcomes:
-        if isinstance(outcome, CheckResult):
-            report.add(outcome)
-        else:
-            for result in outcome:
-                report.add(result)
     return report
-
-
-def thread_count() -> int:
-    """Worker cap from HK_THREADS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("HK_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

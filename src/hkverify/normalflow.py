@@ -45,8 +45,7 @@ from scipy.spatial import cKDTree
 from . import hypgeo
 from ._util import atomic_write_text
 from .errors import FlowAssumptionError, FocalTimeError
-from .hypersurface import RadialGraph, SurfaceGeometry, build_geometry
-from .identities import H_MARGIN
+from .hypersurface import H_MARGIN, RadialGraph, SurfaceGeometry, geometry_for
 
 __all__ = [
     "DENOM_TOL",
@@ -428,11 +427,13 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
     the windows end at different times per particle, so the discrete
     residual carries an O(1) staggering term; it is still recorded in
     the trace for inspection but does not fail the run.
+
+    `geom` defaults to the centered geometry of `graph`; one built from
+    another graph is refused with ValueError.
     """
     if config is None:
         config = FlowConfig()
-    if geom is None:
-        geom = build_geometry(graph)
+    geom = geometry_for(graph, geom)
     particles = FlowParticles.from_geometry(geom)
     H0 = geom.mean_curvature
     low = int(np.argmin(H0))
@@ -477,7 +478,7 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
     levelset = S_nu[keep] - (n + 1) * tail[keep]
     levelset_rel = levelset / np.maximum(np.abs(S_nu[keep]), 1e-300)
 
-    h = graph.resolution
+    h = geom.resolution
     scale = max(term1[0], 1e-300)
     q_slack = (config.q_c_grid * h * h + config.q_c_time * dt * dt) * scale
     ls_tol = config.levelset_c_grid * h * h + config.levelset_c_time * dt * dt

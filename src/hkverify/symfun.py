@@ -50,36 +50,35 @@ def _as_symmetric(matrix) -> np.ndarray:
     return a
 
 
-def sigma_m(values, m: int) -> float:
-    """m-th elementary symmetric polynomial of an eigenvalue tuple."""
-    lam = _as_tuple(values)
+def _sigma(columns, m: int, one):
+    """sigma_m of n values by the prefix recursion, zero for m > n.
+
+    `columns` holds the n values: floats for one tuple, or equal-shape
+    arrays for a stack of tuples, with `one` the matching unit (1.0 or an
+    array of ones).
+    """
     if m < 0:
         raise ValueError(f"order m must be non-negative, got {m}")
-    n = lam.size
-    if m == 0:
-        return 1.0
-    if m > n:
-        return 0.0
-    # Prefix recursion: after consuming lam[i], e[j] holds sigma_j of the prefix.
-    e = np.zeros(m + 1)
-    e[0] = 1.0
-    for i in range(n):
+    if m > len(columns):
+        return 0.0 * one
+    # after consuming columns[i], e[j] holds sigma_j of the prefix
+    e = [one] + [0.0] * m
+    for i, col in enumerate(columns):
         for j in range(min(i + 1, m), 0, -1):
-            e[j] += lam[i] * e[j - 1]
-    return float(e[m])
+            e[j] = e[j] + col * e[j - 1]
+    return e[m]
+
+
+def sigma_m(values, m: int) -> float:
+    """m-th elementary symmetric polynomial of an eigenvalue tuple."""
+    return float(_sigma(_as_tuple(values).tolist(), m, 1.0))
 
 
 def e_m(values, m: int) -> float:
     """Normalized symmetric function E_m = sigma_m / C(n, m)."""
     lam = _as_tuple(values)
-    n = lam.size
-    if m < 0:
-        raise ValueError(f"order m must be non-negative, got {m}")
-    if m == 0:
-        return 1.0
-    if m > n:
-        return 0.0
-    return sigma_m(lam, m) / math.comb(n, m)
+    sig = sigma_m(lam, m)
+    return sig / math.comb(lam.size, m) if m <= lam.size else sig
 
 
 def e_m_values(values, m: int) -> np.ndarray:
@@ -93,19 +92,8 @@ def e_m_values(values, m: int) -> np.ndarray:
     if lam.ndim == 0:
         raise ValueError("expected at least one eigenvalue axis")
     n = lam.shape[-1]
-    if m < 0:
-        raise ValueError(f"order m must be non-negative, got {m}")
-    base_shape = lam.shape[:-1]
-    if m == 0:
-        return np.ones(base_shape)
-    if m > n:
-        return np.zeros(base_shape)
-    e = [np.ones(base_shape)] + [np.zeros(base_shape) for _ in range(m)]
-    for i in range(n):
-        col = lam[..., i]
-        for j in range(min(i + 1, m), 0, -1):
-            e[j] = e[j] + col * e[j - 1]
-    return e[m] / math.comb(n, m)
+    sig = _sigma(list(np.moveaxis(lam, -1, 0)), m, np.ones(lam.shape[:-1]))
+    return sig / math.comb(n, m) if m <= n else sig
 
 
 def _jacobi(a: np.ndarray, max_sweeps: int = 100):

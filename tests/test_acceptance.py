@@ -42,7 +42,7 @@ def test_criterion_01_shifted_equality_on_spheres(surface):
     for R, off in SPHERES:
         t0 = time.monotonic()
         g, geom = surface("sphere", radius=R, offset=off, grid=(128, 256))
-        r = hk_shifted(geom, g)
+        r = hk_shifted(geom)
         elapsed = time.monotonic() - t0
         rel = abs(r.residual) / abs(r.rhs)
         assert rel <= 1e-3, (R, off, rel)
@@ -53,7 +53,7 @@ def test_criterion_01_shifted_equality_on_spheres(surface):
 def test_criterion_02_unshifted_equality_on_spheres(surface):
     for R, off in SPHERES:
         g, geom = surface("sphere", radius=R, offset=off, grid=(128, 256))
-        r = hk_brendle(geom, g)
+        r = hk_brendle(geom)
         rel = abs(r.residual) / abs(r.rhs)
         assert rel <= 1e-3, (R, off, rel)
     print("criterion-02 unshifted equality on spheres: PASS")
@@ -64,7 +64,7 @@ def test_criterion_03_strict_deficit_sign_stable(surface):
     for P in (64, 128, 256):
         g, geom = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0),
                           grid=(P, 2 * P))
-        r = hk_shifted(geom, g)
+        r = hk_shifted(geom)
         assert r.residual > 0.0, (P, r.residual)
         deficits.append(r.residual)
     spread = max(deficits) - min(deficits)
@@ -83,7 +83,7 @@ def test_criterion_04_minkowski_residual_convergence(surface):
             for eps in (0.0, 0.5, 1.0):
                 r = minkowski_shifted(geom, eps, k)
                 series.setdefault(r.name, []).append(abs(r.rel_residual))
-        rc = minkowski_classical(geom, g)
+        rc = minkowski_classical(geom)
         series.setdefault(rc.name, []).append(abs(rc.rel_residual))
     log_h = np.log(hs)
     for name, vals in series.items():
@@ -216,22 +216,22 @@ def test_criterion_08_symmetric_function_suite(rng):
 def test_criterion_09_curve_case(surface):
     g, geom = surface("sphere", radius=1.0, n=1, grid=256)
     for fn in (hk_brendle, hk_shifted):
-        r = fn(geom, g)
+        r = fn(geom)
         assert abs(r.residual) / abs(r.rhs) <= 1e-4, r
     ge, geome = surface("perturbed", radius=1.0, amp=0.1, mode=2, n=1, grid=256)
     for fn in (hk_brendle, hk_shifted):
-        r = fn(geome, ge)
+        r = fn(geome)
         assert r.residual > 0.0, r
-    gb = gauss_bonnet(geome, ge)
+    gb = gauss_bonnet(geome)
     assert abs(gb.residual) <= 1e-4, gb
-    assert abs(gauss_bonnet(geom, g).residual) <= 1e-4
+    assert abs(gauss_bonnet(geom).residual) <= 1e-4
     print("criterion-09 circle equality, ellipse deficit, total curvature: PASS")
 
 
 def test_criterion_10_alexandrov_diagnostic(surface):
     for R in (0.5, 1.0, 2.0):
         g, geom = surface("sphere", radius=R, grid=(64, 128))
-        ratio, slack, umb = alexandrov_diagnostic(geom, g)
+        ratio, slack, umb = alexandrov_diagnostic(geom)
         assert ratio.metadata["ek_constant"] is True, R
         assert ratio.passed and slack.passed, R
         assert umb.metadata["umbilic_within_tol"] is True, R

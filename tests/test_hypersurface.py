@@ -237,13 +237,33 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             area_integral(geom, f[:-1])
 
-    def test_weighted_volume_needs_centered_base(self):
-        g = gen_sphere(1.0, grid=(16, 32))
-        off = hypgeo.ball_to_hyper(np.array([0.1, 0.0, 0.0]))
+    def test_weighted_volume_off_center_closed_form(self):
+        # about an offset sphere's own center, int V over the ball is the
+        # centered closed form omega_n sinh^{n+1}(R) / (n+1): the trapezoid
+        # rule is spectral on the circle, the midpoint rule second order
+        R, d = 1.0, 0.3
+        for n, grid, omega, tol in ((1, (256,), 2 * np.pi, 1e-13),
+                                    (2, (64, 128), 4 * np.pi, (np.pi / 64) ** 2)):
+            g = gen_sphere(R, d, n=n, grid=grid)
+            center = np.zeros(n + 2)
+            center[0], center[-1 if n == 2 else 1] = math.cosh(d), math.sinh(d)
+            want = omega * math.sinh(R) ** (n + 1) / (n + 1)
+            got = weighted_volume(g, base=center)
+            assert abs(got - want) <= tol * want, (n, got, want)
+            assert build_geometry(g, base=center).weighted_volume == got
+
+    def test_weighted_volume_origin_base_bit_identical(self):
+        # about the origin the tilt term vanishes exactly, leaving the
+        # centered radial integral sinh(rho)^3 / 3 bit for bit
+        g = gen_perturbed_sphere(1.0, 0.01, (3, 1), grid=(16, 32))
+        phi, _ = g.angles()
+        w = np.sin(phi)[:, None] * g.h_phi * g.h_theta
+        want = math.fsum((np.sinh(g.rho) ** 3 / 3 * w).ravel().tolist())
+        assert weighted_volume(g) == want
+        assert weighted_volume(g, base=hypgeo.origin(2)) == want
+        assert build_geometry(g).weighted_volume == want
         with pytest.raises(ValueError):
-            weighted_volume(g, base=off)
-        # the graph's own center is accepted explicitly
-        assert weighted_volume(g, base=hypgeo.origin(2)) == weighted_volume(g)
+            weighted_volume(g, base=np.array([1.0, 0.5, 0.0, 0.0]))
 
 
 class TestSymmetries:

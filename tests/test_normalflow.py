@@ -369,7 +369,9 @@ class TestVerifyFlow:
         assert np.all(np.diff(trace.Q) <= trace.q_slack)
 
     def test_truncated_window(self, surface):
-        # deep prolate shape: opposite flanks meet before the focal time
+        # deep prolate shape: the window is cut by a pair on one equatorial
+        # ring, (row 24, col 0) and (row 24, col 4), about 3.98 spacings
+        # apart and so just past the exclusion radius
         g, geom = surface("perturbed", radius=1.0, amp=0.2, mode=(2, 0),
                           grid=(48, 96))
         trace = verify_flow(g, geom=geom)
@@ -380,6 +382,8 @@ class TestVerifyFlow:
         assert pair["d_hit"] < pair["threshold"]
         spacing = np.sqrt(geom.area_weight[[pair["i"], pair["j"]]])
         assert pair["d_init"] >= FlowConfig().exclusion * np.max(spacing)
+        (ri, ci), (rj, cj) = divmod(pair["i"], 96), divmod(pair["j"], 96)
+        assert ri == rj and ri in (23, 24) and (cj - ci) % 96 in (4, 92)
         assert trace.passed()
 
     def test_circle_and_ellipse(self, surface):
@@ -391,6 +395,11 @@ class TestVerifyFlow:
         te = verify_flow(ge, geom=geome)
         assert te.passed() and not te.round_surface
         assert te.Q[0] > 0.0
+
+    def test_foreign_geometry_refused(self, surface):
+        g, geom = surface("sphere", radius=1.0, grid=(32, 64))
+        with pytest.raises(ValueError, match="not built from this graph"):
+            verify_flow(RadialGraph(2, np.full((32, 64), 1.1)), geom=geom)
 
     def test_rejects_flat_start(self):
         theta = np.arange(128) * (2 * np.pi / 128)
