@@ -62,6 +62,15 @@ MIN_GRID = 8
 H_MARGIN = 1e-8
 
 
+def _angle_grid(n: int, grid):
+    """Node angles: theta on a (T,) grid for n = 1, (phi, theta) on (P, T)."""
+    if n == 1:
+        (T,) = grid
+        return np.arange(T) * (2.0 * np.pi / T)
+    P, T = grid
+    return (np.arange(P) + 0.5) * (np.pi / P), np.arange(T) * (2.0 * np.pi / T)
+
+
 @dataclass
 class RadialGraph:
     """Radial distance samples of a closed star-shaped hypersurface."""
@@ -113,11 +122,7 @@ class RadialGraph:
 
     def angles(self):
         """Colatitude/azimuth node coordinates (phi, theta) or just theta."""
-        theta = np.arange(self.n_theta) * self.h_theta
-        if self.n == 1:
-            return theta
-        phi = (np.arange(self.n_phi) + 0.5) * self.h_phi
-        return phi, theta
+        return _angle_grid(self.n, self.rho.shape)
 
     def rotated(self, steps: int) -> "RadialGraph":
         """Same surface with the azimuth grid rolled by an integer step."""
@@ -212,7 +217,6 @@ class SurfaceGeometry:
     normal: np.ndarray
     metric: np.ndarray
     second_form: np.ndarray
-    weingarten: np.ndarray
     kappa: np.ndarray
     kappa_shifted: np.ndarray
     V: np.ndarray
@@ -395,7 +399,6 @@ def _build_n1(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
         normal=normal,
         metric=g.reshape(-1, 1, 1),
         second_form=hform.reshape(-1, 1, 1),
-        weingarten=(hform / g).reshape(-1, 1, 1),
         kappa=kappa,
         kappa_shifted=kappa - 1.0,
         V=np.asarray(V),
@@ -490,11 +493,6 @@ def _build_n2(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
     second[:, 0, 0] = h_pp.ravel()
     second[:, 0, 1] = second[:, 1, 0] = h_pt.ravel()
     second[:, 1, 1] = h_tt.ravel()
-    wein = np.empty((N, 2, 2))
-    wein[:, 0, 0] = w_pp.ravel()
-    wein[:, 0, 1] = w_pt.ravel()
-    wein[:, 1, 0] = w_tp.ravel()
-    wein[:, 1, 1] = w_tt.ravel()
     kappa = np.stack([k_lo.ravel(), k_hi.ravel()], axis=-1)
 
     return SurfaceGeometry(
@@ -503,7 +501,6 @@ def _build_n2(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
         normal=normal.reshape(N, 4),
         metric=metric,
         second_form=second,
-        weingarten=wein,
         kappa=kappa,
         kappa_shifted=kappa - 1.0,
         V=V.ravel(),
@@ -511,17 +508,6 @@ def _build_n2(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
         area_weight=weight.ravel(),
         base=base,
     )
-
-
-def _offset_cosines(n: int, grid) -> np.ndarray:
-    """cos of the angle between each grid direction and the offset axis."""
-    if n == 2:
-        P, T = grid
-        phi = (np.arange(P) + 0.5) * (np.pi / P)
-        return np.broadcast_to(np.cos(phi)[:, None], (P, T)).copy()
-    (T,) = grid
-    theta = np.arange(T) * (2.0 * np.pi / T)
-    return np.cos(theta)
 
 
 def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
@@ -535,7 +521,11 @@ def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
 
         cosh(radius) = cosh(rho) cosh(d) - sinh(rho) sinh(d) cos(gamma)
 
-    by safeguarded Newton iteration, bracketed on [radius - d, radius + d].
+    exactly: the right side is s cosh(rho - alpha) with
+    s = sqrt(1 + sinh(d)^2 sin(gamma)^2) and sinh(alpha) = sinh(d) cos(gamma) / s,
+    so rho = alpha + arccosh(cosh(radius) / s), the root with rho > 0.  This
+    form of s avoids the cancellation in cosh(d)^2 - sinh(d)^2 cos(gamma)^2
+    at gamma = 0.
     """
     if radius <= 0.0:
         raise GenerationError(f"radius must be positive, got {radius}")
@@ -549,36 +539,15 @@ def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
         return RadialGraph(n, rho, {"shape": "sphere", "radius": radius, "offset": 0.0})
 
     d = float(center_offset)
-    cosg = _offset_cosines(n, grid)
-    chd, shd = np.cosh(d), np.sinh(d)
-    chR = np.cosh(radius)
-
-    def f(x):
-        return np.cosh(x) * chd - np.sinh(x) * shd * cosg - chR
-
-    def fp(x):
-        return np.sinh(x) * chd - np.cosh(x) * shd * cosg
-
-    lo = np.full(grid, radius - d)
-    hi = np.full(grid, radius + d)
-    x = np.full(grid, float(radius))
-    tol = 1e-14 * max(chR, 1.0)
-    for _ in range(200):
-        fx = f(x)
-        if np.all(np.abs(fx) <= tol):
-            break
-        hi = np.where(fx > 0.0, x, hi)
-        lo = np.where(fx <= 0.0, x, lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(fp(x) != 0.0, fx / fp(x), np.inf)
-        cand = x - step
-        mid = 0.5 * (lo + hi)
-        x = np.where((cand > lo) & (cand < hi) & np.isfinite(cand), cand, mid)
-    resid = np.max(np.abs(f(x)))
-    if resid > 1e-12 * max(chR, 1.0):
-        raise GenerationError(f"law-of-cosines solve stalled, residual {resid:.3e}")
+    angles = _angle_grid(n, grid)
+    gamma = angles[0][:, None] if n == 2 else angles
+    shd = np.sinh(d)
+    s = np.hypot(1.0, shd * np.sin(gamma))
+    alpha = np.arcsinh(shd * np.cos(gamma) / s)
+    rho = alpha + np.arccosh(np.cosh(radius) / s)
     return RadialGraph(
-        n, x, {"shape": "sphere", "radius": float(radius), "offset": d}
+        n, np.broadcast_to(rho, grid).copy(),
+        {"shape": "sphere", "radius": float(radius), "offset": d},
     )
 
 
@@ -590,16 +559,12 @@ def _harmonic(n: int, mode, grid) -> np.ndarray:
             raise GenerationError(f"n = 2 mode must be a pair (l, m): {exc}") from exc
         if ell < 0 or not 0 <= m <= ell:
             raise GenerationError(f"mode order out of range: ({ell}, {m})")
-        P, T = grid
-        phi = (np.arange(P) + 0.5) * (np.pi / P)
-        theta = np.arange(T) * (2.0 * np.pi / T)
+        phi, theta = _angle_grid(n, grid)
         return lpmv(m, ell, np.cos(phi))[:, None] * np.cos(m * theta)[None, :]
     k = int(mode[0]) if np.iterable(mode) else int(mode)
     if k < 0:
         raise GenerationError(f"mode order out of range: {k}")
-    (T,) = grid
-    theta = np.arange(T) * (2.0 * np.pi / T)
-    return np.cos(k * theta)
+    return np.cos(k * _angle_grid(n, grid))
 
 
 def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,

@@ -38,7 +38,7 @@ from importlib import resources
 import numpy as np
 
 from . import symfun
-from ._util import atomic_write_text
+from ._util import atomic_write_text, exact_sum
 from .errors import PreconditionError
 from .hypersurface import H_MARGIN, RadialGraph, SurfaceGeometry, area_integral, geometry_for
 
@@ -231,7 +231,7 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, k: int = 2,
     ek = symfun.e_m_values(shifted, k)
     ekm1 = symfun.e_m_values(shifted, k - 1)
     e1 = symfun.e_m_values(shifted, 1)
-    ek_mean = float(np.mean(ek))
+    ek_mean = exact_sum(ek) / ek.size
     ek_spread = float(np.max(ek) - np.min(ek))
     h = geom.resolution
     const_tol = tolerance_table()["checks"]["ek-constancy"] * h * h * max(abs(ek_mean), 1e-300)

@@ -59,7 +59,6 @@ __all__ = [
     "focal_time",
     "focal_times",
     "estimate_cut_time",
-    "Q_of_t",
     "verify_flow",
 ]
 
@@ -301,28 +300,6 @@ def _active_sums(particles: FlowParticles, tau: float):
     area = float(np.sum(w))
     term1 = float(np.sum((V - Vnu) / (H - particles.n) * w))
     return S_vol, S_nu, area, term1, n_active, float(H[low]), float(np.max(H))
-
-
-def Q_of_t(particles: FlowParticles, t: float, t_max: float, dt: float = 1e-3) -> float:
-    """Flow functional at one time, with the tail integral to t_max.
-
-    The tau integral uses a composite trapezoid at step ~dt.  t must not
-    exceed any particle's active window.
-    """
-    t_safe = float(np.min(particles.active_until))
-    if t > t_safe * (1.0 + 1e-12):
-        raise FlowAssumptionError(
-            f"t = {t:.6g} is past the shortest active window {t_safe:.6g}"
-        )
-    if t_max < t:
-        raise ValueError("t_max must not precede t")
-    steps = max(1, math.ceil((t_max - t) / max(dt, 1e-12)))
-    taus = np.linspace(t, t_max, steps + 1)
-    S = np.array([_active_sums(particles, tau)[0] for tau in taus])
-    tail = float(np.trapezoid(S, taus)) if hasattr(np, "trapezoid") else float(np.trapz(S, taus))
-    term1 = _active_sums(particles, t)[3]
-    n = particles.n
-    return math.exp((n + 1) * t) * (term1 - (n + 1) / n * tail)
 
 
 @dataclass

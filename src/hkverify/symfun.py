@@ -24,7 +24,6 @@ __all__ = [
     "e_m_values",
     "e_m_matrix",
     "d_e_m",
-    "jacobi_eigenvalues",
     "cone_member",
     "newton_maclaurin_deficit",
 ]
@@ -96,63 +95,13 @@ def e_m_values(values, m: int) -> np.ndarray:
     return sig / math.comb(n, m) if m <= n else sig
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int = 100):
-    """Cyclic Jacobi sweep returning (eigenvalues, eigenvector columns)."""
-    a = np.array(a, copy=True)
-    n = a.shape[0]
-    vec = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), vec
-    scale = np.sqrt(np.sum(a * a))
-    tol = 1e-15 * max(scale, 1.0)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(a * a) - np.sum(np.diag(a) ** 2)), 0.0))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e154:
-                    # theta^2 would overflow; use the asymptotic rotation
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * vec[:, p] - s * vec[:, q]
-                rot_q = s * vec[:, p] + c * vec[:, q]
-                vec[:, p], vec[:, q] = rot_p, rot_q
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order], vec[:, order]
-
-
-def jacobi_eigenvalues(matrix, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
-
-    Returns the eigenvalues sorted ascending.  Sized for the tiny matrices
-    this package meets (n <= 6); convergence there takes a handful of
-    sweeps.
-    """
-    values, _ = _jacobi(_as_symmetric(matrix), max_sweeps)
-    return values
-
-
 def e_m_matrix(matrix, m: int, method: str = "eigen") -> float:
     """E_m of a symmetric matrix.
 
     Two independent routes are kept on purpose so they can cross-check each
-    other: "eigen" goes through the Jacobi eigenvalues, "minors" sums the
-    m-by-m principal minors (the antisymmetrized product definition).
+    other: "eigen" goes through the LAPACK eigenvalues (numpy.linalg.eigvalsh),
+    "minors" sums the m-by-m principal minors (the antisymmetrized product
+    definition).
     """
     a = _as_symmetric(matrix)
     n = a.shape[0]
@@ -163,7 +112,7 @@ def e_m_matrix(matrix, m: int, method: str = "eigen") -> float:
     if m > n:
         return 0.0
     if method == "eigen":
-        return e_m(jacobi_eigenvalues(a), m)
+        return e_m(np.linalg.eigvalsh(a), m)
     if method == "minors":
         total = 0.0
         for rows in itertools.combinations(range(n), m):
@@ -177,8 +126,8 @@ def d_e_m(matrix, m: int) -> np.ndarray:
     """Derivative matrix of E_m with respect to the matrix argument.
 
     Entry (i, j) is dE_m / dA_ji; for symmetric A the result is symmetric.
-    Computed in the eigenbasis, where it is diagonal with entries
-    sigma_{m-1} of the deleted eigenvalue tuple.  (The equivalent
+    Computed in the eigenbasis from numpy.linalg.eigh, where it is diagonal
+    with entries sigma_{m-1} of the deleted eigenvalue tuple.  (The equivalent
     polynomial expansion sum (-1)^r sigma_{m-1-r}(A) A^r cancels digits
     badly at m close to n.)
     """
@@ -188,7 +137,7 @@ def d_e_m(matrix, m: int) -> np.ndarray:
         raise ValueError(f"order m must satisfy 1 <= m <= {n}, got {m}")
     if n == 1:
         return np.ones((1, 1))
-    lam, vec = _jacobi(a)
+    lam, vec = np.linalg.eigh(a)
     diag = np.array([sigma_m(np.delete(lam, i), m - 1) for i in range(n)])
     return (vec * diag) @ vec.T / math.comb(n, m)
 

@@ -55,6 +55,12 @@ class TestGen:
                    "--grid", "32x64", "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_far_offset_sphere(self, tmp_path):
+        # origin 0.6 from the surface of a radius-6 circle
+        rc = main(["gen", "--shape", "sphere", "--radius", "6", "--offset", "5.4",
+                   "--n", "1", "--grid", "256", "--out", str(tmp_path / "x.json")])
+        assert rc == 0
+
     def test_bad_grid_exits_64(self, tmp_path):
         rc = main(["gen", "--grid", "notagrid", "--out", str(tmp_path / "x.json")])
         assert rc == 64

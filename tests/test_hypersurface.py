@@ -97,13 +97,18 @@ class TestGenerators:
         assert np.all(g1.rho == 1.5)
 
     def test_offset_sphere_law_of_cosines(self):
-        R, d = 1.0, 0.3
-        g = gen_sphere(R, d, grid=(32, 64))
-        phi, _ = g.angles()
-        cosg = np.cos(phi)[:, None]
-        resid = (np.cosh(g.rho) * math.cosh(d)
-                 - np.sinh(g.rho) * math.sinh(d) * cosg - math.cosh(R))
-        assert np.max(np.abs(resid)) <= 1e-12 * math.cosh(R)
+        for n, grid in ((1, 64), (2, (32, 64))):
+            for R in (0.1, 1.0, 6.0):
+                for ratio in (0.01, 0.9, 0.999):
+                    d = ratio * R
+                    g = gen_sphere(R, d, n=n, grid=grid)
+                    ang = g.angles()
+                    cosg = np.cos(ang[0])[:, None] if n == 2 else np.cos(ang)
+                    resid = (np.cosh(g.rho) * math.cosh(d)
+                             - np.sinh(g.rho) * math.sinh(d) * cosg - math.cosh(R))
+                    # evaluating the residual itself rounds at eps cosh(rho) cosh(d)
+                    bound = 1e-14 * np.cosh(g.rho) * math.cosh(d)
+                    assert np.all(np.abs(resid) <= bound), (n, R, ratio)
 
     def test_gen_sphere_rejects(self):
         with pytest.raises(GenerationError):

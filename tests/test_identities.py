@@ -217,6 +217,14 @@ class TestAlexandrov:
         assert umb.metadata["umbilic_within_tol"] is False
         assert umb.passed  # reports never fail
 
+    def test_roll_invariant(self):
+        # rolling the azimuth permutes the nodes; every sum in the chain,
+        # ek_mean included, must not depend on the node order
+        g = gen_perturbed_sphere(1.0, 0.01, (3, 2), grid=(48, 96))
+        want = [r.to_dict() for r in alexandrov_diagnostic(build_geometry(g))]
+        got = [r.to_dict() for r in alexandrov_diagnostic(build_geometry(g.rotated(1)))]
+        assert got == want
+
 
 class TestGaussBonnet:
     def test_circle_exact(self, surface):

@@ -25,7 +25,7 @@ from hkverify.hypersurface import (
 from hkverify.normalflow import (
     FlowConfig,
     FlowParticles,
-    Q_of_t,
+    _active_sums,
     area_jacobian,
     estimate_cut_time,
     evolve_curvature,
@@ -312,28 +312,17 @@ class TestQFunctional:
     def test_sphere_is_stationary(self, surface):
         # closed forms cancel exactly; only the trapezoid tail error is left
         R = 1.0
-        _, geom = surface("sphere", radius=R, grid=(32, 64))
-        p = FlowParticles.from_geometry(geom)
+        g, geom = surface("sphere", radius=R, grid=(32, 64))
+        trace = verify_flow(g, geom=geom)
         scale = 2 * math.pi * math.sinh(R) ** 3
-        # stop the tail a hair short of the focal time: at it, particles a
-        # few ulp from focusing are still active with ~0 Jacobian factors
-        t_max = (1.0 - 1e-6) * float(np.min(p.t_focal))
-        for t in (0.0, 0.3, 0.6):
-            assert abs(Q_of_t(p, t, t_max=t_max)) <= 1e-4 * scale
-
-    def test_window_guard(self, surface):
-        _, geom = surface("sphere", radius=1.0, grid=(32, 64))
-        p = FlowParticles.from_geometry(geom)
-        with pytest.raises(FlowAssumptionError):
-            Q_of_t(p, 1.05, t_max=1.1)
-        with pytest.raises(ValueError):
-            Q_of_t(p, 0.5, t_max=0.4)
+        assert trace.times[0] == 0.0 and trace.times[-1] >= 0.6
+        assert np.max(np.abs(trace.Q)) <= 1e-4 * scale
 
     def test_h_guard_during_flow(self):
         p = antipodal_pair()
         p.kappa0 = np.full((2, 1), 0.5)  # H = 0.5 < n = 1 immediately
         with pytest.raises(FlowAssumptionError) as exc:
-            Q_of_t(p, 0.0, t_max=0.2)
+            _active_sums(p, 0.0)
         assert "mean curvature" in str(exc.value)
 
 
