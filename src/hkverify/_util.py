@@ -9,11 +9,58 @@ from pathlib import Path
 
 import numpy as np
 
+# Bounds of the vectorised path in exact_sum; outside them it falls back
+# to math.fsum.  One level's terms are integers times 2^(e-29) of size at
+# most 2^29, so np.sum adds up to 2^24 of them exactly: 2^22 keeps a margin.
+_EXACT_TERMS = 1 << 22
+# C = 1.5 * 2^(e+23) and r + C stay finite while max|r| < 2^999.
+_EXACT_TOP = 2.0 ** (1023 - 24)
+# C is normal, and the grid 2^(e-29) no finer than the subnormal step,
+# only while e >= -1045.
+_EXACT_FLOOR = -1022 - 23
+
 
 def exact_sum(values) -> float:
-    """Order-independent compensated sum of a float array."""
-    arr = np.asarray(values, dtype=float)
-    return math.fsum(arr.ravel().tolist())
+    """Correctly rounded sum of a float array, the same value as math.fsum.
+
+    Error-free extraction in levels (Rump, Ogita and Oishi, "Accurate
+    floating-point summation", SISC 2008; Demmel and Nguyen, "Fast
+    reproducible floating-point summation", ARITH 2013): with
+    max|r| < 2^e and C = 1.5 * 2^(e+23), hi = (r + C) - C rounds every
+    term to a multiple of 2^(e-29) without error in r - hi, and np.sum(hi)
+    is exact.  The remainder r - hi is at most 2^(e-30); levels repeat until
+    it is all zero, and math.fsum over the level totals rounds their exact
+    sum once.  So the result does not depend on the order of the terms,
+    and it is bit for bit math.fsum over the terms.
+
+    Falls back to math.fsum over the terms for non-finite input, for more
+    than 2^22 terms, when max|r| >= 2^999 (C would overflow; fsum then
+    overflows or cancels on its own terms), and at the subnormal floor
+    e < -1045, where C would be subnormal and the grid 2^(e-29) finer than
+    the subnormal step.
+    """
+    arr = np.asarray(values, dtype=float).ravel()
+    if arr.size <= _EXACT_TERMS:
+        levels = []
+        r = arr
+        hi = np.empty_like(arr)
+        while True:
+            # a nan propagates through max and min and fails the bound
+            top = max(r.max(), -r.min()) if r.size else 0.0
+            if top == 0.0:
+                return math.fsum(levels)
+            if not top < _EXACT_TOP:
+                break
+            e = math.frexp(top)[1]
+            if e < _EXACT_FLOOR:
+                break
+            c = math.ldexp(1.5, e + 23)
+            np.add(r, c, out=hi)
+            hi -= c
+            levels.append(float(hi.sum()))
+            # the first level leaves the caller's array alone
+            r = r - hi if r is arr else np.subtract(r, hi, out=r)
+    return math.fsum(arr.tolist())
 
 
 def atomic_write_text(path, text: str) -> None:

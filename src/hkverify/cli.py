@@ -33,6 +33,7 @@ from .errors import (
 )
 from .hypersurface import (
     build_geometry,
+    curvature,
     gen_perturbed_sphere,
     gen_sphere,
     load_surface,
@@ -129,13 +130,13 @@ def _load(path):
 def cmd_gen(args) -> int:
     grid = _parse_grid(args.grid, args.n)
     graph = _generate(args, grid)
-    geom = build_geometry(graph)
+    curv = curvature(graph)
     save_surface(graph, args.out)
-    kappa = geom.kappa
-    H = geom.mean_curvature
+    kappa = curv.kappa
+    H = curv.mean_curvature
     print(f"wrote {args.out}")
     print(f"kappa range: [{np.min(kappa):.9g}, {np.max(kappa):.9g}]")
-    print(f"min H - n: {np.min(H) - geom.n:.9g}")
+    print(f"min H - n: {np.min(H) - graph.n:.9g}")
     print(f"umbilicity spread: {np.max(kappa) - np.min(kappa):.9g}")
     return EXIT_OK
 

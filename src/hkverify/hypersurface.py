@@ -45,6 +45,8 @@ __all__ = [
     "H_MARGIN",
     "RadialGraph",
     "SurfaceGeometry",
+    "Curvature",
+    "curvature",
     "build_geometry",
     "geometry_for",
     "area_integral",
@@ -341,6 +343,55 @@ def geometry_for(graph: RadialGraph, geom: SurfaceGeometry | None = None) -> Sur
     return geom
 
 
+@dataclass
+class Curvature:
+    """The part of a radial graph's discrete geometry that needs no base point.
+
+    Fields are grid-shaped: sinh(rho), cosh(rho), the normal's stretch v,
+    the angular derivatives of rho (`grad`: (rho_theta,) for n = 1,
+    (rho_phi, rho_theta) for n = 2) and the components of the induced
+    metric and second fundamental form ((g,) and (h,) for n = 1; the pp,
+    pt, tt components for n = 2).  kappa is flattened row-major to (N, n),
+    principal curvatures ascending per node.
+    """
+
+    graph: RadialGraph
+    sinh_rho: np.ndarray
+    cosh_rho: np.ndarray
+    v: np.ndarray
+    grad: tuple
+    metric: tuple
+    second_form: tuple
+    kappa: np.ndarray
+
+    @property
+    def mean_curvature(self) -> np.ndarray:
+        return np.sum(self.kappa, axis=-1)
+
+
+def curvature(graph: RadialGraph) -> Curvature:
+    """Principal curvatures of `graph`, with the refusals of build_geometry(graph).
+
+    Runs the curvature core alone: derivatives, the metric and its
+    positive-definite refusal, the second form and the principal
+    curvatures, but no positions, normals, potentials or weights.  About
+    the graph's centre V = cosh(rho) and V_nu = sinh(rho) / v, bit for bit
+    the values build_geometry computes there, so the V - V_nu <= 0 refusal
+    is the same too: same error, same node.
+    """
+    core = _curvature_core(graph)
+    _require_support(core.cosh_rho.ravel(), (core.sinh_rho / core.v).ravel())
+    return core
+
+
+def _require_support(V: np.ndarray, V_nu: np.ndarray) -> None:
+    bad = np.nonzero(V - V_nu <= 0.0)[0]
+    if bad.size:
+        raise DegenerateSurfaceError(
+            "support function reached the potential, V - V_nu <= 0", node=int(bad[0])
+        )
+
+
 def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     """Assemble the discrete first and second fundamental forms.
 
@@ -353,22 +404,20 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     else:
         base = np.asarray(base, dtype=float)
         hypgeo.validate_point(base)
-    if graph.n == 2:
-        geom = _build_n2(graph, base)
-    else:
-        geom = _build_n1(graph, base)
-    bad = np.nonzero(geom.V - geom.V_nu <= 0.0)[0]
-    if bad.size:
-        raise DegenerateSurfaceError(
-            "support function reached the potential, V - V_nu <= 0", node=int(bad[0])
-        )
+    core = _curvature_core(graph)
+    embed = _embed_n2 if graph.n == 2 else _embed_n1
+    geom = embed(core, base)
+    _require_support(geom.V, geom.V_nu)
     return geom
 
 
-def _build_n1(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
+def _curvature_core(graph: RadialGraph) -> Curvature:
+    return _core_n2(graph) if graph.n == 2 else _core_n1(graph)
+
+
+def _core_n1(graph: RadialGraph) -> Curvature:
     rho = graph.rho
     h = graph.h_theta
-    theta = graph.angles()
     lam = np.sinh(rho)
     lamp = np.cosh(rho)
 
@@ -382,6 +431,14 @@ def _build_n1(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
     v = np.sqrt(1.0 + (d1 / lam) ** 2)
     hform = (-d2 + 2.0 * (lamp / lam) * d1 * d1 + lam * lamp) / v
     kappa = (hform / g)[:, None]
+    return Curvature(graph, lam, lamp, v, (d1,), (g,), (hform,), kappa)
+
+
+def _embed_n1(core: Curvature, base: np.ndarray) -> SurfaceGeometry:
+    graph = core.graph
+    theta = graph.angles()
+    lam, lamp, v = core.sinh_rho, core.cosh_rho, core.v
+    (d1,), (g,), (hform,) = core.grad, core.metric, core.second_form
 
     w = _directions(graph)
     w_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
@@ -391,7 +448,7 @@ def _build_n1(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
 
     V = hypgeo.potential(position, base)
     V_nu = hypgeo.potential(normal, base)
-    weight = np.sqrt(g) * h
+    weight = np.sqrt(g) * graph.h_theta
 
     return SurfaceGeometry(
         graph=graph,
@@ -399,8 +456,8 @@ def _build_n1(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
         normal=normal,
         metric=g.reshape(-1, 1, 1),
         second_form=hform.reshape(-1, 1, 1),
-        kappa=kappa,
-        kappa_shifted=kappa - 1.0,
+        kappa=core.kappa,
+        kappa_shifted=core.kappa - 1.0,
         V=np.asarray(V),
         V_nu=np.asarray(V_nu),
         area_weight=weight,
@@ -408,11 +465,11 @@ def _build_n1(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
     )
 
 
-def _build_n2(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
+def _core_n2(graph: RadialGraph) -> Curvature:
     rho = graph.rho
-    P, T = rho.shape
+    T = rho.shape[1]
     hp, ht = graph.h_phi, graph.h_theta
-    phi, theta = graph.angles()
+    phi, _ = graph.angles()
     sp = np.sin(phi)[:, None]
     cp = np.cos(phi)[:, None]
 
@@ -462,6 +519,19 @@ def _build_n2(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
     disc = np.sqrt(np.maximum((w_pp - w_tt) ** 2 + 4.0 * w_pt * w_tp, 0.0))
     k_lo = 0.5 * (tr - disc)
     k_hi = 0.5 * (tr + disc)
+    kappa = np.stack([k_lo.ravel(), k_hi.ravel()], axis=-1)
+    return Curvature(graph, lam, lamp, v, (rho_p, rho_t),
+                     (g_pp, g_pt, g_tt), (h_pp, h_pt, h_tt), kappa)
+
+
+def _embed_n2(core: Curvature, base: np.ndarray) -> SurfaceGeometry:
+    graph = core.graph
+    P, T = graph.rho.shape
+    phi, theta = graph.angles()
+    sp = np.sin(phi)[:, None]
+    cp = np.cos(phi)[:, None]
+    lam, lamp, v = core.sinh_rho, core.cosh_rho, core.v
+    rho_p, rho_t = core.grad
 
     w = _directions(graph)
     w_phi = np.stack(
@@ -482,18 +552,15 @@ def _build_n2(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
 
     V = hypgeo.potential(position, base)
     V_nu = hypgeo.potential(normal, base)
-    weight = lam**2 * v * sp * hp * ht
+    weight = lam**2 * v * sp * graph.h_phi * graph.h_theta
 
     N = P * T
     metric = np.empty((N, 2, 2))
-    metric[:, 0, 0] = g_pp.ravel()
-    metric[:, 0, 1] = metric[:, 1, 0] = g_pt.ravel()
-    metric[:, 1, 1] = g_tt.ravel()
     second = np.empty((N, 2, 2))
-    second[:, 0, 0] = h_pp.ravel()
-    second[:, 0, 1] = second[:, 1, 0] = h_pt.ravel()
-    second[:, 1, 1] = h_tt.ravel()
-    kappa = np.stack([k_lo.ravel(), k_hi.ravel()], axis=-1)
+    for out, (c_pp, c_pt, c_tt) in ((metric, core.metric), (second, core.second_form)):
+        out[:, 0, 0] = c_pp.ravel()
+        out[:, 0, 1] = out[:, 1, 0] = c_pt.ravel()
+        out[:, 1, 1] = c_tt.ravel()
 
     return SurfaceGeometry(
         graph=graph,
@@ -501,8 +568,8 @@ def _build_n2(graph: RadialGraph, base: np.ndarray) -> SurfaceGeometry:
         normal=normal.reshape(N, 4),
         metric=metric,
         second_form=second,
-        kappa=kappa,
-        kappa_shifted=kappa - 1.0,
+        kappa=core.kappa,
+        kappa_shifted=core.kappa - 1.0,
         V=V.ravel(),
         V_nu=V_nu.ravel(),
         area_weight=weight.ravel(),
@@ -575,6 +642,8 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
     theta); n = 1 takes an integer Fourier mode k.  The result is validated
     post-hoc: rho must stay positive and the mean curvature must stay above
     n everywhere, otherwise the shape is rejected with the violating node.
+    H comes from `curvature`, without the full geometry, so a shape that
+    build_geometry would refuse is refused here the same way.
     """
     if radius <= 0.0:
         raise GenerationError(f"radius must be positive, got {radius}")
@@ -591,8 +660,7 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
         {"shape": "perturbed", "radius": float(radius), "amp": float(amp),
          "mode": list(mode) if np.iterable(mode) else [int(mode)]},
     )
-    geom = build_geometry(graph)
-    H = geom.mean_curvature
+    H = curvature(graph).mean_curvature
     worst = int(np.argmin(H))
     if H[worst] <= n + H_MARGIN:
         raise RejectedShapeError(

@@ -5,9 +5,8 @@ in Minkowski space: <p, p> = -1 with the time-like coordinate first and
 p[0] >= 1.  All functions broadcast over leading axes, so a single point
 and a stack of points go through the same code.
 
-Geodesics, distances, the static potential V = cosh(dist to base) and the
-conformal vector field sinh(r) d_r are closed-form linear algebra on the
-hyperboloid.  The Poincare ball model exists here only as an input/output
+Geodesics, distances and the static potential V = cosh(dist to base)
+are closed-form linear algebra on the hyperboloid.  The Poincare ball model exists here only as an input/output
 coordinate chart.
 """
 
@@ -23,15 +22,9 @@ __all__ = [
     "validate_point",
     "dist",
     "potential",
-    "radial_sinh",
     "geodesic",
-    "geodesic_velocity",
-    "radial_field",
-    "tangent_project",
-    "unit_tangent",
     "ball_to_hyper",
     "hyper_to_ball",
-    "conformal_factor",
 ]
 
 # Constraint |<p,p> + 1| allowed after normalization, at unit scale.  The
@@ -89,12 +82,6 @@ def potential(p, base) -> np.ndarray | float:
     return -minkowski_inner(p, base)
 
 
-def radial_sinh(p, base) -> np.ndarray | float:
-    """sinh of the distance to the base point (the warping factor)."""
-    v = potential(p, base)
-    return np.sqrt(np.maximum(np.asarray(v) ** 2 - 1.0, 0.0))
-
-
 def geodesic(p, u, t) -> np.ndarray:
     """Unit-speed geodesic cosh(t) p + sinh(t) u, renormalized.
 
@@ -103,40 +90,6 @@ def geodesic(p, u, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.cosh(t)[..., None] * np.asarray(p, float) + np.sinh(t)[..., None] * np.asarray(u, float)
     return sheet_normalize(out)
-
-
-def geodesic_velocity(p, u, t) -> np.ndarray:
-    """Velocity of the geodesic at time t, the parallel transport of u."""
-    t = np.asarray(t, dtype=float)
-    return np.sinh(t)[..., None] * np.asarray(p, float) + np.cosh(t)[..., None] * np.asarray(u, float)
-
-
-def radial_field(p, base) -> np.ndarray:
-    """Conformal vector field sinh(r) d_r at p, relative to the base point.
-
-    On the hyperboloid this is the tangential projection of -base, which
-    collapses to V(p) p - base.  At p = base it degenerates to the zero
-    vector; callers that need a direction must test for that.
-    """
-    p = np.asarray(p, dtype=float)
-    base = np.asarray(base, dtype=float)
-    return np.asarray(potential(p, base))[..., None] * p - base
-
-
-def tangent_project(p, w) -> np.ndarray:
-    """Project an ambient vector onto the tangent space at p."""
-    p = np.asarray(p, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return w + np.asarray(minkowski_inner(w, p))[..., None] * p
-
-
-def unit_tangent(p, w) -> np.ndarray:
-    """Tangential part of w at p, normalized to unit Minkowski length."""
-    v = tangent_project(p, w)
-    norm2 = minkowski_inner(v, v)
-    if np.any(np.asarray(norm2) <= 0.0):
-        raise ValueError("projected vector has no space-like part")
-    return v / np.sqrt(norm2)[..., None]
 
 
 def ball_to_hyper(x) -> np.ndarray:
@@ -155,12 +108,3 @@ def hyper_to_ball(p) -> np.ndarray:
     """Hyperboloid point to Poincare ball coordinates x = p_space / (1 + p0)."""
     p = np.asarray(p, dtype=float)
     return p[..., 1:] / (1.0 + p[..., 0])[..., None]
-
-
-def conformal_factor(x) -> np.ndarray | float:
-    """Ball-model conformal factor f = 2 / (1 - |x|^2) = cosh(r) + 1."""
-    x = np.asarray(x, dtype=float)
-    r2 = np.sum(x * x, axis=-1)
-    if np.any(r2 >= 1.0):
-        raise ValueError("ball point must satisfy |x| < 1")
-    return 2.0 / (1.0 - r2)

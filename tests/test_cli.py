@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hkverify.cli import main
-from hkverify.hypersurface import RadialGraph, load_surface, save_surface
+from hkverify.hypersurface import RadialGraph, build_geometry, load_surface, save_surface
 
 
 def dented_curve(tmp_path, amp):
@@ -49,6 +49,36 @@ class TestGen:
         assert rc == 2
         assert "generation error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--shape", "sphere", "--radius", "0"],
+        ["--shape", "sphere", "--radius", "-1"],
+        ["--shape", "perturbed", "--radius", "0"],
+        ["--shape", "perturbed", "--radius", "-1", "--n", "1", "--mode", "2", "--grid", "64"],
+        ["--shape", "perturbed", "--amp", "0.3", "--mode", "2,0"],  # H <= 2
+    ])
+    def test_refused_generation_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        grid = [] if "--grid" in argv else ["--grid", "32x64"]
+        assert main(["gen", *argv, *grid, "--out", str(out)]) == 2
+        assert "generation error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--shape", "perturbed", "--amp", "0.05", "--mode", "2,0", "--grid", "32x64"],
+        ["--shape", "sphere", "--offset", "0.3", "--n", "1", "--grid", "128"],
+    ])
+    def test_printout_matches_full_geometry(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.json"
+        assert main(["gen", *argv, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        geom = build_geometry(load_surface(out))
+        k, H = geom.kappa, geom.mean_curvature
+        assert printed == [
+            f"kappa range: [{np.min(k):.9g}, {np.max(k):.9g}]",
+            f"min H - n: {np.min(H) - geom.n:.9g}",
+            f"umbilicity spread: {np.max(k) - np.min(k):.9g}",
+        ]
 
     def test_bad_offset_exits_2(self, tmp_path):
         rc = main(["gen", "--offset", "1.5", "--radius", "1.0",

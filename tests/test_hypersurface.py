@@ -20,11 +20,14 @@ from hkverify.errors import (
     RejectedShapeError,
 )
 from hkverify.hypersurface import (
+    H_MARGIN,
     RadialGraph,
+    _harmonic,
     _periodic_d1,
     _periodic_d2,
     area_integral,
     build_geometry,
+    curvature,
     enclosed_volume,
     gen_perturbed_sphere,
     gen_sphere,
@@ -32,6 +35,8 @@ from hkverify.hypersurface import (
     save_surface,
     weighted_volume,
 )
+
+import hypgeo_oracle as oracle
 
 
 class TestRadialGraph:
@@ -204,6 +209,66 @@ class TestSphereGeometry:
         assert np.max(np.abs(np_)) <= 1e-11
 
 
+class TestCurvatureCore:
+    """The generator and `gen` check the curvature without the full geometry."""
+
+    def test_core_matches_geometry(self, surface):
+        for kind, kw in (
+            ("sphere", dict(radius=1.0, offset=0.3, grid=(32, 64))),
+            ("perturbed", dict(radius=1.0, amp=0.05, mode=(2, 0), grid=(32, 64))),
+            ("perturbed", dict(radius=1.0, amp=0.1, mode=2, n=1, grid=128)),
+        ):
+            graph, geom = surface(kind, **kw)
+            core = curvature(graph)
+            assert np.array_equal(core.kappa, geom.kappa)
+            assert np.array_equal(core.mean_curvature, geom.mean_curvature)
+            # about the centre V = cosh(rho) and V_nu = sinh(rho) / v exactly
+            assert np.array_equal(geom.V, core.cosh_rho.ravel())
+            assert np.array_equal(geom.V_nu, (core.sinh_rho / core.v).ravel())
+
+    @pytest.mark.parametrize("n, grid, modes", [
+        (1, (96,), (1, 2, 3, 5)),
+        (2, (16, 32), ((2, 0), (3, 1), (3, 2), (4, 0))),
+    ])
+    def test_generator_refusal_parity(self, n, grid, modes):
+        # the generator accepts exactly the shapes whose full geometry has
+        # H > n + H_MARGIN, and a refusal names argmin H
+        outcomes = set()
+        for mode in modes:
+            for amp in np.linspace(-0.5, 0.5, 21):
+                rho = 1.0 + amp * _harmonic(n, mode, grid)
+                if np.any(rho <= 0.0):
+                    continue
+                H = build_geometry(RadialGraph(n, rho)).mean_curvature
+                accepted = H.min() > n + H_MARGIN
+                outcomes.add(accepted)
+                if accepted:
+                    g = gen_perturbed_sphere(1.0, amp, mode, n=n, grid=grid)
+                    assert np.array_equal(g.rho, rho)
+                else:
+                    with pytest.raises(RejectedShapeError) as exc:
+                        gen_perturbed_sphere(1.0, amp, mode, n=n, grid=grid)
+                    assert exc.value.node == int(np.argmin(H))
+        assert outcomes == {True, False}
+
+    def test_support_refusal_parity(self):
+        # far out cosh(rho) - sinh(rho) / v rounds to zero: the core refuses
+        # exactly where build_geometry does, at the same node
+        refused = 0
+        for n, grid, mode in ((1, (64,), 3), (2, (16, 32), (3, 1))):
+            for R in (18.0, 19.0, 25.0):
+                g = RadialGraph(n, R + 0.01 * _harmonic(n, mode, grid))
+                outcomes = []
+                for fn in (build_geometry, curvature):
+                    try:
+                        fn(g)
+                        outcomes.append(None)
+                    except DegenerateSurfaceError as exc:
+                        outcomes.append(exc.node)
+                assert outcomes[0] == outcomes[1], (n, R)
+                refused += outcomes[0] is not None
+        assert 0 < refused < 6
+
 class TestQuadrature:
     def test_circle_integrals_exact(self):
         # trapezoid rule on a constant integrand is exact
@@ -335,7 +400,7 @@ class TestPotentialConsistency:
         h = g.h_theta
         dV = _periodic_d1(geom.V, h, 0)
         dpos = _periodic_d1(geom.position, h, 0)
-        rhs = hypgeo.minkowski_inner(hypgeo.radial_field(geom.position, base), dpos)
+        rhs = hypgeo.minkowski_inner(oracle.radial_field(geom.position, base), dpos)
         assert np.max(np.abs(dV - rhs)) <= 1e-5 * np.max(np.abs(rhs))
 
     def test_gradient_n2(self):
@@ -347,7 +412,7 @@ class TestPotentialConsistency:
         pos = geom.position.reshape(P, 2 * P, 4)
         dV = _periodic_d1(V, g.h_theta, 1)
         dpos = _periodic_d1(pos, g.h_theta, 1)
-        rhs = hypgeo.minkowski_inner(hypgeo.radial_field(pos, base), dpos)
+        rhs = hypgeo.minkowski_inner(oracle.radial_field(pos, base), dpos)
         assert np.max(np.abs(dV - rhs)) <= 2e-3 * np.max(np.abs(rhs))
 
     def test_hessian_identity_n1(self):

@@ -35,6 +35,8 @@ from hkverify.normalflow import (
     verify_flow,
 )
 
+import hypgeo_oracle as oracle
+
 
 def rk4_curvature(k0, T, steps):
     """Integrate kappa' = kappa^2 - 1 directly."""
@@ -192,8 +194,8 @@ def antipodal_pair(R=1.0, s0=0.05):
     o = hypgeo.origin(1)
     u = np.array([0.0, 1.0, 0.0])
     y = np.stack([hypgeo.geodesic(o, u, R), hypgeo.geodesic(o, -u, R)])
-    nu = np.stack([hypgeo.geodesic_velocity(o, u, R),
-                   hypgeo.geodesic_velocity(o, -u, R)])
+    nu = np.stack([oracle.geodesic_velocity(o, u, R),
+                   oracle.geodesic_velocity(o, -u, R)])
     return FlowParticles(
         n=1, y=y, nu0=nu, kappa0=np.zeros((2, 1)),
         V0=np.full(2, math.cosh(R)), Vnu0=np.full(2, math.sinh(R)),

@@ -1,0 +1,96 @@
+"""exact_sum against math.fsum: bit for bit, sign of zero and errors included."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from hkverify._util import exact_sum
+
+DBL_MAX = np.finfo(float).max
+
+
+def fsum_outcome(x):
+    try:
+        return struct.pack("<d", math.fsum(np.asarray(x, dtype=float).ravel().tolist()))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def exact_outcome(x):
+    try:
+        return struct.pack("<d", exact_sum(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_as_fsum(x):
+    x = np.asarray(x, dtype=float)
+    before = x.copy()
+    got, want = exact_outcome(x), fsum_outcome(x)
+    if isinstance(want, bytes) and math.isnan(struct.unpack("<d", want)[0]):
+        assert isinstance(got, bytes) and math.isnan(struct.unpack("<d", got)[0])
+    else:
+        assert got == want
+    assert np.array_equal(x, before, equal_nan=True)  # the input is left alone
+
+
+def signed(magnitude):
+    return st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+# mantissa in [1, 2) times 2^e, |e| <= 60
+wide = signed(st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                        st.integers(-60, 60)))
+subnormal = signed(st.floats(0.0, 2.0 ** -1022, allow_subnormal=True))
+huge = signed(st.floats(2.0 ** 990, DBL_MAX))
+
+
+class TestExactSum:
+    @given(st.lists(wide, max_size=400), st.integers(0, 400), st.randoms())
+    @settings(max_examples=300, deadline=None)
+    def test_wide_magnitudes_with_cancellations(self, values, planted, rnd):
+        # negated copies cancel exactly, so the result rests on the remainder
+        values = values + [-v for v in values[:planted]]
+        rnd.shuffle(values)
+        assert_same_as_fsum(values)
+
+    @given(st.lists(st.one_of(subnormal, wide, st.just(2.0 ** -1022)), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_subnormals(self, values):
+        assert_same_as_fsum(values)
+        assert_same_as_fsum([v * 2.0 ** -1000 for v in values if abs(v) < 2.0 ** 60])
+
+    @given(st.lists(st.one_of(huge, wide), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_near_dbl_max(self, values):
+        # fsum rounds these or raises OverflowError; the fallback does the same
+        assert_same_as_fsum(values)
+
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float_array(self, x):
+        assert_same_as_fsum(x)
+
+    @pytest.mark.parametrize("values", [
+        [], np.zeros((0, 3)), [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0],
+        [np.inf], [np.inf, 1.0], [np.inf, -np.inf], [np.nan, 1.0],
+        [DBL_MAX, DBL_MAX], [DBL_MAX, DBL_MAX, -DBL_MAX], [2.0 ** 999, 1.0],
+        [5e-324, 5e-324, -1e-323], np.full((3, 4), 0.1), np.arange(12.0).reshape(3, 2, 2),
+    ])
+    def test_edge_cases(self, values):
+        assert_same_as_fsum(values)
+
+    @pytest.mark.parametrize("size", [1 << 22, (1 << 22) + 1])
+    def test_size_limit(self, size):
+        # the last size the extraction handles, with the largest level sums
+        # it can see, and the first size that falls back
+        rng = np.random.default_rng(size)
+        x = (1.0 - rng.random(size) * 2.0 ** -20) * rng.choice([-1.0, 1.0], size)
+        x[: size // 2] = 1.0 - 2.0 ** -53
+        assert_same_as_fsum(x)
