@@ -33,7 +33,6 @@ from .errors import (
 )
 from .hypersurface import (
     build_geometry,
-    curvature,
     gen_perturbed_sphere,
     gen_sphere,
     load_surface,
@@ -130,10 +129,10 @@ def _load(path):
 def cmd_gen(args) -> int:
     grid = _parse_grid(args.grid, args.n)
     graph = _generate(args, grid)
-    curv = curvature(graph)
+    geom = build_geometry(graph)
     save_surface(graph, args.out)
-    kappa = curv.kappa
-    H = curv.mean_curvature
+    kappa = geom.kappa
+    H = geom.mean_curvature
     print(f"wrote {args.out}")
     print(f"kappa range: [{np.min(kappa):.9g}, {np.max(kappa):.9g}]")
     print(f"min H - n: {np.min(H) - graph.n:.9g}")

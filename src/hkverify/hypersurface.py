@@ -45,8 +45,6 @@ __all__ = [
     "H_MARGIN",
     "RadialGraph",
     "SurfaceGeometry",
-    "Curvature",
-    "curvature",
     "build_geometry",
     "geometry_for",
     "area_integral",
@@ -205,26 +203,87 @@ def _colat_d2(ext, h):
 
 @dataclass
 class SurfaceGeometry:
-    """Pointwise discrete geometry of a radial graph, flattened row-major.
+    """Pointwise discrete geometry of a radial graph.
 
-    kappa holds the principal curvatures sorted ascending per node;
-    kappa_shifted is kappa - 1 (the hyperbolic-convexity eigenvalues).
-    area_weight already contains the full quadrature weight, so surface
-    integrals are plain weighted sums.  V, V_nu and weighted_volume are
-    all taken about `base`.
+    Grid-shaped fields: sinh(rho), cosh(rho), the normal's stretch v, the
+    angular derivatives of rho (`grad`: (rho_theta,) for n = 1, (rho_phi,
+    rho_theta) for n = 2) and the components of the induced metric and
+    second fundamental form ((g,) and (h,) for n = 1; the pp, pt, tt
+    components for n = 2).
+
+    Flattened row-major: kappa, the principal curvatures sorted ascending
+    per node, and area_weight, which already contains the full quadrature
+    weight, so surface integrals are plain weighted sums.  V and V_nu are
+    taken about `base` (the graph's centre when None is passed).
+
+    Lazy, built on first read: the (N, n+2) hyperboloid `position` and
+    outward unit `normal` of each node, and the volumes.  About the centre
+    no check reads them, since there V = cosh(rho) and V_nu = sinh(rho) / v.
     """
 
     graph: RadialGraph
-    position: np.ndarray
-    normal: np.ndarray
-    metric: np.ndarray
-    second_form: np.ndarray
+    sinh_rho: np.ndarray
+    cosh_rho: np.ndarray
+    v: np.ndarray
+    grad: tuple
+    metric: tuple
+    second_form: tuple
     kappa: np.ndarray
-    kappa_shifted: np.ndarray
-    V: np.ndarray
-    V_nu: np.ndarray
     area_weight: np.ndarray
-    base: np.ndarray
+    base: np.ndarray | None = None
+    V: np.ndarray = field(init=False)
+    V_nu: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if self.base is None:
+            # -<position, o> and -<normal, o> about the origin o, bit for bit
+            self.base = hypgeo.origin(self.n)
+            self.V = self.cosh_rho.ravel()
+            self.V_nu = (self.sinh_rho / self.v).ravel()
+        else:
+            self.V = hypgeo.potential(self.position, self.base)
+            self.V_nu = hypgeo.potential(self.normal, self.base)
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        """Hyperboloid point (cosh rho, sinh rho w) of each node."""
+        lam, lamp = self.sinh_rho[..., None], self.cosh_rho[..., None]
+        position = np.concatenate([lamp, lam * _directions(self.graph)], axis=-1)
+        return position.reshape(-1, self.n + 2)
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        """Outward unit normal of each node, tangent to the hyperboloid."""
+        lam, lamp, v = self.sinh_rho, self.cosh_rho, self.v
+        if self.n == 1:
+            theta = self.graph.angles()
+            w_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+            slope = (self.grad[0] / lam)[:, None] * w_t
+        else:
+            phi, theta = self.graph.angles()
+            sp = np.sin(phi)[:, None]
+            cp = np.cos(phi)[:, None]
+            w_phi = np.stack(
+                [cp * np.cos(theta)[None, :], cp * np.sin(theta)[None, :],
+                 np.broadcast_to(-sp, lam.shape)],
+                axis=-1,
+            )
+            w_theta = np.stack(
+                [-sp * np.sin(theta)[None, :], sp * np.cos(theta)[None, :],
+                 np.zeros(lam.shape)],
+                axis=-1,
+            )
+            rho_p, rho_t = self.grad
+            tangential = rho_p[..., None] * w_phi + (rho_t / sp**2)[..., None] * w_theta
+            slope = tangential / lam[..., None]
+        nu_space = (lamp[..., None] * _directions(self.graph) - slope) / v[..., None]
+        normal = np.concatenate([(lam / v)[..., None], nu_space], axis=-1)
+        return normal.reshape(-1, self.n + 2)
+
+    @property
+    def kappa_shifted(self) -> np.ndarray:
+        """kappa - 1, the hyperbolic-convexity eigenvalues."""
+        return self.kappa - 1.0
 
     @property
     def n(self) -> int:
@@ -343,79 +402,28 @@ def geometry_for(graph: RadialGraph, geom: SurfaceGeometry | None = None) -> Sur
     return geom
 
 
-@dataclass
-class Curvature:
-    """The part of a radial graph's discrete geometry that needs no base point.
-
-    Fields are grid-shaped: sinh(rho), cosh(rho), the normal's stretch v,
-    the angular derivatives of rho (`grad`: (rho_theta,) for n = 1,
-    (rho_phi, rho_theta) for n = 2) and the components of the induced
-    metric and second fundamental form ((g,) and (h,) for n = 1; the pp,
-    pt, tt components for n = 2).  kappa is flattened row-major to (N, n),
-    principal curvatures ascending per node.
-    """
-
-    graph: RadialGraph
-    sinh_rho: np.ndarray
-    cosh_rho: np.ndarray
-    v: np.ndarray
-    grad: tuple
-    metric: tuple
-    second_form: tuple
-    kappa: np.ndarray
-
-    @property
-    def mean_curvature(self) -> np.ndarray:
-        return np.sum(self.kappa, axis=-1)
-
-
-def curvature(graph: RadialGraph) -> Curvature:
-    """Principal curvatures of `graph`, with the refusals of build_geometry(graph).
-
-    Runs the curvature core alone: derivatives, the metric and its
-    positive-definite refusal, the second form and the principal
-    curvatures, but no positions, normals, potentials or weights.  About
-    the graph's centre V = cosh(rho) and V_nu = sinh(rho) / v, bit for bit
-    the values build_geometry computes there, so the V - V_nu <= 0 refusal
-    is the same too: same error, same node.
-    """
-    core = _curvature_core(graph)
-    _require_support(core.cosh_rho.ravel(), (core.sinh_rho / core.v).ravel())
-    return core
-
-
-def _require_support(V: np.ndarray, V_nu: np.ndarray) -> None:
-    bad = np.nonzero(V - V_nu <= 0.0)[0]
-    if bad.size:
-        raise DegenerateSurfaceError(
-            "support function reached the potential, V - V_nu <= 0", node=int(bad[0])
-        )
-
-
 def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     """Assemble the discrete first and second fundamental forms.
 
     `base` is the base point of the static potential (defaults to the
     graph's own center); V and the support function V_nu are computed
-    against it, so off-center potentials vary over the surface.
+    against it, so off-center potentials vary over the surface.  Refuses
+    a metric that is not positive definite and a support function that
+    reaches the potential, V - V_nu <= 0, naming the first such node.
     """
-    if base is None:
-        base = hypgeo.origin(graph.n)
-    else:
+    if base is not None:
         base = np.asarray(base, dtype=float)
         hypgeo.validate_point(base)
-    core = _curvature_core(graph)
-    embed = _embed_n2 if graph.n == 2 else _embed_n1
-    geom = embed(core, base)
-    _require_support(geom.V, geom.V_nu)
+    geom = _core_n2(graph, base) if graph.n == 2 else _core_n1(graph, base)
+    bad = np.nonzero(geom.V - geom.V_nu <= 0.0)[0]
+    if bad.size:
+        raise DegenerateSurfaceError(
+            "support function reached the potential, V - V_nu <= 0", node=int(bad[0])
+        )
     return geom
 
 
-def _curvature_core(graph: RadialGraph) -> Curvature:
-    return _core_n2(graph) if graph.n == 2 else _core_n1(graph)
-
-
-def _core_n1(graph: RadialGraph) -> Curvature:
+def _core_n1(graph: RadialGraph, base) -> SurfaceGeometry:
     rho = graph.rho
     h = graph.h_theta
     lam = np.sinh(rho)
@@ -431,41 +439,11 @@ def _core_n1(graph: RadialGraph) -> Curvature:
     v = np.sqrt(1.0 + (d1 / lam) ** 2)
     hform = (-d2 + 2.0 * (lamp / lam) * d1 * d1 + lam * lamp) / v
     kappa = (hform / g)[:, None]
-    return Curvature(graph, lam, lamp, v, (d1,), (g,), (hform,), kappa)
+    weight = np.sqrt(g) * h
+    return SurfaceGeometry(graph, lam, lamp, v, (d1,), (g,), (hform,), kappa, weight, base)
 
 
-def _embed_n1(core: Curvature, base: np.ndarray) -> SurfaceGeometry:
-    graph = core.graph
-    theta = graph.angles()
-    lam, lamp, v = core.sinh_rho, core.cosh_rho, core.v
-    (d1,), (g,), (hform,) = core.grad, core.metric, core.second_form
-
-    w = _directions(graph)
-    w_t = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    position = np.concatenate([lamp[:, None], lam[:, None] * w], axis=-1)
-    nu_space = (lamp[:, None] * w - (d1 / lam)[:, None] * w_t) / v[:, None]
-    normal = np.concatenate([(lam / v)[:, None], nu_space], axis=-1)
-
-    V = hypgeo.potential(position, base)
-    V_nu = hypgeo.potential(normal, base)
-    weight = np.sqrt(g) * graph.h_theta
-
-    return SurfaceGeometry(
-        graph=graph,
-        position=position,
-        normal=normal,
-        metric=g.reshape(-1, 1, 1),
-        second_form=hform.reshape(-1, 1, 1),
-        kappa=core.kappa,
-        kappa_shifted=core.kappa - 1.0,
-        V=np.asarray(V),
-        V_nu=np.asarray(V_nu),
-        area_weight=weight,
-        base=base,
-    )
-
-
-def _core_n2(graph: RadialGraph) -> Curvature:
+def _core_n2(graph: RadialGraph, base) -> SurfaceGeometry:
     rho = graph.rho
     T = rho.shape[1]
     hp, ht = graph.h_phi, graph.h_theta
@@ -520,61 +498,9 @@ def _core_n2(graph: RadialGraph) -> Curvature:
     k_lo = 0.5 * (tr - disc)
     k_hi = 0.5 * (tr + disc)
     kappa = np.stack([k_lo.ravel(), k_hi.ravel()], axis=-1)
-    return Curvature(graph, lam, lamp, v, (rho_p, rho_t),
-                     (g_pp, g_pt, g_tt), (h_pp, h_pt, h_tt), kappa)
-
-
-def _embed_n2(core: Curvature, base: np.ndarray) -> SurfaceGeometry:
-    graph = core.graph
-    P, T = graph.rho.shape
-    phi, theta = graph.angles()
-    sp = np.sin(phi)[:, None]
-    cp = np.cos(phi)[:, None]
-    lam, lamp, v = core.sinh_rho, core.cosh_rho, core.v
-    rho_p, rho_t = core.grad
-
-    w = _directions(graph)
-    w_phi = np.stack(
-        [cp * np.cos(theta)[None, :], cp * np.sin(theta)[None, :],
-         np.broadcast_to(-sp, (P, T))],
-        axis=-1,
-    )
-    w_theta = np.stack(
-        [-sp * np.sin(theta)[None, :], sp * np.cos(theta)[None, :],
-         np.zeros((P, T))],
-        axis=-1,
-    )
-
-    position = np.concatenate([lamp[..., None], lam[..., None] * w], axis=-1)
-    tangential = rho_p[..., None] * w_phi + (rho_t / sp**2)[..., None] * w_theta
-    nu_space = (lamp[..., None] * w - tangential / lam[..., None]) / v[..., None]
-    normal = np.concatenate([(lam / v)[..., None], nu_space], axis=-1)
-
-    V = hypgeo.potential(position, base)
-    V_nu = hypgeo.potential(normal, base)
-    weight = lam**2 * v * sp * graph.h_phi * graph.h_theta
-
-    N = P * T
-    metric = np.empty((N, 2, 2))
-    second = np.empty((N, 2, 2))
-    for out, (c_pp, c_pt, c_tt) in ((metric, core.metric), (second, core.second_form)):
-        out[:, 0, 0] = c_pp.ravel()
-        out[:, 0, 1] = out[:, 1, 0] = c_pt.ravel()
-        out[:, 1, 1] = c_tt.ravel()
-
-    return SurfaceGeometry(
-        graph=graph,
-        position=position.reshape(N, 4),
-        normal=normal.reshape(N, 4),
-        metric=metric,
-        second_form=second,
-        kappa=core.kappa,
-        kappa_shifted=core.kappa - 1.0,
-        V=V.ravel(),
-        V_nu=V_nu.ravel(),
-        area_weight=weight.ravel(),
-        base=base,
-    )
+    weight = (lam**2 * v * sp * hp * ht).ravel()
+    return SurfaceGeometry(graph, lam, lamp, v, (rho_p, rho_t), (g_pp, g_pt, g_tt),
+                           (h_pp, h_pt, h_tt), kappa, weight, base)
 
 
 def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
@@ -642,8 +568,8 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
     theta); n = 1 takes an integer Fourier mode k.  The result is validated
     post-hoc: rho must stay positive and the mean curvature must stay above
     n everywhere, otherwise the shape is rejected with the violating node.
-    H comes from `curvature`, without the full geometry, so a shape that
-    build_geometry would refuse is refused here the same way.
+    H comes from build_geometry(graph), so a shape it would refuse is
+    refused here the same way; positions and normals are never built.
     """
     if radius <= 0.0:
         raise GenerationError(f"radius must be positive, got {radius}")
@@ -660,7 +586,7 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
         {"shape": "perturbed", "radius": float(radius), "amp": float(amp),
          "mode": list(mode) if np.iterable(mode) else [int(mode)]},
     )
-    H = curvature(graph).mean_curvature
+    H = build_geometry(graph).mean_curvature
     worst = int(np.argmin(H))
     if H[worst] <= n + H_MARGIN:
         raise RejectedShapeError(

@@ -65,6 +65,14 @@ __all__ = [
 DENOM_TOL = 1e-12
 # Threshold ratio spanned by one candidate bucket of the collision scan.
 BUCKET_RATIO = 2.0
+# Calibrated tolerance coefficients of verify_flow: the Q monotonicity
+# slack and the level-set residual tolerance are C_GRID h^2 + C_TIME dt^2,
+# and a surface is round when its umbilicity spread is within ROUND_C h^2.
+Q_C_GRID = 1.0
+Q_C_TIME = 50.0
+LEVELSET_C_GRID = 0.5
+LEVELSET_C_TIME = 400.0
+ROUND_C = 4.0
 
 
 def evolve_curvature(kappa, t):
@@ -120,11 +128,7 @@ def focal_time(kappa0) -> float:
 
     Only curvatures above 1 focus; if there are none the time is +inf.
     """
-    kappa0 = np.asarray(kappa0, dtype=float).ravel()
-    over = kappa0[kappa0 > 1.0]
-    if over.size == 0:
-        return math.inf
-    return float(np.min(np.arctanh(1.0 / over)))
+    return float(focal_times(np.reshape(kappa0, (1, -1)))[0])
 
 
 def focal_times(kappa0) -> np.ndarray:
@@ -132,7 +136,7 @@ def focal_times(kappa0) -> np.ndarray:
     kappa0 = np.asarray(kappa0, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(kappa0 > 1.0, np.arctanh(np.minimum(1.0 / kappa0, 1.0)), math.inf)
-    return np.min(t, axis=-1)
+    return np.min(t, axis=-1, initial=math.inf)
 
 
 @dataclass
@@ -310,11 +314,6 @@ class FlowConfig:
     safety: float = 0.9         # fraction of the shortest window that is sampled
     cut_samples: int = 96       # collision scan resolution
     exclusion: float = 3.0      # same-sheet exclusion radius, in spacings
-    q_c_grid: float = 1.0       # Q monotonicity slack, h^2 coefficient
-    q_c_time: float = 50.0      # Q monotonicity slack, dt^2 coefficient
-    levelset_c_grid: float = 0.5    # level-set residual tolerance, h^2 coefficient
-    levelset_c_time: float = 400.0  # level-set residual tolerance, dt^2 coefficient
-    round_c: float = 4.0        # umbilicity spread bound round_c * h^2 for roundness
 
 
 @dataclass
@@ -400,7 +399,7 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
     longest window so the enclosed volume is not silently truncated.
 
     The level-set residual is asserted only when the initial surface is
-    round (umbilicity spread within round_c * h^2).  Off a round surface
+    round (umbilicity spread within ROUND_C * h^2).  Off a round surface
     the windows end at different times per particle, so the discrete
     residual carries an O(1) staggering term; it is still recorded in
     the trace for inspection but does not fail the run.
@@ -457,15 +456,15 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
 
     h = geom.resolution
     scale = max(term1[0], 1e-300)
-    q_slack = (config.q_c_grid * h * h + config.q_c_time * dt * dt) * scale
-    ls_tol = config.levelset_c_grid * h * h + config.levelset_c_time * dt * dt
+    q_slack = (Q_C_GRID * h * h + Q_C_TIME * dt * dt) * scale
+    ls_tol = LEVELSET_C_GRID * h * h + LEVELSET_C_TIME * dt * dt
 
     q_monotone_ok = bool(np.all(np.diff(Q) <= q_slack))
     area_decreasing_ok = bool(np.all(np.diff(area[keep]) < 0.0))
     h_above_n_ok = bool(np.all(H_min[keep] > n + H_MARGIN))
 
     spread = float(np.max(particles.kappa0) - np.min(particles.kappa0))
-    round_surface = spread <= config.round_c * h * h * float(
+    round_surface = spread <= ROUND_C * h * h * float(
         np.max(np.abs(particles.kappa0)))
     if round_surface:
         levelset_ok = bool(np.all(np.abs(levelset_rel) <= ls_tol))

@@ -27,7 +27,6 @@ from hkverify.hypersurface import (
     _periodic_d2,
     area_integral,
     build_geometry,
-    curvature,
     enclosed_volume,
     gen_perturbed_sphere,
     gen_sphere,
@@ -210,21 +209,27 @@ class TestSphereGeometry:
 
 
 class TestCurvatureCore:
-    """The generator and `gen` check the curvature without the full geometry."""
+    """One builder serves the generator, `gen`, the checks and the flow."""
 
-    def test_core_matches_geometry(self, surface):
+    def test_centre_route_matches_potential(self, surface):
         for kind, kw in (
             ("sphere", dict(radius=1.0, offset=0.3, grid=(32, 64))),
             ("perturbed", dict(radius=1.0, amp=0.05, mode=(2, 0), grid=(32, 64))),
             ("perturbed", dict(radius=1.0, amp=0.1, mode=2, n=1, grid=128)),
         ):
-            graph, geom = surface(kind, **kw)
-            core = curvature(graph)
-            assert np.array_equal(core.kappa, geom.kappa)
-            assert np.array_equal(core.mean_curvature, geom.mean_curvature)
-            # about the centre V = cosh(rho) and V_nu = sinh(rho) / v exactly
-            assert np.array_equal(geom.V, core.cosh_rho.ravel())
-            assert np.array_equal(geom.V_nu, (core.sinh_rho / core.v).ravel())
+            graph, _ = surface(kind, **kw)
+            geom = build_geometry(graph)
+            # about the centre nothing builds the embedding ...
+            assert "position" not in vars(geom) and "normal" not in vars(geom)
+            # ... and V = cosh(rho), V_nu = sinh(rho) / v are the potentials
+            # of the embedding about the origin, bit for bit
+            o = hypgeo.origin(graph.n)
+            assert np.array_equal(geom.V, hypgeo.potential(geom.position, o))
+            assert np.array_equal(geom.V_nu, hypgeo.potential(geom.normal, o))
+            # the off-centre route, given the origin, agrees bit for bit
+            via = build_geometry(graph, base=o)
+            for name in ("V", "V_nu", "kappa", "area_weight", "position", "normal"):
+                assert np.array_equal(getattr(via, name), getattr(geom, name)), name
 
     @pytest.mark.parametrize("n, grid, modes", [
         (1, (96,), (1, 2, 3, 5)),
@@ -252,19 +257,20 @@ class TestCurvatureCore:
         assert outcomes == {True, False}
 
     def test_support_refusal_parity(self):
-        # far out cosh(rho) - sinh(rho) / v rounds to zero: the core refuses
-        # exactly where build_geometry does, at the same node
+        # far out cosh(rho) - sinh(rho) / v rounds to zero: the centre route
+        # refuses exactly where the potentials about the origin do, at the
+        # same node with the same message
         refused = 0
         for n, grid, mode in ((1, (64,), 3), (2, (16, 32), (3, 1))):
             for R in (18.0, 19.0, 25.0):
                 g = RadialGraph(n, R + 0.01 * _harmonic(n, mode, grid))
                 outcomes = []
-                for fn in (build_geometry, curvature):
+                for base in (None, hypgeo.origin(n)):
                     try:
-                        fn(g)
+                        build_geometry(g, base=base)
                         outcomes.append(None)
                     except DegenerateSurfaceError as exc:
-                        outcomes.append(exc.node)
+                        outcomes.append((exc.node, str(exc)))
                 assert outcomes[0] == outcomes[1], (n, R)
                 refused += outcomes[0] is not None
         assert 0 < refused < 6
@@ -382,7 +388,7 @@ class TestDegeneracy:
 def covariant_hessian_n1(geom, h):
     """Test oracle: V'' - Gamma V' on the curve, Gamma = g'/(2g)."""
     V = geom.V
-    gm = geom.metric[:, 0, 0]
+    (gm,) = geom.metric
     dV = _periodic_d1(V, h, 0)
     ddV = _periodic_d2(V, h, 0)
     dg = _periodic_d1(gm, h, 0)
@@ -423,7 +429,8 @@ class TestPotentialConsistency:
             base = hypgeo.ball_to_hyper(np.array([0.2, 0.1]))
             geom = build_geometry(g, base=base)
             hess = covariant_hessian_n1(geom, g.h_theta)
-            target = geom.V * geom.metric[:, 0, 0] - geom.V_nu * geom.second_form[:, 0, 0]
+            (gm,), (hm,) = geom.metric, geom.second_form
+            target = geom.V * gm - geom.V_nu * hm
             errs.append(np.max(np.abs(hess - target)) / np.max(np.abs(target)))
         assert errs[1] <= 1e-5
         assert errs[1] <= 0.35 * errs[0]
@@ -444,9 +451,9 @@ class TestPotentialConsistency:
         V = geom.V.reshape(P, T)
         Vnu = geom.V_nu.reshape(P, T)
         comp = {}
-        for (i, j), nm in (((0, 0), "pp"), ((0, 1), "pt"), ((1, 1), "tt")):
-            comp["g" + nm] = geom.metric[:, i, j].reshape(P, T)
-            comp["h" + nm] = geom.second_form[:, i, j].reshape(P, T)
+        for k, nm in enumerate(("pp", "pt", "tt")):
+            comp["g" + nm] = geom.metric[k]
+            comp["h" + nm] = geom.second_form[k]
 
         def d_phi(f):
             out = np.full_like(f, np.nan)

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hkverify.errors import PreconditionError, RejectedShapeError
-from hkverify.hypersurface import RadialGraph, build_geometry, gen_perturbed_sphere
+from hkverify.hypersurface import RadialGraph, build_geometry, gen_perturbed_sphere, gen_sphere
 from hkverify.identities import (
     alexandrov_diagnostic,
     gauss_bonnet,
@@ -415,3 +415,53 @@ class TestProperties:
         # exactly rounded, so every check agrees bit for bit
         rolled = run_verification(graph.rotated(steps))
         assert [c.to_dict() for c in rolled.results] == [c.to_dict() for c in rep.results]
+
+    @given(_centered_profiles())
+    @settings(max_examples=50, deadline=None)
+    def test_hk_shifted_holds_on_admissible_shapes(self, case):
+        graph, _ = case
+        r = hk_shifted(build_geometry(graph))
+        assert r.passed, r
+
+
+def _boosted(p, d, axis):
+    """Image of p under the boost that moves the origin a distance d along axis."""
+    q = p.copy()
+    q[0] = math.cosh(d) * p[0] + math.sinh(d) * p[axis]
+    q[axis] = math.sinh(d) * p[0] + math.cosh(d) * p[axis]
+    return q
+
+
+@st.composite
+def _spheres_and_bases(draw):
+    # a geodesic sphere, centred d < 0.9 R from the origin, with the
+    # potential taken about its graph centre (base None) or about a point
+    # at distance b < R from its own centre; n = 2 grids fine enough for
+    # the oracle's equality bound up to R = 2 (worst |rel| ~ 9e-4 there)
+    n = draw(st.sampled_from([1, 2]))
+    radius = draw(st.floats(0.3, 2.0))
+    d = radius * draw(st.floats(0.0, 0.9, exclude_max=True))
+    graph = gen_sphere(radius, d, n=n, grid=(256,) if n == 1 else (128, 256))
+    if draw(st.booleans()):
+        return graph, None
+    e = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)))
+    assume(np.linalg.norm(e) > 0.1)
+    b = radius * draw(st.floats(0.0, 0.99))
+    at_centre = np.concatenate([[math.cosh(b)], math.sinh(b) * e / np.linalg.norm(e)])
+    return graph, _boosted(at_centre, d, axis=3 if n == 2 else 1)
+
+
+class TestSphereEquality:
+    # geodesic spheres are the equality case of both Heintze-Karcher
+    # inequalities about any base point inside, and the classical
+    # identity holds; both V routes (centre and off-centre) are drawn
+
+    @given(_spheres_and_bases())
+    @settings(max_examples=40, deadline=None)
+    def test_equality_about_any_inner_base(self, case):
+        graph, base = case
+        geom = build_geometry(graph, base=base)
+        assert minkowski_classical(geom).passed
+        for fn in (hk_brendle, hk_shifted):
+            r = fn(geom)
+            assert abs(r.rel_residual) <= 1e-3, r
