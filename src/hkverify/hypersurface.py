@@ -299,7 +299,7 @@ class SurfaceGeometry:
 
     @property
     def mean_curvature(self) -> np.ndarray:
-        return np.sum(self.kappa, axis=-1)
+        return hypgeo._row_fold(np.add, self.kappa)
 
     @cached_property
     def weighted_volume(self) -> float:

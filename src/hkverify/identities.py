@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
+import scipy
 
-from . import symfun
+from . import __version__, symfun
 from ._util import atomic_write_text, exact_sum
 from .errors import PreconditionError
 from .hypersurface import H_MARGIN, RadialGraph, SurfaceGeometry, area_integral, geometry_for
@@ -351,6 +352,9 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
             "config_hash": _config_hash(config, graph.rho),
             "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "tolerance_table_version": tolerance_table()["version"],
+            "hkverify_version": __version__,
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
         },
     )
     single = {"minkowski-classical": minkowski_classical, "hk-brendle": hk_brendle,

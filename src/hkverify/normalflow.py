@@ -18,7 +18,11 @@ particles with collision thresholds within a factor BUCKET_RATIO of each
 other, queried at half the smaller of the two buckets' largest
 thresholds.  Euclidean ball distance is at most half the geodesic one, so
 the candidates include every colliding pair, and the exact geodesic test
-decides.  The flow functional
+decides.  The trees use the sliding-midpoint build (Maneewongvatana and
+Mount, "It's okay to be skinny, if your friends are fat", 1999), cheaper
+to build and to query than a balanced one.  A radius query returns the
+same pairs whatever the tree's shape, so the candidate set does not
+depend on it.  The flow functional
 
     Q(t) = e^{(n+1)t} [ sum_active (V-Vnu)/(H-n) J w0
                         - (n+1)/n * int_t^{t_max} sum_active V J w0 dtau ]
@@ -119,7 +123,7 @@ def area_jacobian(kappa0, t):
     factors = np.cosh(t)[..., None] - kappa0 * np.sinh(t)[..., None]
     if np.any(factors <= DENOM_TOL):
         raise FocalTimeError("area Jacobian evaluated at or past a focal time")
-    out = np.prod(factors, axis=-1)
+    out = hypgeo._row_fold(np.multiply, factors)
     return out if out.ndim else float(out)
 
 
@@ -192,7 +196,8 @@ def _candidate_pairs(ball: np.ndarray, thr: np.ndarray):
     starts = np.flatnonzero(np.diff(level[order])) + 1
     buckets = []
     for idx in np.split(live[order], starts):
-        buckets.append((idx, cKDTree(ball[idx]), float(np.max(thr[idx]))))
+        tree = cKDTree(ball[idx], balanced_tree=False, compact_nodes=False)
+        buckets.append((idx, tree, float(np.max(thr[idx]))))
     firsts, seconds = [], []
     for a, (idx_a, tree_a, top_a) in enumerate(buckets):
         pairs = tree_a.query_pairs(top_a / 2.0, output_type="ndarray")
@@ -223,7 +228,10 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = 3.0) 
     the exact hit test on geodesic distances decides.  A single query at
     the largest threshold would find the same collisions, but late in the
     flow, when thresholds spread over several octaves, it returns far more
-    candidates than can collide.
+    candidates than can collide.  The trees are sliding-midpoint builds
+    (unbalanced, uncompacted): the candidate set does not depend on the
+    tree's shape, only the order of the pairs does, and nothing below
+    depends on that order.
 
     Returns the first grid time with a collision, +inf if none occurs
     before the smallest focal time.  Either way each particle's
@@ -283,22 +291,25 @@ def _active_sums(particles: FlowParticles, tau: float):
 
     Returns (S_vol, S_nu, area, term1, n_active, H_min, H_max) where
     term1 is the shifted mean-curvature integral, the t-slice of the flow
-    functional's boundary term.
+    functional's boundary term.  While every particle is active the
+    initial arrays are read in place, with no masked copies.
     """
     mask = tau < particles.active_until
     n_active = int(np.count_nonzero(mask))
     if n_active == 0:
         return 0.0, 0.0, 0.0, 0.0, 0, math.nan, math.nan
-    kap = particles.kappa0[mask]
-    H = np.sum(evolve_curvature(kap, tau), axis=-1)
+    kap, V0, Vnu0, w0 = particles.kappa0, particles.V0, particles.Vnu0, particles.w0
+    if n_active < particles.count():
+        kap, V0, Vnu0, w0 = kap[mask], V0[mask], Vnu0[mask], w0[mask]
+    H = hypgeo._row_fold(np.add, evolve_curvature(kap, tau))
     low = int(np.argmin(H))
     if H[low] <= particles.n + H_MARGIN:
         raise FlowAssumptionError(
             f"mean curvature {H[low]:.6g} fell to n = {particles.n} at t = {tau:.6g}"
         )
     J = area_jacobian(kap, tau)
-    V, Vnu = evolve_potentials(particles.V0[mask], particles.Vnu0[mask], tau)
-    w = particles.w0[mask] * J
+    V, Vnu = evolve_potentials(V0, Vnu0, tau)
+    w = w0 * J
     S_vol = float(np.sum(V * w))
     S_nu = float(np.sum(Vnu * w))
     area = float(np.sum(w))

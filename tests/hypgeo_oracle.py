@@ -3,7 +3,8 @@
 The conformal field sinh(r) d_r, the warping factor sinh(r), geodesic
 velocities, tangent projections, unit tangents and the ball chart's
 conformal factor are not needed by the package; the tests use them to
-check what it computes.
+check what it computes.  `same_bits` is the comparison of the tests that
+hold a kernel to numpy's own reductions bit for bit.
 """
 
 import numpy as np
@@ -58,3 +59,9 @@ def conformal_factor(x) -> np.ndarray | float:
     if np.any(r2 >= 1.0):
         raise ValueError("ball point must satisfy |x| < 1")
     return 2.0 / (1.0 - r2)
+
+
+def same_bits(got, want) -> bool:
+    """Equal shapes and equal float64 bytes, so -0.0 differs from 0.0."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hkverify import hypgeo
 
@@ -173,6 +174,50 @@ class TestRadialField:
             got = hypgeo.minkowski_inner(deriv, x)
             want = math.cosh(hypgeo.dist(p, o))
             assert got == pytest.approx(want, abs=1e-6 * max(1.0, want))
+
+
+# Row entries: signed zeros and subnormals drawn often, unit-sized values
+# whose sums round in order-dependent ways, and magnitudes small enough
+# that no product or sum overflows.
+ROW_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-10.0, 10.0),
+    st.floats(-1e150, 1e150),
+)
+LEADING = st.sampled_from([(), (1,), (5,), (2, 3)])
+
+
+class TestRowKernels:
+    """The short-row folds equal numpy's reductions bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fold_matches_reductions(self, data):
+        shape = data.draw(LEADING) + (data.draw(st.integers(1, 4)),)
+        a = data.draw(hnp.arrays(float, shape, elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e75, 1e75))))
+        assert oracle.same_bits(hypgeo._row_fold(np.add, a), np.sum(a, axis=-1))
+        assert oracle.same_bits(hypgeo._row_fold(np.multiply, a), np.prod(a, axis=-1))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_minkowski_inner_matches_np_sum(self, data):
+        shape = data.draw(LEADING) + (data.draw(st.sampled_from([3, 4])),)
+        u = data.draw(hnp.arrays(float, shape, elements=ROW_FLOATS))
+        v = data.draw(hnp.arrays(float, shape, elements=ROW_FLOATS))
+        want = -u[..., 0] * v[..., 0] + np.sum(u[..., 1:] * v[..., 1:], axis=-1)
+        assert oracle.same_bits(hypgeo.minkowski_inner(u, v), want)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ball_to_hyper_matches_np_sum(self, data):
+        shape = data.draw(LEADING) + (data.draw(st.sampled_from([2, 3])),)
+        x = data.draw(hnp.arrays(float, shape, elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-0.5, 0.5))))
+        r2 = np.sum(x * x, axis=-1)
+        want = np.concatenate([((1.0 + r2) / (1.0 - r2))[..., None],
+                               2.0 * x / (1.0 - r2)[..., None]], axis=-1)
+        assert oracle.same_bits(hypgeo.ball_to_hyper(x), want)
 
 
 class TestBallChart:

@@ -15,9 +15,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hkverify
 from hkverify.errors import PreconditionError, RejectedShapeError
 from hkverify.hypersurface import RadialGraph, build_geometry, gen_perturbed_sphere, gen_sphere
 from hkverify.identities import (
@@ -296,6 +298,13 @@ class TestReportMachinery:
         rho[7, 11] = np.nextafter(rho[7, 11], 2.0)
         d = run_verification(RadialGraph(2, rho, meta=dict(g.meta)))
         assert a.provenance["config_hash"] != d.provenance["config_hash"]
+
+    def test_provenance_names_the_software(self, surface):
+        g, geom = surface("sphere", radius=1.0, grid=(32, 64))
+        prov = run_verification(g, geom=geom).provenance
+        assert prov["hkverify_version"] == hkverify.__version__
+        assert prov["numpy_version"] == np.__version__
+        assert prov["scipy_version"] == scipy.__version__
 
     def test_report_round_trips_as_json(self, surface, tmp_path):
         g, geom = surface("sphere", radius=1.0, n=1, grid=64)

@@ -7,15 +7,19 @@ to closed forms in R - t, which pins the Jacobian, the potentials and
 the functional Q simultaneously.
 """
 
+import copy
 import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hkverify import hypgeo
 from hkverify.errors import FlowAssumptionError, FocalTimeError
 from hkverify.hypersurface import (
+    H_MARGIN,
     RadialGraph,
     build_geometry,
     gen_perturbed_sphere,
@@ -153,6 +157,75 @@ class TestJacobian:
             assert (Hp - Hm) / (2 * d) == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
 
 
+# Curvatures with signed zeros and subnormals drawn often; below 1.25 no
+# Jacobian factor reaches zero before t = artanh(0.8) ~ 1.1.
+KAPPAS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-3.0, 1.25))
+LEADING = st.sampled_from([(), (1,), (5,), (2, 3)])
+
+
+def masked_active_sums(p, tau):
+    """_active_sums as a mask-first reference with numpy's own reductions."""
+    mask = tau < p.active_until
+    if not np.any(mask):
+        return 0.0, 0.0, 0.0, 0.0, 0, math.nan, math.nan
+    kap = p.kappa0[mask]
+    ch, sh = np.cosh(tau), np.sinh(tau)
+    H = np.sum((kap * ch - sh) / (ch - kap * sh), axis=-1)
+    w = p.w0[mask] * np.prod(ch - kap * sh, axis=-1)
+    V = p.V0[mask] * ch - p.Vnu0[mask] * sh
+    Vnu = p.Vnu0[mask] * ch - p.V0[mask] * sh
+    return (float(np.sum(V * w)), float(np.sum(Vnu * w)), float(np.sum(w)),
+            float(np.sum((V - Vnu) / (H - p.n) * w)), int(np.count_nonzero(mask)),
+            float(np.min(H)), float(np.max(H)))
+
+
+class TestRowKernels:
+    """Short-row products and sums equal np.prod and np.sum bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_area_jacobian_matches_np_prod(self, data):
+        kappa0 = data.draw(hnp.arrays(
+            float, data.draw(LEADING) + (data.draw(st.integers(1, 3)),), elements=KAPPAS))
+        t = data.draw(st.floats(0.0, 1.0))
+        want = np.prod(np.cosh(t) - kappa0 * np.sinh(t), axis=-1)
+        assert oracle.same_bits(area_jacobian(kappa0, t), want)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mean_curvature_matches_np_sum(self, surface, data):
+        for n, grid in ((1, (8,)), (2, (8, 16))):
+            geom = copy.copy(surface("sphere", radius=1.0, n=n, grid=grid)[1])
+            geom.kappa = data.draw(hnp.arrays(
+                float, (geom.node_count(), n), elements=st.one_of(
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e300, 1e300))))
+            assert oracle.same_bits(geom.mean_curvature, np.sum(geom.kappa, axis=-1))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_active_sums_match_masked_reference(self, data):
+        n = data.draw(st.sampled_from([1, 2]))
+        N = data.draw(st.integers(2, 12))
+        # focal_times warns on the overflow of 1 / kappa at a subnormal kappa
+        kappa0 = np.sort(data.draw(hnp.arrays(float, (N, n), elements=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(-3.0, 1.25, allow_subnormal=False)))), axis=-1)
+        V0 = data.draw(hnp.arrays(float, N, elements=st.floats(1.0, 10.0)))
+        Vnu0 = V0 * data.draw(hnp.arrays(float, N, elements=st.floats(-0.9, 0.9)))
+        w0 = data.draw(hnp.arrays(float, N, elements=st.floats(1e-6, 1.0)))
+        p = FlowParticles(n=n, y=np.zeros((N, n + 2)), nu0=np.zeros((N, n + 2)),
+                          kappa0=kappa0, V0=V0, Vnu0=Vnu0, w0=w0)
+        p.active_until = np.minimum(p.t_focal, data.draw(hnp.arrays(
+            float, N, elements=st.floats(0.2, 1.0))))
+        # every particle active, then some of them
+        for tau in (data.draw(st.floats(0.0, 0.19)), data.draw(st.floats(0.2, 1.0))):
+            active = tau < p.active_until
+            if np.any(active) and np.min(evolve_curvature(kappa0[active], tau).sum(-1)) <= n + H_MARGIN:
+                with pytest.raises(FlowAssumptionError):
+                    _active_sums(p, tau)
+            else:
+                assert oracle.same_bits(_active_sums(p, tau), masked_active_sums(p, tau))
+
+
 class TestFocalTimes:
     def test_frozen_value(self):
         assert focal_time([2.0]) == pytest.approx(0.5493061443340549, abs=1e-15)
@@ -209,7 +282,9 @@ def brute_force_cut(particles, t_grid, exclusion=3.0, chunk=512):
     Every pair i < j is screened by its Minkowski product from one Gram
     matrix per row chunk, kept when within 1e-12 of cosh(min(thr_i, thr_j))
     (far wider than the rounding of either product); hypgeo.dist then
-    decides exactly, as the scan does.
+    decides exactly, as the scan does.  Returns (cut, pair): pair is the
+    far hit at the cut with the smallest d_hit / threshold, ties to the
+    lowest (i, j), as the dict estimate_cut_time records, or None.
     """
     N = particles.count()
     focal_min = float(np.min(particles.t_focal))
@@ -223,6 +298,7 @@ def brute_force_cut(particles, t_grid, exclusion=3.0, chunk=512):
             np.cosh(tau) - kappa_min * np.sinh(tau), 0.0)
         bound = np.cosh(thr) + 1e-12
         pos = particles.positions_at(tau)
+        hits = []
         for lo in range(0, N, chunk):
             hi = min(lo + chunk, N)
             c = -(pos[lo:hi] * sign) @ pos[lo:].T
@@ -230,13 +306,20 @@ def brute_force_cut(particles, t_grid, exclusion=3.0, chunk=512):
             i, j = r + lo, s + lo
             keep = (i < j) & (c[r, s] < bound[j])
             i, j = i[keep], j[keep]
-            hit = hypgeo.dist(pos[i], pos[j]) < np.minimum(thr[i], thr[j])
-            i, j = i[hit], j[hit]
-            far = hypgeo.dist(particles.y[i], particles.y[j]) >= exclusion * np.maximum(
+            d_hit = hypgeo.dist(pos[i], pos[j])
+            limit = np.minimum(thr[i], thr[j])
+            hit = d_hit < limit
+            i, j, d_hit, limit = i[hit], j[hit], d_hit[hit], limit[hit]
+            d_init = hypgeo.dist(particles.y[i], particles.y[j])
+            far = d_init >= exclusion * np.maximum(
                 particles.spacing0[i], particles.spacing0[j])
-            if np.any(far):
-                return float(tau)
-    return math.inf
+            hits += zip((d_hit / limit)[far].tolist(), i[far].tolist(), j[far].tolist(),
+                        d_init[far].tolist(), d_hit[far].tolist(), limit[far].tolist())
+        if hits:
+            _, i, j, d_init, d_hit, limit = min(hits)
+            return float(tau), {"i": i, "j": j, "d_init": d_init, "d_hit": d_hit,
+                                "threshold": limit}
+    return math.inf, None
 
 
 class TestCutTime:
@@ -289,11 +372,13 @@ class TestCutTime:
             grid = np.linspace(0.0, float(np.min(make().t_focal)), 96, endpoint=False)
         p, ref = make(), make()
         cut = estimate_cut_time(p, grid)
-        want = brute_force_cut(ref, grid)
+        want, pair = brute_force_cut(ref, grid)
         assert cut == want
         assert np.array_equal(p.active_until, np.minimum(ref.t_focal, want))
+        # the same deepest far pair, so the scan found the same far-hit set
+        assert p.cut_pair == pair
         if case == "sphere":
-            assert cut == math.inf
+            assert cut == math.inf and pair is None
         elif case == "lobe":
             assert cut == pytest.approx(0.7488, abs=1e-4)
         else:
