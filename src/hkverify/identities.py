@@ -1,9 +1,10 @@
 """Integral identity and inequality checks on discrete hypersurfaces.
 
 Every check returns a CheckResult carrying both sides, the residual, and
-the tolerance it was judged against.  "auto" tolerances come from the
-shipped calibration table as tol = C * h^2 relative to the integral scale,
-where h is the colatitude (n = 2) or azimuth (n = 1) step.
+the tolerance it was judged against; every check reaches its verdict
+through one rule, `_judge` (see CheckResult).  "auto" tolerances come
+from the shipped calibration table as tol = C * h^2 relative to the
+integral scale, where h is the colatitude (n = 2) or azimuth (n = 1) step.
 
 The verified statements, for a closed hypersurface with principal
 curvatures kappa_i, shifted curvatures kappa_i - 1, potential V and
@@ -16,9 +17,11 @@ support function V_nu, all taken about the geometry's base point
   volume side integrated radially).  About the graph's center the
   discrete identity is exact to rounding; about any other base point it
   holds to O(h^2).
-* If H > 0:  int V / H >= (n+1)/n * int_enclosed V.
-* If H > n:  int (V - V_nu) / (H - n) >= (n+1)/n * int_enclosed V, with
-  equality exactly on geodesic spheres.
+* If H > n eps:  int (V - eps V_nu) / (H - n eps) >= (n+1)/n * int_enclosed V,
+  computed by one kernel (`_hk`) at two shifts: eps = 0 is Brendle's
+  inequality int V / H >= ... for H > 0 (`hk_brendle`), eps = 1 the
+  shifted inequality int (V - V_nu) / (H - n) >= ... for H > n
+  (`hk_shifted`), with equality exactly on geodesic spheres.
 * Chained diagnostics for 2 <= k <= n when the shifted curvatures lie in
   the order-k Garding cone: a ratio comparison against int V_nu, the
   pointwise Newton-MacLaurin slack integral, and an umbilicity spread
@@ -29,6 +32,7 @@ support function V_nu, all taken about the geometry's base point
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import hashlib
 import json
 import math
@@ -95,40 +99,11 @@ class CheckResult:
         return f"[{tag}] {self.name}: residual {self.residual:.3e} (tol {self.tolerance:.3e})"
 
 
-def _scaled(lhs: float, rhs: float):
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    residual = lhs - rhs
-    return residual, residual / scale, scale
-
-
-def _identity(name, lhs, rhs, tol_abs, metadata) -> CheckResult:
-    residual, rel, _ = _scaled(lhs, rhs)
-    metadata = {"kind": "identity", **metadata}
-    return CheckResult(name, lhs, rhs, residual, rel, tol_abs, abs(residual) <= tol_abs, metadata)
-
-
-def _inequality(name, lhs, rhs, tol_abs, metadata) -> CheckResult:
-    residual, rel, _ = _scaled(lhs, rhs)
-    metadata = {"kind": "inequality", "equality": bool(abs(residual) <= tol_abs), **metadata}
-    return CheckResult(name, lhs, rhs, residual, rel, tol_abs, residual >= -tol_abs, metadata)
-
-
-def _report(name, lhs, rhs, tol_abs, metadata) -> CheckResult:
-    residual, rel, _ = _scaled(lhs, rhs)
-    metadata = {"kind": "report", **metadata}
-    return CheckResult(name, lhs, rhs, residual, rel, tol_abs, True, metadata)
-
-
-_TABLE = None
-
-
+@functools.cache
 def tolerance_table() -> dict:
     """Calibration table for auto tolerances, shipped with the package."""
-    global _TABLE
-    if _TABLE is None:
-        with resources.files("hkverify.data").joinpath("tolerances.json").open() as fh:
-            _TABLE = json.load(fh)
-    return _TABLE
+    with resources.files("hkverify.data").joinpath("tolerances.json").open() as fh:
+        return json.load(fh)
 
 
 def resolve_tolerance(check: str, geom: SurfaceGeometry, scale: float, tol) -> float:
@@ -143,8 +118,24 @@ def resolve_tolerance(check: str, geom: SurfaceGeometry, scale: float, tol) -> f
     return scale * max(coeff * h * h, table["floor_rel"])
 
 
-def _grid_meta(geom: SurfaceGeometry) -> dict:
-    return {"n": geom.n, "grid": list(geom.grid)}
+def _judge(kind: str, name: str, key: str, geom: SurfaceGeometry, lhs: float, rhs: float,
+           tol, meta: dict, scale: float | None = None) -> CheckResult:
+    """The verdict rule every check shares.
+
+    The residual lhs - rhs is made relative to max(|lhs|, |rhs|, 1e-300),
+    which is also the tolerance scale unless `scale` is given; `key`
+    names the tolerance table entry.  `kind` is "identity", "inequality"
+    or "report", and heads the metadata, then `equality` for an
+    inequality, then n and grid, then the check's own `meta`.
+    """
+    residual = lhs - rhs
+    size = max(abs(lhs), abs(rhs), 1e-300)
+    tol_abs = resolve_tolerance(key, geom, size if scale is None else scale, tol)
+    within = abs(residual) <= tol_abs
+    head = {"kind": kind, "equality": bool(within)} if kind == "inequality" else {"kind": kind}
+    passed = {"identity": within, "inequality": residual >= -tol_abs, "report": True}[kind]
+    return CheckResult(name, lhs, rhs, residual, residual / size, tol_abs, passed,
+                       {**head, "n": geom.n, "grid": list(geom.grid), **meta})
 
 
 def minkowski_shifted(geom: SurfaceGeometry, eps: float = 1.0, k: int = 1,
@@ -156,52 +147,42 @@ def minkowski_shifted(geom: SurfaceGeometry, eps: float = 1.0, k: int = 1,
     shifted = geom.kappa - eps
     lhs = area_integral(geom, (geom.V - eps * geom.V_nu) * symfun.e_m_values(shifted, k - 1))
     rhs = area_integral(geom, geom.V_nu * symfun.e_m_values(shifted, k))
-    name = f"minkowski-shifted[eps={eps:g},k={k}]"
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    tol_abs = resolve_tolerance("minkowski-shifted", geom, scale, tol)
-    return _identity(name, lhs, rhs, tol_abs, {**_grid_meta(geom), "eps": eps, "k": k})
+    return _judge("identity", f"minkowski-shifted[eps={eps:g},k={k}]", "minkowski-shifted",
+                  geom, lhs, rhs, tol, {"eps": eps, "k": k})
 
 
 def minkowski_classical(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Support-function integral against (n+1) times the weighted volume."""
     lhs = area_integral(geom, geom.V_nu)
     rhs = (geom.n + 1) * geom.weighted_volume
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    tol_abs = resolve_tolerance("minkowski-classical", geom, scale, tol)
-    return _identity("minkowski-classical", lhs, rhs, tol_abs, _grid_meta(geom))
+    return _judge("identity", "minkowski-classical", "minkowski-classical",
+                  geom, lhs, rhs, tol, {})
+
+
+def _hk(geom: SurfaceGeometry, eps: float, name: str, refusal: str, tol) -> CheckResult:
+    """int (V - eps V_nu)/(H - n eps) >= (n+1)/n int V, needs H > n eps.
+
+    A node with H <= n eps + H_MARGIN is refused with the message
+    "mean curvature <H> <refusal>".
+    """
+    H = geom.mean_curvature
+    worst = int(np.argmin(H))
+    if H[worst] <= geom.n * eps + H_MARGIN:
+        raise PreconditionError(f"mean curvature {H[worst]:.6g} {refusal}",
+                                check=name, node=worst)
+    lhs = area_integral(geom, (geom.V - eps * geom.V_nu) / (H - geom.n * eps))
+    rhs = (geom.n + 1) / geom.n * geom.weighted_volume
+    return _judge("inequality", name, name, geom, lhs, rhs, tol, {"H_min": float(H[worst])})
 
 
 def hk_brendle(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Heintze-Karcher inequality int V/H >= (n+1)/n int V, needs H > 0."""
-    H = geom.mean_curvature
-    worst = int(np.argmin(H))
-    if H[worst] <= H_MARGIN:
-        raise PreconditionError(
-            f"mean curvature {H[worst]:.6g} is not positive", check="hk-brendle", node=worst
-        )
-    lhs = area_integral(geom, geom.V / H)
-    rhs = (geom.n + 1) / geom.n * geom.weighted_volume
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    tol_abs = resolve_tolerance("hk-brendle", geom, scale, tol)
-    meta = {**_grid_meta(geom), "H_min": float(H[worst])}
-    return _inequality("hk-brendle", lhs, rhs, tol_abs, meta)
+    return _hk(geom, 0.0, "hk-brendle", "is not positive", tol)
 
 
 def hk_shifted(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Shifted inequality int (V - V_nu)/(H - n) >= (n+1)/n int V, needs H > n."""
-    H = geom.mean_curvature
-    worst = int(np.argmin(H))
-    if H[worst] <= geom.n + H_MARGIN:
-        raise PreconditionError(
-            f"mean curvature {H[worst]:.6g} is not above n = {geom.n}",
-            check="hk-shifted", node=worst,
-        )
-    lhs = area_integral(geom, (geom.V - geom.V_nu) / (H - geom.n))
-    rhs = (geom.n + 1) / geom.n * geom.weighted_volume
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    tol_abs = resolve_tolerance("hk-shifted", geom, scale, tol)
-    meta = {**_grid_meta(geom), "H_min": float(H[worst])}
-    return _inequality("hk-shifted", lhs, rhs, tol_abs, meta)
+    return _hk(geom, 1.0, "hk-shifted", f"is not above n = {geom.n}", tol)
 
 
 def alexandrov_diagnostic(geom: SurfaceGeometry, k: int = 2,
@@ -220,8 +201,9 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, k: int = 2,
             f"order k must satisfy 2 <= k <= {geom.n}, got {k}", check="alexandrov"
         )
     shifted = geom.kappa_shifted
-    for i in range(1, k + 1):
-        sig = symfun.e_m_values(shifted, i) * math.comb(geom.n, i)
+    e = [symfun.e_m_values(shifted, i) for i in range(1, k + 1)]
+    for i, ei in enumerate(e, start=1):
+        sig = ei * math.comb(geom.n, i)
         worst = int(np.argmin(sig))
         if sig[worst] <= 0.0:
             raise PreconditionError(
@@ -229,9 +211,7 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, k: int = 2,
                 check="alexandrov", node=worst,
             )
 
-    ek = symfun.e_m_values(shifted, k)
-    ekm1 = symfun.e_m_values(shifted, k - 1)
-    e1 = symfun.e_m_values(shifted, 1)
+    e1, ekm1, ek = e[0], e[k - 2], e[k - 1]
     ek_mean = exact_sum(ek) / ek.size
     ek_spread = float(np.max(ek) - np.min(ek))
     h = geom.resolution
@@ -241,28 +221,21 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, k: int = 2,
     weight = geom.V - geom.V_nu
     lhs_ratio = area_integral(geom, weight * ekm1 / ek)
     rhs_ratio = area_integral(geom, geom.V_nu)
-    scale = max(abs(lhs_ratio), abs(rhs_ratio), 1e-300)
-    tol_abs = resolve_tolerance("alexandrov-ratio", geom, scale, tol)
-    meta = {**_grid_meta(geom), "k": k, "ek_constant": ek_constant,
-            "ek_spread": ek_spread, "ek_mean": ek_mean}
-    name = f"alexandrov-ratio[k={k}]"
-    if ek_constant:
-        ratio = _identity(name, lhs_ratio, rhs_ratio, tol_abs, meta)
-    else:
-        ratio = _inequality(name, lhs_ratio, rhs_ratio, tol_abs, meta)
+    ratio = _judge("identity" if ek_constant else "inequality", f"alexandrov-ratio[k={k}]",
+                   "alexandrov-ratio", geom, lhs_ratio, rhs_ratio, tol,
+                   {"k": k, "ek_constant": ek_constant, "ek_spread": ek_spread,
+                    "ek_mean": ek_mean})
 
     lhs_slack = area_integral(geom, weight * (ekm1 / ek - 1.0 / e1))
-    tol_slack = resolve_tolerance("alexandrov-nm-slack", geom,
-                                  max(abs(lhs_slack), scale), tol)
-    slack = _inequality(f"alexandrov-nm-slack[k={k}]", lhs_slack, 0.0, tol_slack,
-                        {**_grid_meta(geom), "k": k})
+    slack = _judge("inequality", f"alexandrov-nm-slack[k={k}]", "alexandrov-nm-slack",
+                   geom, lhs_slack, 0.0, tol, {"k": k},
+                   scale=max(abs(lhs_slack), max(abs(lhs_ratio), abs(rhs_ratio), 1e-300)))
 
     spread = float(np.max(geom.kappa) - np.min(geom.kappa))
-    tol_spread = resolve_tolerance("alexandrov-umbilic", geom,
-                                   max(float(np.max(np.abs(geom.kappa))), 1e-300), tol)
-    umb = _report(f"alexandrov-umbilic[k={k}]", spread, 0.0, tol_spread,
-                  {**_grid_meta(geom), "k": k,
-                   "umbilic_within_tol": bool(spread <= tol_spread)})
+    umb = _judge("report", f"alexandrov-umbilic[k={k}]", "alexandrov-umbilic", geom,
+                 spread, 0.0, tol, {"k": k},
+                 scale=max(float(np.max(np.abs(geom.kappa))), 1e-300))
+    umb.metadata["umbilic_within_tol"] = bool(spread <= umb.tolerance)
     return [ratio, slack, umb]
 
 
@@ -272,8 +245,8 @@ def gauss_bonnet(geom: SurfaceGeometry, tol="auto") -> CheckResult:
         raise PreconditionError("gauss-bonnet applies to curves only", check="gauss-bonnet")
     lhs = area_integral(geom, geom.kappa[:, 0]) - geom.enclosed_volume
     rhs = 2.0 * np.pi
-    tol_abs = resolve_tolerance("gauss-bonnet", geom, rhs, tol)
-    return _identity("gauss-bonnet", lhs, rhs, tol_abs, _grid_meta(geom))
+    return _judge("identity", "gauss-bonnet", "gauss-bonnet", geom, lhs, rhs, tol, {},
+                  scale=rhs)
 
 
 @dataclass

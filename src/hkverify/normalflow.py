@@ -69,6 +69,8 @@ __all__ = [
 DENOM_TOL = 1e-12
 # Threshold ratio spanned by one candidate bucket of the collision scan.
 BUCKET_RATIO = 2.0
+# Default same-sheet exclusion radius of the collision scan, in spacings.
+_EXCLUSION = 3.0
 # Calibrated tolerance coefficients of verify_flow: the Q monotonicity
 # slack and the level-set residual tolerance are C_GRID h^2 + C_TIME dt^2,
 # and a surface is round when its umbilicity spread is within ROUND_C h^2.
@@ -138,8 +140,9 @@ def focal_time(kappa0) -> float:
 def focal_times(kappa0) -> np.ndarray:
     """Per-row focal times for an (N, n) array of curvature tuples."""
     kappa0 = np.asarray(kappa0, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(kappa0 > 1.0, np.arctanh(np.minimum(1.0 / kappa0, 1.0)), math.inf)
+    # kappa <= 1 never focuses; the clamp keeps 1 / kappa finite there
+    with np.errstate(divide="ignore"):
+        t = np.where(kappa0 > 1.0, np.arctanh(1.0 / np.maximum(kappa0, 1.0)), math.inf)
     return np.min(t, axis=-1, initial=math.inf)
 
 
@@ -211,7 +214,7 @@ def _candidate_pairs(ball: np.ndarray, thr: np.ndarray):
     return np.concatenate(firsts), np.concatenate(seconds)
 
 
-def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = 3.0) -> float:
+def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = _EXCLUSION) -> float:
     """Scan a time grid for the first collision between far-apart particles.
 
     A particle's collision threshold at time tau is its initial spacing
@@ -245,7 +248,7 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = 3.0) 
     cut = math.inf
     cut_pair = None
     focal_min = float(np.min(particles.t_focal))
-    kappa_min = particles.kappa0[:, 0] if particles.kappa0.ndim == 2 else particles.kappa0
+    kappa_min = particles.kappa0[:, 0]
     for tau in np.sort(np.asarray(t_grid, dtype=float)):
         if tau >= focal_min or tau < 0.0:
             continue
@@ -324,7 +327,7 @@ class FlowConfig:
     samples: int = 400          # target sample count inside the safe window
     safety: float = 0.9         # fraction of the shortest window that is sampled
     cut_samples: int = 96       # collision scan resolution
-    exclusion: float = 3.0      # same-sheet exclusion radius, in spacings
+    exclusion: float = _EXCLUSION  # same-sheet exclusion radius, in spacings
 
 
 @dataclass

@@ -231,9 +231,22 @@ class TestConvergence:
         assert main(["convergence", "--n", "1", "--levels", "128,64,256",
                      "--checks", "minkowski-classical"]) == 64
 
-    def test_unknown_series_exits_64(self):
+    def test_series_rows_in_request_order(self, tmp_path):
+        table = tmp_path / "orders.csv"
+        main(["convergence", "--shape", "perturbed", "--amp", "0.1", "--mode", "2",
+              "--n", "1", "--levels", "32,64,128", "--out", str(table),
+              "--checks", "minkowski-classical,umbilic-spread,gauss-bonnet"])
+        rows = [line.rsplit(",", 5)[:2] for line in table.read_text().splitlines()[1:]]
+        assert rows == [[name, level]
+                        for name in ("minkowski-classical", "umbilic-spread", "gauss-bonnet")
+                        for level in ("32", "64", "128")]
+
+    def test_unknown_series_exits_64(self, tmp_path, capsys):
+        table = tmp_path / "orders.csv"
         assert main(["convergence", "--n", "1", "--levels", "32,64,128",
-                     "--checks", "hk-brendle"]) == 64
+                     "--checks", "hk-brendle", "--out", str(table)]) == 64
+        assert "'hk-brendle' has no convergence series" in capsys.readouterr().err
+        assert not table.exists()
 
 
 class TestUsage:

@@ -160,7 +160,11 @@ class TestPreconditions:
         with pytest.raises(PreconditionError) as exc:
             hk_shifted(geom)
         assert exc.value.check == "hk-shifted"
-        assert exc.value.node is not None
+        H = geom.mean_curvature
+        worst = int(np.argmin(H))
+        assert exc.value.node == worst
+        assert str(exc.value) == (f"hk-shifted: mean curvature {H[worst]:.6g} "
+                                  f"is not above n = 1 (node {worst})")
         # brendle's weaker H > 0 precondition still holds here
         assert hk_brendle(geom).passed
 
@@ -171,6 +175,11 @@ class TestPreconditions:
         with pytest.raises(PreconditionError) as exc:
             hk_brendle(geom)
         assert exc.value.check == "hk-brendle"
+        H = geom.mean_curvature
+        worst = int(np.argmin(H))
+        assert exc.value.node == worst
+        assert str(exc.value) == (f"hk-brendle: mean curvature {H[worst]:.6g} "
+                                  f"is not positive (node {worst})")
 
     def test_alexandrov_needs_cone(self, surface):
         g, geom = surface("perturbed", radius=1.0, amp=0.08, mode=(4, 0),
@@ -274,6 +283,33 @@ class TestReportMachinery:
         assert names[0] == "minkowski-classical"
         assert "minkowski-shifted[eps=0,k=1]" in names
         assert "minkowski-shifted[eps=0.5,k=2]" in names
+
+    def test_metadata_key_order(self, surface):
+        # to_dict() serialises metadata in insertion order, so the order is
+        # part of the report format
+        head = ["n", "grid"]
+        ek = ["k", "ek_constant", "ek_spread", "ek_mean"]
+        want = {
+            "minkowski-classical": ["kind"] + head,
+            "minkowski-shifted[eps=0.5,k=2]": ["kind"] + head + ["eps", "k"],
+            "hk-brendle": ["kind", "equality"] + head + ["H_min"],
+            "hk-shifted": ["kind", "equality"] + head + ["H_min"],
+            "alexandrov-nm-slack[k=2]": ["kind", "equality"] + head + ["k"],
+            "alexandrov-umbilic[k=2]": ["kind"] + head + ["k", "umbilic_within_tol"],
+        }
+        checks = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted",
+                  "alexandrov"]
+        g, geom = surface("sphere", radius=1.0, grid=(32, 64))
+        sphere = {r.name: r for r in run_verification(g, checks, geom=geom).results}
+        g, geom = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0), grid=(32, 64))
+        lobe = {r.name: r for r in run_verification(g, checks, geom=geom).results}
+        for name, keys in want.items():
+            assert list(sphere[name].metadata) == keys, name
+            assert list(lobe[name].metadata) == keys, name
+        assert sphere["alexandrov-ratio[k=2]"].metadata["kind"] == "identity"
+        assert list(sphere["alexandrov-ratio[k=2]"].metadata) == ["kind"] + head + ek
+        assert lobe["alexandrov-ratio[k=2]"].metadata["kind"] == "inequality"
+        assert list(lobe["alexandrov-ratio[k=2]"].metadata) == ["kind", "equality"] + head + ek
 
     def test_duplicate_check_name_rejected(self, surface):
         g, geom = surface("sphere", radius=1.0, grid=(32, 64))

@@ -206,9 +206,7 @@ class TestRowKernels:
     def test_active_sums_match_masked_reference(self, data):
         n = data.draw(st.sampled_from([1, 2]))
         N = data.draw(st.integers(2, 12))
-        # focal_times warns on the overflow of 1 / kappa at a subnormal kappa
-        kappa0 = np.sort(data.draw(hnp.arrays(float, (N, n), elements=st.one_of(
-            st.sampled_from([0.0, -0.0]), st.floats(-3.0, 1.25, allow_subnormal=False)))), axis=-1)
+        kappa0 = np.sort(data.draw(hnp.arrays(float, (N, n), elements=KAPPAS)), axis=-1)
         V0 = data.draw(hnp.arrays(float, N, elements=st.floats(1.0, 10.0)))
         Vnu0 = V0 * data.draw(hnp.arrays(float, N, elements=st.floats(-0.9, 0.9)))
         w0 = data.draw(hnp.arrays(float, N, elements=st.floats(1e-6, 1.0)))
@@ -245,6 +243,11 @@ class TestFocalTimes:
         assert t[0] == pytest.approx(math.atanh(0.25))
         assert t[1] == math.inf
         assert t[2] == pytest.approx(math.atanh(1.0 / 3.0))
+
+    def test_subnormal_curvatures_never_focus(self):
+        # 1 / 5e-324 overflows; warnings are errors in the test run
+        t = focal_times(np.array([[5e-324, 2.0], [-5e-324, 2.0], [5e-324, -5e-324]]))
+        assert list(t) == [focal_time([2.0]), focal_time([2.0]), math.inf]
 
 
 class TestParticles:
