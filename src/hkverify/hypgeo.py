@@ -78,14 +78,14 @@ def sheet_normalize(p) -> np.ndarray:
     return p / np.sqrt(-q)[..., None]
 
 
-def validate_point(p, tol: float = SHEET_TOL) -> None:
-    """Check the hyperboloid constraints, scaling tol by the point size."""
+def validate_point(p) -> None:
+    """Check the hyperboloid constraints to SHEET_TOL, scaled by the point size."""
     p = np.asarray(p, dtype=float)
     resid = np.abs(minkowski_inner(p, p) + 1.0)
     scale = np.maximum(1.0, p[..., 0] ** 2)
-    if np.any(resid > tol * scale):
+    if np.any(resid > SHEET_TOL * scale):
         raise ValueError("point violates the hyperboloid constraint")
-    if np.any(p[..., 0] < 1.0 - tol):
+    if np.any(p[..., 0] < 1.0 - SHEET_TOL):
         raise ValueError("point is off the upper sheet")
 
 

@@ -12,23 +12,14 @@ evolution equations in closed form:
 so the only numerical errors are the initial geometry and the quadrature
 in flow time.  A particle stays active until the first of its focal time
 (a Jacobian factor vanishes) and a global collision estimate.  The
-collision estimate scans a time grid; at each step it takes candidate
-pairs from KD-trees on Poincare ball coordinates, one tree per bucket of
-particles with collision thresholds within a factor BUCKET_RATIO of each
-other, queried at half the smaller of the two buckets' largest
-thresholds.  Euclidean ball distance is at most half the geodesic one, so
-the candidates include every colliding pair, and the exact geodesic test
-decides, on candidate distances gathered column by column
-(hypgeo._pair_dist, equal to hypgeo.dist bit for bit).  The trees use
-the sliding-midpoint build (Maneewongvatana and Mount, "It's okay to be
-skinny, if your friends are fat", 1999), cheaper to build and to query
-than a balanced one.  A radius query returns the same pairs whatever the
-tree's shape, so the candidate set does not depend on it.  The scan's
-steps are independent and do their heavy work without the GIL, so they
-run on a thread pool with one worker per available CPU; results are
-taken in time order, the first step with a far hit wins and the pending
-steps are cancelled, which gives the serial scan's result whatever the
-worker count.  The per-time sums below stay in the calling thread.  The
+estimate scans a fixed grid of CUT_SAMPLES times below the smallest focal
+time for a pair that collides, never counting pairs closer than EXCLUSION
+spacings at t = 0; estimate_cut_time returns the cut and the pair behind
+it, and verify_flow derives every particle's window from them.  The scan
+takes candidate pairs from KD-trees on Poincare ball coordinates and
+runs its steps on a thread pool with one worker per available CPU, with
+the serial scan's result whatever the worker count (estimate_cut_time
+says how).  The per-time sums below stay in the calling thread.  The
 flow functional
 
     Q(t) = e^{(n+1)t} [ sum_active (V-Vnu)/(H-n) J w0
@@ -51,6 +42,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -61,7 +53,9 @@ from .errors import FlowAssumptionError, FocalTimeError
 from .hypersurface import H_MARGIN, RadialGraph, SurfaceGeometry, geometry_for
 
 __all__ = [
+    "CUT_SAMPLES",
     "DENOM_TOL",
+    "EXCLUSION",
     "H_MARGIN",
     "FlowConfig",
     "FlowParticles",
@@ -78,8 +72,10 @@ __all__ = [
 DENOM_TOL = 1e-12
 # Threshold ratio spanned by one candidate bucket of the collision scan.
 BUCKET_RATIO = 2.0
-# Default same-sheet exclusion radius of the collision scan, in spacings.
-_EXCLUSION = 3.0
+# The collision scan's fixed parameters: its time steps before the
+# smallest focal time, and its same-sheet exclusion radius in spacings.
+CUT_SAMPLES = 96
+EXCLUSION = 3.0
 # Calibrated tolerance coefficients of verify_flow: the Q monotonicity
 # slack and the level-set residual tolerance are C_GRID h^2 + C_TIME dt^2,
 # and a surface is round when its umbilicity spread is within ROUND_C h^2.
@@ -157,7 +153,12 @@ def focal_times(kappa0) -> np.ndarray:
 
 @dataclass
 class FlowParticles:
-    """Structure-of-arrays state for the particle system at t = 0."""
+    """Structure-of-arrays state for the particle system at t = 0.
+
+    from_geometry stores the geometry's own arrays, not copies: nothing in
+    the flow writes into them.  Windows and the cut pair are not state
+    here; estimate_cut_time returns them.
+    """
 
     n: int
     y: np.ndarray          # (N, n+2) initial positions
@@ -169,25 +170,22 @@ class FlowParticles:
     spacing0: np.ndarray = field(init=False)    # (N,) local grid spacing w0^(1/n)
     inward0: np.ndarray = field(init=False)     # (N, n+2) inward unit normals -nu0
     t_focal: np.ndarray = field(init=False)     # (N,)
-    active_until: np.ndarray = field(init=False)
-    cut_pair: dict | None = field(init=False, default=None)  # set by estimate_cut_time
 
     def __post_init__(self):
         self.spacing0 = self.w0 ** (1.0 / self.n)
         self.inward0 = -self.nu0
         self.t_focal = focal_times(self.kappa0)
-        self.active_until = self.t_focal.copy()
 
     @classmethod
     def from_geometry(cls, geom: SurfaceGeometry) -> "FlowParticles":
         return cls(
             n=geom.n,
-            y=geom.position.copy(),
-            nu0=geom.normal.copy(),
-            kappa0=geom.kappa.copy(),
-            V0=geom.V.copy(),
-            Vnu0=geom.V_nu.copy(),
-            w0=geom.area_weight.copy(),
+            y=geom.position,
+            nu0=geom.normal,
+            kappa0=geom.kappa,
+            V0=geom.V,
+            Vnu0=geom.V_nu,
+            w0=geom.area_weight,
         )
 
     def count(self) -> int:
@@ -225,14 +223,14 @@ def _candidate_pairs(ball: np.ndarray, thr: np.ndarray):
     return np.concatenate(firsts), np.concatenate(seconds)
 
 
-def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = _EXCLUSION) -> float:
+def estimate_cut_time(particles: FlowParticles, t_grid) -> tuple[float, dict | None]:
     """Scan a time grid for the first collision between far-apart particles.
 
     A particle's collision threshold at time tau is its initial spacing
     advected by the largest principal stretch, spacing0 * max_i(cosh tau -
     kappa_i sinh tau); a pair collides when its geodesic distance drops
-    below the smaller of the two thresholds.  Pairs closer than
-    `exclusion` spacings at t = 0 are same-sheet neighbors and never count.
+    below the smaller of the two thresholds.  Pairs closer than EXCLUSION
+    spacings at t = 0 are same-sheet neighbors and never count.
 
     Candidate pairs come from KD-trees on Poincare ball coordinates, one
     per bucket of particles whose thresholds lie within a factor
@@ -243,7 +241,9 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = _EXCL
     the largest threshold would find the same collisions, but late in the
     flow, when thresholds spread over several octaves, it returns far more
     candidates than can collide.  The trees are sliding-midpoint builds
-    (unbalanced, uncompacted): the candidate set does not depend on the
+    (Maneewongvatana and Mount, "It's okay to be skinny, if your friends
+    are fat", 1999), unbalanced and uncompacted, cheaper to build and to
+    query than balanced ones.  The candidate set does not depend on the
     tree's shape, only the order of the pairs does, and nothing below
     depends on that order.  The candidates' distances come from column
     gathers (hypgeo._pair_dist), equal to hypgeo.dist bit for bit without
@@ -260,12 +260,12 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = _EXCL
     already have run; their results, errors included, are discarded.  So
     the outcome is the serial scan's, bit for bit, for any worker count.
 
-    Returns the first grid time with a collision, +inf if none occurs
-    before the smallest focal time.  Either way each particle's
-    active_until becomes min(estimate, own focal time).  The colliding
-    far pair with the smallest ratio of distance to threshold is recorded
-    in particles.cut_pair (i < j, d_init, d_hit and threshold), or None
-    when there is no collision.
+    Returns (cut, cut_pair) and writes nothing into the particles.  cut is
+    the first grid time with a collision, +inf if none occurs before the
+    smallest focal time; a particle's window is min(cut, own focal time).
+    cut_pair is the colliding far pair with the smallest ratio of distance
+    to threshold (i < j, d_init, d_hit and threshold), or None when there
+    is no collision.
     """
     if particles.count() < 2:
         raise ValueError("need at least two particles to estimate a cut time")
@@ -277,20 +277,18 @@ def estimate_cut_time(particles: FlowParticles, t_grid, exclusion: float = _EXCL
     workers = _scan_workers()
     pool = ThreadPoolExecutor(workers)
     try:
-        steps = [pool.submit(_scan_step, particles, tau, exclusion) for tau in taus[:workers]]
+        steps = [pool.submit(_scan_step, particles, tau) for tau in taus[:workers]]
         for k, tau in enumerate(taus):
             hit = steps[k].result()
             if hit is not None:
                 cut, cut_pair = tau, hit
                 break
             if k + workers < len(taus):
-                steps.append(pool.submit(_scan_step, particles, taus[k + workers], exclusion))
+                steps.append(pool.submit(_scan_step, particles, taus[k + workers]))
     finally:
         # waits for the running steps; the queued ones never start
         pool.shutdown(cancel_futures=True)
-    particles.active_until = np.minimum(particles.t_focal, cut)
-    particles.cut_pair = cut_pair
-    return cut
+    return cut, cut_pair
 
 
 def _scan_workers() -> int:
@@ -301,7 +299,7 @@ def _scan_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _scan_step(particles: FlowParticles, tau: float, exclusion: float) -> dict | None:
+def _scan_step(particles: FlowParticles, tau: float) -> dict | None:
     """One collision-scan time: the deepest far hit at tau, or None."""
     thr = particles.spacing0 * np.maximum(
         np.cosh(tau) - particles.kappa0[:, 0] * np.sinh(tau), 0.0
@@ -319,7 +317,7 @@ def _scan_step(particles: FlowParticles, tau: float, exclusion: float) -> dict |
         return None
     ih, jh = i[hit], j[hit]
     d_init = hypgeo.dist(particles.y[ih], particles.y[jh])
-    far = d_init >= exclusion * np.maximum(
+    far = d_init >= EXCLUSION * np.maximum(
         particles.spacing0[ih], particles.spacing0[jh]
     )
     if not np.any(far):
@@ -336,15 +334,15 @@ def _deepest_pair(i, j, d_init, d_hit, limit) -> dict:
             "d_hit": float(d_hit[k]), "threshold": float(limit[k])}
 
 
-def _active_sums(particles: FlowParticles, tau: float):
-    """Weighted sums over active particles at one flow time.
+def _active_sums(particles: FlowParticles, active_until: np.ndarray, tau: float):
+    """Weighted sums over the particles whose window ends after tau.
 
     Returns (S_vol, S_nu, area, term1, n_active, H_min, H_max) where
     term1 is the shifted mean-curvature integral, the t-slice of the flow
     functional's boundary term.  While every particle is active the
     initial arrays are read in place, with no masked copies.
     """
-    mask = tau < particles.active_until
+    mask = tau < active_until
     n_active = int(np.count_nonzero(mask))
     if n_active == 0:
         return 0.0, 0.0, 0.0, 0.0, 0, math.nan, math.nan
@@ -367,14 +365,18 @@ def _active_sums(particles: FlowParticles, tau: float):
     return S_vol, S_nu, area, term1, n_active, float(H[low]), float(np.max(H))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
-    """Knobs for verify_flow; defaults match the calibrated tolerances."""
+    """Settings of verify_flow; defaults match the calibrated tolerances.
+
+    The collision scan has no settings: cut_samples and exclusion are
+    read-only aliases of the module constants CUT_SAMPLES and EXCLUSION.
+    """
 
     samples: int = 400          # target sample count inside the safe window
     safety: float = 0.9         # fraction of the shortest window that is sampled
-    cut_samples: int = 96       # collision scan resolution
-    exclusion: float = _EXCLUSION  # same-sheet exclusion radius, in spacings
+    cut_samples: ClassVar[int] = CUT_SAMPLES
+    exclusion: ClassVar[float] = EXCLUSION
 
 
 @dataclass
@@ -480,11 +482,12 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
         )
 
     focal_min = float(np.min(particles.t_focal))
-    scan = np.linspace(0.0, focal_min, config.cut_samples, endpoint=False)
-    cut = estimate_cut_time(particles, scan, exclusion=config.exclusion)
+    scan = np.linspace(0.0, focal_min, CUT_SAMPLES, endpoint=False)
+    cut, cut_pair = estimate_cut_time(particles, scan)
+    active_until = np.minimum(particles.t_focal, cut)
 
-    window_min = float(np.min(particles.active_until))
-    t_max = float(np.max(particles.active_until))
+    window_min = float(np.min(active_until))
+    t_max = float(np.max(active_until))
     t_safe = config.safety * window_min
     if not 0.0 < t_safe <= t_max:
         raise FlowAssumptionError("empty flow window, nothing to verify")
@@ -502,7 +505,7 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
     H_max = np.empty(segments + 1)
     for k, tau in enumerate(taus):
         S_vol[k], S_nu[k], area[k], term1[k], n_active[k], H_min[k], H_max[k] = \
-            _active_sums(particles, tau)
+            _active_sums(particles, active_until, tau)
 
     # tail[k] = integral of S_vol from taus[k] to t_max, composite trapezoid
     seg = 0.5 * dt * (S_vol[1:] + S_vol[:-1])
@@ -556,5 +559,5 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
         levelset_ok=levelset_ok,
         round_surface=round_surface,
         window_truncated=bool(cut < focal_min),
-        cut_pair=particles.cut_pair,
+        cut_pair=cut_pair,
     )

@@ -187,6 +187,12 @@ class TestFlow:
     def test_missing_surface_exits_1(self, tmp_path):
         assert main(["flow", "--surface", str(tmp_path / "no.json")]) == 1
 
+    @pytest.mark.parametrize("flag", ["--cut-samples", "--exclusion"])
+    def test_scan_flags_are_unknown(self, tmp_path, flag):
+        # the collision scan has fixed parameters: its old flags are usage
+        # errors, not the missing file's exit 1
+        assert main(["flow", "--surface", str(tmp_path / "no.json"), flag, "3"]) == 64
+
 
 class TestConvergence:
     def test_ellipse_orders(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ the functional Q simultaneously.
 
 import copy
 import csv
+import dataclasses
 import functools
 import math
 import sys
@@ -166,9 +167,9 @@ KAPPAS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-3.0
 LEADING = st.sampled_from([(), (1,), (5,), (2, 3)])
 
 
-def masked_active_sums(p, tau):
+def masked_active_sums(p, active_until, tau):
     """_active_sums as a mask-first reference with numpy's own reductions."""
-    mask = tau < p.active_until
+    mask = tau < active_until
     if not np.any(mask):
         return 0.0, 0.0, 0.0, 0.0, 0, math.nan, math.nan
     kap = p.kappa0[mask]
@@ -215,16 +216,17 @@ class TestRowKernels:
         w0 = data.draw(hnp.arrays(float, N, elements=st.floats(1e-6, 1.0)))
         p = FlowParticles(n=n, y=np.zeros((N, n + 2)), nu0=np.zeros((N, n + 2)),
                           kappa0=kappa0, V0=V0, Vnu0=Vnu0, w0=w0)
-        p.active_until = np.minimum(p.t_focal, data.draw(hnp.arrays(
+        active_until = np.minimum(p.t_focal, data.draw(hnp.arrays(
             float, N, elements=st.floats(0.2, 1.0))))
         # every particle active, then some of them
         for tau in (data.draw(st.floats(0.0, 0.19)), data.draw(st.floats(0.2, 1.0))):
-            active = tau < p.active_until
+            active = tau < active_until
             if np.any(active) and np.min(evolve_curvature(kappa0[active], tau).sum(-1)) <= n + H_MARGIN:
                 with pytest.raises(FlowAssumptionError):
-                    _active_sums(p, tau)
+                    _active_sums(p, active_until, tau)
             else:
-                assert oracle.same_bits(_active_sums(p, tau), masked_active_sums(p, tau))
+                assert oracle.same_bits(_active_sums(p, active_until, tau),
+                                        masked_active_sums(p, active_until, tau))
 
 
 class TestFocalTimes:
@@ -260,8 +262,10 @@ class TestParticles:
         assert p.count() == geom.node_count()
         assert np.sum(p.w0) == pytest.approx(geom.area(), rel=1e-14)
         assert np.max(np.abs(p.positions_at(0.0) - p.y)) <= 1e-12
-        assert np.all(p.active_until == p.t_focal)
         assert np.max(np.abs(p.t_focal - 1.0)) <= 1e-12  # sphere R = 1
+        # the particles share the geometry's arrays instead of copying them
+        assert p.y is geom.position and p.nu0 is geom.normal and p.kappa0 is geom.kappa
+        assert p.V0 is geom.V and p.Vnu0 is geom.V_nu and p.w0 is geom.area_weight
 
     def test_spacing_scale(self, surface):
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
@@ -282,7 +286,7 @@ def antipodal_pair(R=1.0, s0=0.05):
     )
 
 
-def brute_force_cut(particles, t_grid, exclusion=3.0, chunk=512):
+def brute_force_cut(particles, t_grid, exclusion=normalflow.EXCLUSION, chunk=512):
     """O(N^2) reference for the collision rule in estimate_cut_time's docstring.
 
     Every pair i < j is screened by its Minkowski product from one Gram
@@ -290,7 +294,7 @@ def brute_force_cut(particles, t_grid, exclusion=3.0, chunk=512):
     (far wider than the rounding of either product); hypgeo.dist then
     decides exactly, as the scan does.  Returns (cut, pair): pair is the
     far hit at the cut with the smallest d_hit / threshold, ties to the
-    lowest (i, j), as the dict estimate_cut_time records, or None.
+    lowest (i, j), as the dict estimate_cut_time returns, or None.
     """
     N = particles.count()
     focal_min = float(np.min(particles.t_focal))
@@ -332,9 +336,8 @@ class TestCutTime:
     def test_sphere_never_collides(self, surface):
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
         p = FlowParticles.from_geometry(geom)
-        cut = estimate_cut_time(p, np.linspace(0.0, 1.0, 64, endpoint=False))
-        assert cut == math.inf
-        assert np.max(np.abs(p.active_until - 1.0)) <= 1e-12
+        cut, pair = estimate_cut_time(p, np.linspace(0.0, 1.0, 64, endpoint=False))
+        assert cut == math.inf and pair is None
 
     def test_head_on_pair(self):
         # two flat particles at distance 2R close at speed 2; they collide
@@ -342,22 +345,24 @@ class TestCutTime:
         # root of 2(R - t) = s0 cosh(t)
         p = antipodal_pair()
         grid = np.linspace(0.0, 1.2, 2401)
-        cut = estimate_cut_time(p, grid)
+        cut, pair = estimate_cut_time(p, grid)
         t_star = 0.962498
         assert cut >= t_star - 1e-9
         assert cut <= t_star + 2 * (grid[1] - grid[0])
-        assert np.all(p.active_until == cut)  # flat particles never focus
-        pair = p.cut_pair
+        assert np.all(p.t_focal == math.inf)  # flat particles never focus
         assert (pair["i"], pair["j"]) == (0, 1)
         assert pair["d_init"] == pytest.approx(2.0, rel=1e-12)
         assert pair["d_hit"] < pair["threshold"]
         assert pair["threshold"] == pytest.approx(0.05 * math.cosh(cut), rel=1e-12)
 
     def test_exclusion_suppresses_known_neighbors(self):
-        p = antipodal_pair()
-        cut = estimate_cut_time(p, np.linspace(0.0, 1.2, 601), exclusion=100.0)
+        # spacing 1: the pair starts 2 spacings apart, inside the exclusion
+        # radius, so its collision never counts
+        grid = np.linspace(0.0, 1.2, 601)
+        assert math.isfinite(brute_force_cut(antipodal_pair(s0=1.0), grid, exclusion=0.0)[0])
+        cut, pair = estimate_cut_time(antipodal_pair(s0=1.0), grid)
         assert cut == math.inf
-        assert p.cut_pair is None
+        assert pair is None
 
     @pytest.mark.parametrize("case", ["sphere", "lobe", "pair"])
     def test_matches_brute_force(self, case):
@@ -376,19 +381,17 @@ class TestCutTime:
             geom = build_geometry(g)
             make = lambda: FlowParticles.from_geometry(geom)
             grid = np.linspace(0.0, float(np.min(make().t_focal)), 96, endpoint=False)
-        p, ref = make(), make()
-        cut = estimate_cut_time(p, grid)
-        want, pair = brute_force_cut(ref, grid)
+        cut, cut_pair = estimate_cut_time(make(), grid)
+        want, pair = brute_force_cut(make(), grid)
         assert cut == want
-        assert np.array_equal(p.active_until, np.minimum(ref.t_focal, want))
         # the same deepest far pair, so the scan found the same far-hit set
-        assert p.cut_pair == pair
+        assert cut_pair == pair
         if case == "sphere":
             assert cut == math.inf and pair is None
         elif case == "lobe":
             assert cut == pytest.approx(0.7488, abs=1e-4)
         else:
-            assert math.isfinite(cut) and p.cut_pair["threshold"] < 0.001
+            assert math.isfinite(cut) and cut_pair["threshold"] < 0.001
 
     def test_needs_two_particles(self, surface):
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
@@ -396,7 +399,6 @@ class TestCutTime:
         p.y, p.nu0, p.kappa0 = p.y[:1], p.nu0[:1], p.kappa0[:1]
         p.V0, p.Vnu0, p.w0 = p.V0[:1], p.Vnu0[:1], p.w0[:1]
         p.spacing0, p.t_focal = p.spacing0[:1], p.t_focal[:1]
-        p.active_until = p.active_until[:1]
         with pytest.raises(ValueError):
             estimate_cut_time(p, [0.1])
 
@@ -446,12 +448,11 @@ class TestScanPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            cut = estimate_cut_time(p, grid)
+            cut, cut_pair = estimate_cut_time(p, grid)
         finally:
             sys.setswitchinterval(interval)
         assert cut == want == grid[86]
-        assert p.cut_pair == pair
-        assert np.array_equal(p.active_until, np.minimum(p.t_focal, want))
+        assert cut_pair == pair
 
     @pytest.mark.parametrize("workers", [1, 2, 4, None])
     @pytest.mark.parametrize("case", sorted(PAIR_GRIDS))
@@ -462,10 +463,8 @@ class TestScanPool:
         grid = PAIR_GRIDS[case]
         want, pair = brute_force_cut(antipodal_pair(), grid)
         steps.clear()
-        p = antipodal_pair()
-        cut = estimate_cut_time(p, grid)
-        assert cut == want and p.cut_pair == pair
-        assert np.array_equal(p.active_until, np.full(2, want))
+        cut, cut_pair = estimate_cut_time(antipodal_pair(), grid)
+        assert cut == want and cut_pair == pair
         if case == "no-hit":
             assert cut == math.inf and sorted(steps) == list(grid)
         else:
@@ -479,8 +478,7 @@ class TestScanPool:
     def test_later_steps_stop_after_a_hit(self, monkeypatch, steps, workers):
         monkeypatch.setattr(normalflow, "_scan_workers", lambda: workers)
         grid = np.linspace(0.0, 1.2, 2401)
-        p = antipodal_pair()
-        cut = estimate_cut_time(p, grid)
+        cut, _ = estimate_cut_time(antipodal_pair(), grid)
         k = int(np.flatnonzero(grid == cut)[0])
         assert k + 1 <= len(steps) <= k + workers < len(grid)
 
@@ -491,7 +489,6 @@ class TestScanPool:
         p.__post_init__()
         with pytest.raises(ValueError, match="lower sheet"):
             estimate_cut_time(p, np.linspace(0.0, 1.2, 64))
-        assert p.cut_pair is None and np.all(p.active_until == math.inf)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_error_before_the_hit_wins_after_it_is_dropped(self, monkeypatch, workers):
@@ -508,7 +505,7 @@ class TestScanPool:
             return positions
 
         grid = np.linspace(0.0, 1.2, 241)
-        want = estimate_cut_time(antipodal_pair(), grid)
+        want, _ = estimate_cut_time(antipodal_pair(), grid)
         # a step that fails before the first hit: its error, the same object
         monkeypatch.setattr(FlowParticles, "positions_at", failing_from(0.5))
         with pytest.raises(ValueError) as exc:
@@ -516,7 +513,7 @@ class TestScanPool:
         assert exc.value is raised[0.5]
         # steps after the first hit may fail: the serial scan never ran them
         monkeypatch.setattr(FlowParticles, "positions_at", failing_from(want + 1e-9))
-        assert estimate_cut_time(antipodal_pair(), grid) == want
+        assert estimate_cut_time(antipodal_pair(), grid)[0] == want
 
 
 class TestQFunctional:
@@ -533,11 +530,45 @@ class TestQFunctional:
         p = antipodal_pair()
         p.kappa0 = np.full((2, 1), 0.5)  # H = 0.5 < n = 1 immediately
         with pytest.raises(FlowAssumptionError) as exc:
-            _active_sums(p, 0.0)
+            _active_sums(p, p.t_focal, 0.0)
         assert "mean curvature" in str(exc.value)
 
 
+def array_bits(geom):
+    """Every array of a geometry and of its graph, as (dtype, shape, bytes)."""
+    out = {"rho": geom.graph.rho.tobytes()}
+    for name, value in vars(geom).items():
+        for k, a in enumerate(value if isinstance(value, tuple) else (value,)):
+            if isinstance(a, np.ndarray):
+                out[name, k] = (a.dtype.str, a.shape, a.tobytes())
+    return out
+
+
+class TestFlowConfig:
+    def test_scan_parameters_are_fixed(self):
+        assert FlowConfig.cut_samples == normalflow.CUT_SAMPLES == 96
+        assert FlowConfig().exclusion == normalflow.EXCLUSION == 3.0
+        assert [f.name for f in dataclasses.fields(FlowConfig)] == ["samples", "safety"]
+        for name in ("cut_samples", "exclusion"):
+            with pytest.raises(TypeError):
+                FlowConfig(**{name: 1})
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(FlowConfig(), name, 1)
+
+
 class TestVerifyFlow:
+    def test_leaves_the_geometry_unchanged(self):
+        # the particles share the geometry's arrays instead of copying them
+        g = gen_perturbed_sphere(1.0, 0.2, (2, 0), grid=(24, 48))
+        geom = build_geometry(g)
+        assert geom.position.shape == geom.normal.shape     # built before the snapshot
+        before = array_bits(geom)
+        assert {"position", "normal", "kappa", "V", "V_nu", "area_weight"} <= {
+            key[0] for key in before}
+        trace = verify_flow(g, geom=geom)
+        assert trace.window_truncated       # the scan's hit path ran as well
+        assert array_bits(geom) == before
+
     def test_sphere_trace(self, surface):
         R = 1.0
         g, geom = surface("sphere", radius=R, grid=(64, 128))
@@ -581,7 +612,7 @@ class TestVerifyFlow:
         assert 0 <= pair["i"] < pair["j"] < geom.node_count()
         assert pair["d_hit"] < pair["threshold"]
         spacing = np.sqrt(geom.area_weight[[pair["i"], pair["j"]]])
-        assert pair["d_init"] >= FlowConfig().exclusion * np.max(spacing)
+        assert pair["d_init"] >= normalflow.EXCLUSION * np.max(spacing)
         (ri, ci), (rj, cj) = divmod(pair["i"], 96), divmod(pair["j"], 96)
         assert ri == rj and ri in (23, 24) and (cj - ci) % 96 in (4, 92)
         assert trace.passed()
