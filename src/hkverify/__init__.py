@@ -14,7 +14,7 @@ from .hypersurface import (
     save_surface,
 )
 from .identities import CheckResult, VerificationReport, run_verification
-from .normalflow import FlowConfig, FlowParticles, FlowTrace, verify_flow
+from .normalflow import FlowParticles, FlowTrace, verify_flow
 
 __all__ = [
     "__version__",
@@ -28,7 +28,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "run_verification",
-    "FlowConfig",
     "FlowParticles",
     "FlowTrace",
     "verify_flow",

@@ -176,8 +176,7 @@ def cmd_verify(args) -> int:
 
 def cmd_flow(args) -> int:
     graph = _load(args.surface)
-    config = normalflow.FlowConfig(samples=args.samples, safety=args.safety)
-    trace = normalflow.verify_flow(graph, config)
+    trace = normalflow.verify_flow(graph)
     if args.trace:
         trace.to_csv(args.trace)
         print(f"wrote {args.trace}")
@@ -298,9 +297,6 @@ def build_parser() -> _Parser:
     flow.add_argument("--surface", required=True)
     flow.add_argument("--trace", default=None, help="write trace CSV here")
     flow.add_argument("--summary", default=None, help="write summary JSON here")
-    flow_defaults = normalflow.FlowConfig()
-    flow.add_argument("--samples", type=int, default=flow_defaults.samples)
-    flow.add_argument("--safety", type=float, default=flow_defaults.safety)
     flow.set_defaults(func=cmd_flow)
 
     conv = sub.add_parser("convergence", help="residual convergence order study")

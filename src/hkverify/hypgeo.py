@@ -6,8 +6,9 @@ p[0] >= 1.  All functions broadcast over leading axes, so a single point
 and a stack of points go through the same code.
 
 Geodesics, distances and the static potential V = cosh(dist to base)
-are closed-form linear algebra on the hyperboloid.  The Poincare ball model exists here only as an input/output
-coordinate chart.
+are closed-form linear algebra on the hyperboloid.  The Poincare ball
+model appears only as an output chart, hyper_to_ball, whose coordinates
+the flow's collision scan puts in its KD-trees.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "dist",
     "potential",
     "geodesic",
-    "ball_to_hyper",
     "hyper_to_ball",
 ]
 
@@ -139,18 +139,6 @@ def geodesic(p, u, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.cosh(t)[..., None] * np.asarray(p, float) + np.sinh(t)[..., None] * np.asarray(u, float)
     return sheet_normalize(out)
-
-
-def ball_to_hyper(x) -> np.ndarray:
-    """Poincare ball point |x| < 1 to hyperboloid coordinates."""
-    x = np.asarray(x, dtype=float)
-    r2 = _row_fold(np.add, x * x)
-    if np.any(r2 >= 1.0):
-        raise ValueError("ball point must satisfy |x| < 1")
-    denom = 1.0 - r2
-    p0 = (1.0 + r2) / denom
-    ps = 2.0 * x / denom[..., None]
-    return np.concatenate([p0[..., None], ps], axis=-1)
 
 
 def hyper_to_ball(p) -> np.ndarray:

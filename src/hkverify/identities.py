@@ -125,14 +125,14 @@ def _judge(kind: str, name: str, key: str, geom: SurfaceGeometry, lhs: float, rh
     The residual lhs - rhs is made relative to max(|lhs|, |rhs|, 1e-300),
     which is also the tolerance scale unless `scale` is given; `key`
     names the tolerance table entry.  `kind` is "identity", "inequality"
-    or "report", and heads the metadata, then `equality` for an
-    inequality, then n and grid, then the check's own `meta`.
+    or "report", and heads the metadata, then `within_tol` (|residual| <=
+    tolerance) for an inequality, then n and grid, then the check's `meta`.
     """
     residual = lhs - rhs
     size = max(abs(lhs), abs(rhs), 1e-300)
     tol_abs = resolve_tolerance(key, geom, size if scale is None else scale, tol)
     within = abs(residual) <= tol_abs
-    head = {"kind": kind, "equality": bool(within)} if kind == "inequality" else {"kind": kind}
+    head = {"kind": kind, "within_tol": bool(within)} if kind == "inequality" else {"kind": kind}
     passed = {"identity": within, "inequality": residual >= -tol_abs, "report": True}[kind]
     return CheckResult(name, lhs, rhs, residual, residual / size, tol_abs, passed,
                        {**head, "n": geom.n, "grid": list(geom.grid), **meta})
@@ -297,10 +297,12 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
     checks defaults to the identities and inequalities that apply at the
     surface's dimension.  The Alexandrov diagnostics only run when asked
     for (their constancy verdict describes the shape rather than checking
-    an identity).  `geom` defaults to the centered geometry of `graph`;
-    one built from another graph is refused with ValueError.
+    an identity), and only on surfaces (PreconditionError on a curve).
+    No checks, an unknown check, a requested check that would add no
+    result, or a non-finite eps is refused with ValueError before any
+    check runs.  `geom` defaults to the centered geometry of `graph`; one
+    built from another graph is refused with ValueError.
     """
-    geom = geometry_for(graph, geom)
     if checks is None:
         checks = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
         if graph.n == 1:
@@ -309,6 +311,22 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
         k_list = list(range(1, graph.n + 1))
     if alexandrov_k is None:
         alexandrov_k = [2] if graph.n >= 2 else []
+    single = {"minkowski-classical": minkowski_classical, "hk-brendle": hk_brendle,
+              "hk-shifted": hk_shifted, "gauss-bonnet": gauss_bonnet}
+    adds = {**dict.fromkeys(single, 1), "minkowski-shifted": len(k_list) * len(eps_sweep),
+            "alexandrov": len(alexandrov_k)}
+    if len(checks) == 0:
+        raise ValueError("no checks requested")
+    for check in checks:
+        if check not in adds:
+            raise ValueError(f"unknown check {check!r}")
+        if check == "alexandrov" and graph.n == 1:
+            raise PreconditionError("alexandrov applies to surfaces only", check="alexandrov")
+        if adds[check] == 0:
+            raise ValueError(f"check {check!r} would add no result: its eps or k list is empty")
+    if not all(math.isfinite(e) for e in eps_sweep):
+        raise ValueError(f"eps must be finite, got {list(eps_sweep)}")
+    geom = geometry_for(graph, geom)
 
     surface = {"n": graph.n, "grid": list(graph.rho.shape), "meta": dict(graph.meta)}
     config = {
@@ -330,8 +348,6 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
             "scipy_version": scipy.__version__,
         },
     )
-    single = {"minkowski-classical": minkowski_classical, "hk-brendle": hk_brendle,
-              "hk-shifted": hk_shifted, "gauss-bonnet": gauss_bonnet}
     for check in checks:
         if check in single:
             report.add(single[check](geom, tol))
@@ -339,10 +355,8 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
             for k in k_list:
                 for eps in eps_sweep:
                     report.add(minkowski_shifted(geom, eps, k, tol))
-        elif check == "alexandrov":
+        else:
             for k in alexandrov_k:
                 for result in alexandrov_diagnostic(geom, k, tol):
                     report.add(result)
-        else:
-            raise ValueError(f"unknown check {check!r}")
     return report

@@ -31,9 +31,9 @@ decrease, along with the level-set identity
     sum_active Vnu J w0 = (n+1) * int_t^{t_max} sum_active V J w0 dtau
 
 and monotone decrease of the active area.  The per-particle windows run
-to the full cut/focal estimate while sampling stops at the safety factor;
-shrinking the windows themselves would truncate the volume integral and
-break the exact sphere cases.
+to the full cut/focal estimate while the fixed sampling (SAMPLES, SAFETY)
+stops at SAFETY times the shortest window; shrinking the windows would
+truncate the volume integral and break the exact sphere cases.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ __all__ = [
     "DENOM_TOL",
     "EXCLUSION",
     "H_MARGIN",
+    "SAFETY",
+    "SAMPLES",
     "FlowConfig",
     "FlowParticles",
     "FlowTrace",
@@ -76,9 +78,11 @@ BUCKET_RATIO = 2.0
 # smallest focal time, and its same-sheet exclusion radius in spacings.
 CUT_SAMPLES = 96
 EXCLUSION = 3.0
-# Calibrated tolerance coefficients of verify_flow: the Q monotonicity
-# slack and the level-set residual tolerance are C_GRID h^2 + C_TIME dt^2,
-# and a surface is round when its umbilicity spread is within ROUND_C h^2.
+# Tolerance coefficients of verify_flow, calibrated at its fixed sampling
+# SAMPLES, SAFETY: the Q slack and the level-set tolerance are C_GRID h^2 +
+# C_TIME dt^2, and a surface is round when its spread is within ROUND_C h^2.
+SAMPLES = 400
+SAFETY = 0.9
 Q_C_GRID = 1.0
 Q_C_TIME = 50.0
 LEVELSET_C_GRID = 0.5
@@ -367,14 +371,14 @@ def _active_sums(particles: FlowParticles, active_until: np.ndarray, tau: float)
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Settings of verify_flow; defaults match the calibrated tolerances.
+    """Read-only aliases of SAMPLES, SAFETY, CUT_SAMPLES and EXCLUSION.
 
-    The collision scan has no settings: cut_samples and exclusion are
-    read-only aliases of the module constants CUT_SAMPLES and EXCLUSION.
+    Nothing to set: FlowConfig() takes no arguments.  It exists only
+    because perfbench/oracle.py reads FlowConfig().exclusion, .cut_samples.
     """
 
-    samples: int = 400          # target sample count inside the safe window
-    safety: float = 0.9         # fraction of the shortest window that is sampled
+    samples: ClassVar[int] = SAMPLES
+    safety: ClassVar[float] = SAFETY
     cut_samples: ClassVar[int] = CUT_SAMPLES
     exclusion: ClassVar[float] = EXCLUSION
 
@@ -450,16 +454,16 @@ class FlowTrace:
         }
 
 
-def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
-                geom: SurfaceGeometry | None = None) -> FlowTrace:
+def verify_flow(graph: RadialGraph, *, geom: SurfaceGeometry | None = None) -> FlowTrace:
     """Run the particle flow on a surface and check its monotone laws.
 
     Q(t) must not increase between samples (up to a slack budget of
     C h^2 + C' dt^2 relative to the t = 0 boundary term), the active area
     must shrink, H must stay above n, and the level-set identity must
     hold to a relative tolerance of the same form.  Sampling covers
-    [0, safety * shortest window]; the tail integrals always run to the
-    longest window so the enclosed volume is not silently truncated.
+    [0, t_safe = SAFETY * shortest window] in steps of at most t_safe /
+    SAMPLES, as calibrated; the tail integrals always run to the longest
+    window so the enclosed volume is not silently truncated.
 
     The level-set residual is asserted only when the initial surface is
     round (umbilicity spread within ROUND_C * h^2).  Off a round surface
@@ -470,8 +474,6 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
     `geom` defaults to the centered geometry of `graph`; one built from
     another graph is refused with ValueError.
     """
-    if config is None:
-        config = FlowConfig()
     geom = geometry_for(graph, geom)
     particles = FlowParticles.from_geometry(geom)
     H0 = geom.mean_curvature
@@ -488,11 +490,12 @@ def verify_flow(graph: RadialGraph, config: FlowConfig | None = None,
 
     window_min = float(np.min(active_until))
     t_max = float(np.max(active_until))
-    t_safe = config.safety * window_min
+    t_safe = SAFETY * window_min
     if not 0.0 < t_safe <= t_max:
         raise FlowAssumptionError("empty flow window, nothing to verify")
 
-    segments = max(config.samples, math.ceil(config.samples * t_max / t_safe))
+    # dt = t_max / segments <= t_safe / SAMPLES
+    segments = math.ceil(SAMPLES * t_max / t_safe)
     taus = np.linspace(0.0, t_max, segments + 1)
     dt = t_max / segments
 

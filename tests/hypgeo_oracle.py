@@ -1,10 +1,11 @@
 """Hyperboloid formulas that only tests use, as independent references.
 
 The conformal field sinh(r) d_r, the warping factor sinh(r), geodesic
-velocities, tangent projections, unit tangents and the ball chart's
-conformal factor are not needed by the package; the tests use them to
-check what it computes.  `same_bits` is the comparison of the tests that
-hold a kernel to numpy's own reductions bit for bit.
+velocities, tangent projections, unit tangents, the ball chart's map
+to the hyperboloid (ball_to_hyper) and its conformal factor are not
+needed by the package; the tests use them to build points and to check
+what it computes.  `same_bits` is the comparison of the tests that hold
+a kernel to numpy's own reductions bit for bit.
 """
 
 import numpy as np
@@ -50,6 +51,18 @@ def unit_tangent(p, w) -> np.ndarray:
     if np.any(np.asarray(norm2) <= 0.0):
         raise ValueError("projected vector has no space-like part")
     return v / np.sqrt(norm2)[..., None]
+
+
+def ball_to_hyper(x) -> np.ndarray:
+    """Poincare ball point |x| < 1 to hyperboloid coordinates."""
+    x = np.asarray(x, dtype=float)
+    r2 = np.sum(x * x, axis=-1)
+    if np.any(r2 >= 1.0):
+        raise ValueError("ball point must satisfy |x| < 1")
+    denom = 1.0 - r2
+    p0 = (1.0 + r2) / denom
+    ps = 2.0 * x / denom[..., None]
+    return np.concatenate([p0[..., None], ps], axis=-1)
 
 
 def conformal_factor(x) -> np.ndarray | float:

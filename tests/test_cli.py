@@ -5,12 +5,15 @@ its number.  File outputs (surface JSON, report JSON, trace CSV, order
 table CSV) are parsed back rather than pattern-matched.
 """
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hkverify.cli import main
+from hkverify.cli import build_parser, main
 from hkverify.hypersurface import RadialGraph, build_geometry, load_surface, save_surface
 
 
@@ -154,6 +157,23 @@ class TestVerify:
     def test_unknown_check_exits_64(self, circle):
         assert main(["verify", "--surface", circle, "--checks", "bogus"]) == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["--eps", ""],
+        ["--k", ""],
+        ["--eps", "nan"],
+        ["--checks", "hk-shifted", "--eps", "inf"],
+    ])
+    def test_vacuous_request_exits_64(self, circle, capsys, argv):
+        # refused before any check runs: no PASS/FAIL line, one error line
+        assert main(["verify", "--surface", circle] + argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_alexandrov_on_a_curve_exits_3(self, circle, capsys):
+        assert main(["verify", "--surface", circle, "--checks", "alexandrov"]) == 3
+        assert "alexandrov applies to surfaces only" in capsys.readouterr().err
+
     def test_explicit_checks_and_orders(self, circle, capsys):
         rc = main(["verify", "--surface", circle, "--checks",
                    "minkowski-shifted", "--eps", "0,1", "--k", "1"])
@@ -170,7 +190,7 @@ class TestFlow:
         trace = tmp_path / "trace.csv"
         summary = tmp_path / "summary.json"
         rc = main(["flow", "--surface", str(surf), "--trace", str(trace),
-                   "--summary", str(summary), "--samples", "80"])
+                   "--summary", str(summary)])
         assert rc == 0
         header = trace.read_text().splitlines()[0]
         assert header == "t,Q,H_min,H_max,area,levelset_residual,n_active"
@@ -187,10 +207,10 @@ class TestFlow:
     def test_missing_surface_exits_1(self, tmp_path):
         assert main(["flow", "--surface", str(tmp_path / "no.json")]) == 1
 
-    @pytest.mark.parametrize("flag", ["--cut-samples", "--exclusion"])
+    @pytest.mark.parametrize("flag", ["--cut-samples", "--exclusion", "--samples", "--safety"])
     def test_scan_flags_are_unknown(self, tmp_path, flag):
-        # the collision scan has fixed parameters: its old flags are usage
-        # errors, not the missing file's exit 1
+        # the collision scan and the sampling have fixed parameters: their
+        # old flags are usage errors, not the missing file's exit 1
         assert main(["flow", "--surface", str(tmp_path / "no.json"), flag, "3"]) == 64
 
 
@@ -265,3 +285,15 @@ class TestUsage:
 
     def test_unknown_flag_exits_64(self):
         assert main(["gen", "--nope", "--out", "x.json"]) == 64
+
+    def test_readme_flags_are_accepted(self):
+        # a flag the parser dropped must not linger in the documentation
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        accepted = {flag for sub in subparsers.choices.values()
+                    for flag in sub._option_string_actions}
+        assert {"--surface", "--checks", "--trace", "--summary"} <= named
+        assert named <= accepted, sorted(named - accepted)

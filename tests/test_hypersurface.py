@@ -374,7 +374,7 @@ class TestDegeneracy:
         # rounding: park the base ~18 units away along the theta = 0 node
         # direction and the antipodal node's cosh - sinh cancels to zero
         g = gen_sphere(1.0, n=1, grid=64)
-        far = hypgeo.ball_to_hyper(np.array([1.0 - 1e-8, 0.0]))
+        far = oracle.ball_to_hyper(np.array([1.0 - 1e-8, 0.0]))
         with pytest.raises(DegenerateSurfaceError) as exc:
             build_geometry(g, base=far)
         assert exc.value.node == 32
@@ -401,7 +401,7 @@ class TestPotentialConsistency:
 
     def test_gradient_n1(self):
         g = gen_perturbed_sphere(1.0, 0.1, 2, n=1, grid=256)
-        base = hypgeo.ball_to_hyper(np.array([0.2, 0.1]))
+        base = oracle.ball_to_hyper(np.array([0.2, 0.1]))
         geom = build_geometry(g, base=base)
         h = g.h_theta
         dV = _periodic_d1(geom.V, h, 0)
@@ -412,7 +412,7 @@ class TestPotentialConsistency:
     def test_gradient_n2(self):
         P = 32
         g = gen_perturbed_sphere(1.0, 0.01, (3, 2), grid=(P, 2 * P))
-        base = hypgeo.ball_to_hyper(np.array([0.1, 0.05, 0.15]))
+        base = oracle.ball_to_hyper(np.array([0.1, 0.05, 0.15]))
         geom = build_geometry(g, base=base)
         V = geom.V.reshape(P, 2 * P)
         pos = geom.position.reshape(P, 2 * P, 4)
@@ -426,7 +426,7 @@ class TestPotentialConsistency:
         errs = []
         for T in (128, 256):
             g = gen_perturbed_sphere(1.0, 0.1, 2, n=1, grid=T)
-            base = hypgeo.ball_to_hyper(np.array([0.2, 0.1]))
+            base = oracle.ball_to_hyper(np.array([0.2, 0.1]))
             geom = build_geometry(g, base=base)
             hess = covariant_hessian_n1(geom, g.h_theta)
             (gm,), (hm,) = geom.metric, geom.second_form
@@ -444,7 +444,7 @@ class TestPotentialConsistency:
     def _hessian_residual_n2(P):
         T = 2 * P
         g = gen_perturbed_sphere(1.0, 0.01, (3, 2), grid=(P, T))
-        base = hypgeo.ball_to_hyper(np.array([0.1, 0.05, 0.15]))
+        base = oracle.ball_to_hyper(np.array([0.1, 0.05, 0.15]))
         geom = build_geometry(g, base=base)
         hp, ht = g.h_phi, g.h_theta
 

@@ -126,7 +126,7 @@ class TestInequalities:
         r = hk_brendle(geom)
         assert r.passed
         assert r.residual > 10.0 * r.tolerance
-        assert r.metadata["equality"] is False
+        assert r.metadata["within_tol"] is False
         assert r.metadata["H_min"] > 0.0
 
     def test_shifted_strict_deficit(self, surface):
@@ -138,8 +138,8 @@ class TestInequalities:
 
     def test_equality_flag_on_sphere(self, surface):
         g, geom = surface("sphere", radius=1.0, grid=(64, 128))
-        assert hk_brendle(geom).metadata["equality"] is True
-        assert hk_shifted(geom).metadata["equality"] is True
+        assert hk_brendle(geom).metadata["within_tol"] is True
+        assert hk_shifted(geom).metadata["within_tol"] is True
 
     def test_ellipse_deficits(self, surface):
         g, geom = surface("perturbed", radius=1.0, amp=0.1, mode=2, n=1,
@@ -292,9 +292,9 @@ class TestReportMachinery:
         want = {
             "minkowski-classical": ["kind"] + head,
             "minkowski-shifted[eps=0.5,k=2]": ["kind"] + head + ["eps", "k"],
-            "hk-brendle": ["kind", "equality"] + head + ["H_min"],
-            "hk-shifted": ["kind", "equality"] + head + ["H_min"],
-            "alexandrov-nm-slack[k=2]": ["kind", "equality"] + head + ["k"],
+            "hk-brendle": ["kind", "within_tol"] + head + ["H_min"],
+            "hk-shifted": ["kind", "within_tol"] + head + ["H_min"],
+            "alexandrov-nm-slack[k=2]": ["kind", "within_tol"] + head + ["k"],
             "alexandrov-umbilic[k=2]": ["kind"] + head + ["k", "umbilic_within_tol"],
         }
         checks = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted",
@@ -309,7 +309,7 @@ class TestReportMachinery:
         assert sphere["alexandrov-ratio[k=2]"].metadata["kind"] == "identity"
         assert list(sphere["alexandrov-ratio[k=2]"].metadata) == ["kind"] + head + ek
         assert lobe["alexandrov-ratio[k=2]"].metadata["kind"] == "inequality"
-        assert list(lobe["alexandrov-ratio[k=2]"].metadata) == ["kind", "equality"] + head + ek
+        assert list(lobe["alexandrov-ratio[k=2]"].metadata) == ["kind", "within_tol"] + head + ek
 
     def test_duplicate_check_name_rejected(self, surface):
         g, geom = surface("sphere", radius=1.0, grid=(32, 64))
@@ -321,6 +321,27 @@ class TestReportMachinery:
         g, _ = surface("sphere", radius=1.0, grid=(32, 64))
         with pytest.raises(ValueError):
             run_verification(g, checks=["bogus"])
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"checks": []}, "no checks"),
+        ({"checks": ["minkowski-shifted"], "eps_sweep": ()}, "minkowski-shifted"),
+        ({"checks": ["minkowski-shifted"], "k_list": []}, "minkowski-shifted"),
+        ({"eps_sweep": ()}, "minkowski-shifted"),
+        ({"checks": ["hk-shifted", "alexandrov"], "alexandrov_k": []}, "alexandrov"),
+        ({"eps_sweep": (0.0, math.nan)}, "finite"),
+        ({"checks": ["hk-shifted"], "eps_sweep": (math.inf,)}, "finite"),
+    ])
+    def test_vacuous_request_refused(self, surface, kwargs, named):
+        # a report is never empty, and no check judges a NaN shift
+        g, geom = surface("sphere", radius=1.0, grid=(32, 64))
+        with pytest.raises(ValueError, match=named):
+            run_verification(g, geom=geom, **kwargs)
+
+    @pytest.mark.parametrize("alexandrov_k", [None, [], [2]])
+    def test_alexandrov_on_a_curve_refused(self, surface, alexandrov_k):
+        g, geom = surface("sphere", radius=1.0, n=1, grid=64)
+        with pytest.raises(PreconditionError, match="alexandrov applies to surfaces only"):
+            run_verification(g, checks=["alexandrov"], alexandrov_k=alexandrov_k, geom=geom)
 
     def test_config_hash_tracks_config(self, surface):
         g, geom = surface("sphere", radius=1.0, grid=(32, 64))

@@ -546,14 +546,19 @@ def array_bits(geom):
 
 class TestFlowConfig:
     def test_scan_parameters_are_fixed(self):
-        assert FlowConfig.cut_samples == normalflow.CUT_SAMPLES == 96
-        assert FlowConfig().exclusion == normalflow.EXCLUSION == 3.0
-        assert [f.name for f in dataclasses.fields(FlowConfig)] == ["samples", "safety"]
-        for name in ("cut_samples", "exclusion"):
+        # a read-only view of the module constants with nothing to set
+        assert dataclasses.fields(FlowConfig) == ()
+        config = FlowConfig()
+        assert (config.samples, config.safety, config.cut_samples, config.exclusion) == (
+            normalflow.SAMPLES, normalflow.SAFETY, normalflow.CUT_SAMPLES,
+            normalflow.EXCLUSION) == (400, 0.9, 96, 3.0)
+        for name in ("samples", "safety", "cut_samples", "exclusion"):
             with pytest.raises(TypeError):
                 FlowConfig(**{name: 1})
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(FlowConfig(), name, 1)
+                setattr(config, name, 1)
+        with pytest.raises(TypeError):
+            verify_flow(gen_sphere(1.0, n=1, grid=(16,)), config)
 
 
 class TestVerifyFlow:
@@ -568,6 +573,21 @@ class TestVerifyFlow:
         trace = verify_flow(g, geom=geom)
         assert trace.window_truncated       # the scan's hit path ran as well
         assert array_bits(geom) == before
+
+    @pytest.mark.parametrize("kw", [{"n": 1, "grid": 128}, {"grid": (32, 64)}],
+                             ids=["circle", "sphere"])
+    def test_sampling_is_the_calibrated_one(self, surface, kw):
+        # the tolerances' dt^2 terms hold at the sampling they were fitted at
+        g, geom = surface("sphere", radius=1.0, **kw)
+        trace = verify_flow(g, geom=geom)
+        h, dt = geom.resolution, trace.dt
+        assert trace.t_safe == normalflow.SAFETY * trace.focal_min
+        assert dt <= trace.t_safe / normalflow.SAMPLES
+        assert len(trace.times) >= normalflow.SAMPLES + 1
+        assert trace.q_slack == (normalflow.Q_C_GRID * h * h
+                                 + normalflow.Q_C_TIME * dt * dt) * trace.hk_lhs0
+        assert trace.levelset_tol_rel == (normalflow.LEVELSET_C_GRID * h * h
+                                          + normalflow.LEVELSET_C_TIME * dt * dt)
 
     def test_sphere_trace(self, surface):
         R = 1.0
