@@ -5,9 +5,9 @@ Exit codes are a stable contract:
     0   all requested checks passed
     1   input/output failure (missing or malformed files)
     2   shape generation failure
-    3   verification precondition failed (H bound, cone membership, ...)
-    4   flow assumption failed (focal/window breakdown, H dropping to n)
-    5   convergence anomaly (non-monotone residuals or fitted order < 1.7)
+    3   verification precondition failed (H bound, cone membership)
+    4   flow assumption failed (window collapse, H dropping to n)
+    5   convergence anomaly (growing residuals or fitted order < 1.7)
     6   a requested check ran and failed
     64  command line usage error
 """
@@ -123,7 +123,7 @@ def _load(path):
         return load_surface(path)
     except FileNotFoundError:
         raise IOError(f"surface file not found: {path}")
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         raise IOError(f"cannot read surface {path}: {exc}")
 
 
@@ -154,15 +154,8 @@ def cmd_verify(args) -> int:
     checks = None if args.checks == "auto" else [c.strip() for c in args.checks.split(",")]
     tol = "auto" if args.tol == "auto" else float(args.tol)
     k_list = None if args.k == "auto" else _parse_ints(args.k)
-    alexandrov_k = None if args.alexandrov_k == "auto" else _parse_ints(args.alexandrov_k)
-    report = identities.run_verification(
-        graph,
-        checks=checks,
-        eps_sweep=_parse_floats(args.eps),
-        k_list=k_list,
-        alexandrov_k=alexandrov_k,
-        tol=tol,
-    )
+    report = identities.run_verification(graph, checks=checks, eps_sweep=_parse_floats(args.eps),
+                                         k_list=k_list, tol=tol)
     _print_results(report.results)
     if args.report:
         report.save(args.report)
@@ -288,7 +281,6 @@ def build_parser() -> _Parser:
                              "hk-brendle, hk-shifted, alexandrov, gauss-bonnet")
     verify.add_argument("--eps", default=_EPS_DEFAULT, help="shift sweep for minkowski-shifted")
     verify.add_argument("--k", default="auto", help="order list for minkowski-shifted")
-    verify.add_argument("--alexandrov-k", default="auto")
     verify.add_argument("--tol", default="auto", help="absolute tolerance, or auto")
     verify.add_argument("--report", default=None, help="write report JSON here")
     verify.set_defaults(func=cmd_verify)

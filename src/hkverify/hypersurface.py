@@ -31,6 +31,7 @@ The outward normal gives geodesic spheres the positive curvature coth(R).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -117,9 +118,6 @@ class RadialGraph:
         """Angular step that governs quadrature error, h in the tol = C h^2 rule."""
         return self.h_phi if self.n == 2 else self.h_theta
 
-    def node_count(self) -> int:
-        return self.rho.size
-
     def angles(self):
         """Colatitude/azimuth node coordinates (phi, theta) or just theta."""
         return _angle_grid(self.n, self.rho.shape)
@@ -141,21 +139,22 @@ class RadialGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RadialGraph":
+        """A graph from its to_dict() record; any malformed record is a ValueError."""
         try:
-            n = int(data["n"])
-            grid = data["grid"]
+            n, grid, meta = int(data["n"]), data["grid"], data.get("meta", {})
+            if n not in (1, 2):
+                raise ValueError(f"unsupported dimension n = {n}")
+            if not (isinstance(grid, dict) and isinstance(meta, dict)):
+                raise ValueError("grid and meta must be JSON objects")
+            shape = tuple(int(grid[key]) for key in ("n_phi", "n_theta")[2 - n:])
             flat = np.asarray(data["rho"], dtype=float)
-        except (KeyError, TypeError) as exc:
+            if flat.size != math.prod(shape):
+                raise ValueError("rho length does not match the declared grid")
+        except KeyError as exc:
+            raise ValueError(f"malformed surface record: missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed surface record: {exc}") from exc
-        if n == 2:
-            shape = (int(grid["n_phi"]), int(grid["n_theta"]))
-        elif n == 1:
-            shape = (int(grid["n_theta"]),)
-        else:
-            raise ValueError(f"unsupported dimension n = {n}")
-        if flat.size != int(np.prod(shape)):
-            raise ValueError("rho length does not match the declared grid")
-        return cls(n, flat.reshape(shape), dict(data.get("meta", {})))
+        return cls(n, flat.reshape(shape), dict(meta))
 
 
 def save_surface(graph: RadialGraph, path) -> None:
@@ -319,11 +318,14 @@ class SurfaceGeometry:
 
 
 def area_integral(geom: SurfaceGeometry, values) -> float:
-    """Surface integral of a per-node field, by compensated summation."""
+    """Surface integral of a per-node field by compensated summation; NaN past the float range."""
     values = np.asarray(values, dtype=float)
     if values.shape != geom.area_weight.shape:
         raise ValueError("integrand shape does not match the node count")
-    return exact_sum(values * geom.area_weight)
+    try:
+        return exact_sum(values * geom.area_weight)
+    except OverflowError:
+        return math.nan
 
 
 def _sigma_weights(graph: RadialGraph) -> np.ndarray:

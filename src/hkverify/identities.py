@@ -22,10 +22,10 @@ support function V_nu, all taken about the geometry's base point
   inequality int V / H >= ... for H > 0 (`hk_brendle`), eps = 1 the
   shifted inequality int (V - V_nu) / (H - n) >= ... for H > n
   (`hk_shifted`), with equality exactly on geodesic spheres.
-* Chained diagnostics for 2 <= k <= n when the shifted curvatures lie in
-  the order-k Garding cone: a ratio comparison against int V_nu, the
-  pointwise Newton-MacLaurin slack integral, and an umbilicity spread
-  report.
+* Chained diagnostics at order k = 2 on surfaces, when the shifted
+  curvatures lie in the order-2 Garding cone: a ratio comparison against
+  int V_nu, the pointwise Newton-MacLaurin slack integral, and an
+  umbilicity spread report.
 * For curves (n = 1): int kappa ds - enclosed area = 2 pi.
 """
 
@@ -36,6 +36,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -107,8 +108,8 @@ def tolerance_table() -> dict:
 
 
 def resolve_tolerance(check: str, geom: SurfaceGeometry, scale: float, tol) -> float:
-    """Absolute tolerance for a check: explicit number, or C * h^2 * scale."""
-    if tol is not None and tol != "auto":
+    """Absolute tolerance for a check: an explicit number, or "auto" for C * h^2 * scale."""
+    if tol != "auto":
         return float(tol)
     table = tolerance_table()
     coeff = table["checks"].get(check)
@@ -122,13 +123,17 @@ def _judge(kind: str, name: str, key: str, geom: SurfaceGeometry, lhs: float, rh
            tol, meta: dict, scale: float | None = None) -> CheckResult:
     """The verdict rule every check shares.
 
-    The residual lhs - rhs is made relative to max(|lhs|, |rhs|, 1e-300),
-    which is also the tolerance scale unless `scale` is given; `key`
-    names the tolerance table entry.  `kind` is "identity", "inequality"
-    or "report", and heads the metadata, then `within_tol` (|residual| <=
-    tolerance) for an inequality, then n and grid, then the check's `meta`.
+    The residual lhs - rhs (PreconditionError if an overflow at a huge shift
+    leaves it not finite) is made relative to max(|lhs|, |rhs|, 1e-300), the
+    tolerance scale unless `scale` is given; `key` names the tolerance table
+    entry.  `kind` is "identity", "inequality" or "report", and heads the
+    metadata, then `within_tol` (|residual| <= tolerance) for an inequality,
+    then n and grid, then the check's `meta`.
     """
     residual = lhs - rhs
+    if not math.isfinite(residual):
+        raise PreconditionError(f"residual of lhs {lhs:.6g} and rhs {rhs:.6g} is not finite",
+                                check=name)
     size = max(abs(lhs), abs(rhs), 1e-300)
     tol_abs = resolve_tolerance(key, geom, size if scale is None else scale, tol)
     within = abs(residual) <= tol_abs
@@ -185,55 +190,48 @@ def hk_shifted(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     return _hk(geom, 1.0, "hk-shifted", f"is not above n = {geom.n}", tol)
 
 
-def alexandrov_diagnostic(geom: SurfaceGeometry, k: int = 2,
-                          tol="auto") -> list[CheckResult]:
-    """Three chained diagnostics behind higher-order umbilicity rigidity.
+def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult]:
+    """Three chained diagnostics behind umbilicity rigidity at order k = 2.
 
     (a) the curvature-ratio integral against int V_nu: an identity when
-        E_k of the shifted curvatures is constant across the surface
+        E_2 of the shifted curvatures is constant across the surface
         (spheres), an inequality otherwise;
     (b) the Newton-MacLaurin slack integral, non-negative in the cone;
     (c) an umbilicity spread report (max - min of all principal
         curvatures), informational.
     """
-    if not 2 <= k <= geom.n:
-        raise PreconditionError(
-            f"order k must satisfy 2 <= k <= {geom.n}, got {k}", check="alexandrov"
-        )
+    if geom.n != 2:
+        raise PreconditionError("alexandrov applies to surfaces only", check="alexandrov")
     shifted = geom.kappa_shifted
-    e = [symfun.e_m_values(shifted, i) for i in range(1, k + 1)]
-    for i, ei in enumerate(e, start=1):
-        sig = ei * math.comb(geom.n, i)
+    e1, e2 = symfun.e_m_values(shifted, 1), symfun.e_m_values(shifted, 2)
+    for i, sig in ((1, 2 * e1), (2, e2)):
         worst = int(np.argmin(sig))
         if sig[worst] <= 0.0:
-            raise PreconditionError(
-                f"shifted curvatures leave the order-{k} cone, sigma_{i} = {sig[worst]:.6g}",
-                check="alexandrov", node=worst,
-            )
+            raise PreconditionError(f"shifted curvatures leave the order-2 cone, sigma_{i} = "
+                                    f"{sig[worst]:.6g}", check="alexandrov", node=worst)
 
-    e1, ekm1, ek = e[0], e[k - 2], e[k - 1]
-    ek_mean = exact_sum(ek) / ek.size
-    ek_spread = float(np.max(ek) - np.min(ek))
+    e2_mean = exact_sum(e2) / e2.size
+    e2_spread = float(np.max(e2) - np.min(e2))
     h = geom.resolution
-    const_tol = tolerance_table()["checks"]["ek-constancy"] * h * h * max(abs(ek_mean), 1e-300)
-    ek_constant = ek_spread <= const_tol
+    const_tol = tolerance_table()["checks"]["ek-constancy"] * h * h * max(abs(e2_mean), 1e-300)
+    e2_constant = e2_spread <= const_tol
 
     weight = geom.V - geom.V_nu
-    lhs_ratio = area_integral(geom, weight * ekm1 / ek)
+    lhs_ratio = area_integral(geom, weight * e1 / e2)
     rhs_ratio = area_integral(geom, geom.V_nu)
-    ratio = _judge("identity" if ek_constant else "inequality", f"alexandrov-ratio[k={k}]",
+    ratio = _judge("identity" if e2_constant else "inequality", "alexandrov-ratio[k=2]",
                    "alexandrov-ratio", geom, lhs_ratio, rhs_ratio, tol,
-                   {"k": k, "ek_constant": ek_constant, "ek_spread": ek_spread,
-                    "ek_mean": ek_mean})
+                   {"k": 2, "ek_constant": e2_constant, "ek_spread": e2_spread,
+                    "ek_mean": e2_mean})
 
-    lhs_slack = area_integral(geom, weight * (ekm1 / ek - 1.0 / e1))
-    slack = _judge("inequality", f"alexandrov-nm-slack[k={k}]", "alexandrov-nm-slack",
-                   geom, lhs_slack, 0.0, tol, {"k": k},
+    lhs_slack = area_integral(geom, weight * (e1 / e2 - 1.0 / e1))
+    slack = _judge("inequality", "alexandrov-nm-slack[k=2]", "alexandrov-nm-slack",
+                   geom, lhs_slack, 0.0, tol, {"k": 2},
                    scale=max(abs(lhs_slack), max(abs(lhs_ratio), abs(rhs_ratio), 1e-300)))
 
     spread = float(np.max(geom.kappa) - np.min(geom.kappa))
-    umb = _judge("report", f"alexandrov-umbilic[k={k}]", "alexandrov-umbilic", geom,
-                 spread, 0.0, tol, {"k": k},
+    umb = _judge("report", "alexandrov-umbilic[k=2]", "alexandrov-umbilic", geom,
+                 spread, 0.0, tol, {"k": 2},
                  scale=max(float(np.max(np.abs(geom.kappa))), 1e-300))
     umb.metadata["umbilic_within_tol"] = bool(spread <= umb.tolerance)
     return [ratio, slack, umb]
@@ -290,18 +288,20 @@ def _config_hash(config: dict, rho: np.ndarray) -> str:
 
 
 def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEEP,
-                     k_list=None, alexandrov_k=None, tol="auto",
+                     k_list=None, tol="auto",
                      geom: SurfaceGeometry | None = None) -> VerificationReport:
     """Run a named set of checks on a surface and collect a report.
 
     checks defaults to the identities and inequalities that apply at the
-    surface's dimension.  The Alexandrov diagnostics only run when asked
-    for (their constancy verdict describes the shape rather than checking
-    an identity), and only on surfaces (PreconditionError on a curve).
-    No checks, an unknown check, a requested check that would add no
-    result, or a non-finite eps is refused with ValueError before any
-    check runs.  `geom` defaults to the centered geometry of `graph`; one
-    built from another graph is refused with ValueError.
+    surface's dimension; the Alexandrov diagnostics (k = 2) run only when
+    asked for, as their constancy verdict describes the shape.  Before any
+    geometry is built, a check at the wrong dimension (alexandrov on a
+    curve, gauss-bonnet on a surface) is refused with PreconditionError;
+    with ValueError no checks, an unknown check, minkowski-shifted with an
+    empty eps or k list, a non-finite eps, a k outside 1..n, a repeated
+    check, eps or k, and a tol other than "auto" or a finite number >= 0.
+    `geom` defaults to the centered geometry of `graph`; one built from
+    another graph is refused with ValueError.
     """
     if checks is None:
         checks = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
@@ -309,23 +309,28 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
             checks = checks + ["gauss-bonnet"]
     if k_list is None:
         k_list = list(range(1, graph.n + 1))
-    if alexandrov_k is None:
-        alexandrov_k = [2] if graph.n >= 2 else []
     single = {"minkowski-classical": minkowski_classical, "hk-brendle": hk_brendle,
               "hk-shifted": hk_shifted, "gauss-bonnet": gauss_bonnet}
-    adds = {**dict.fromkeys(single, 1), "minkowski-shifted": len(k_list) * len(eps_sweep),
-            "alexandrov": len(alexandrov_k)}
     if len(checks) == 0:
         raise ValueError("no checks requested")
+    only = {"alexandrov": (2, "surfaces"), "gauss-bonnet": (1, "curves")}
     for check in checks:
-        if check not in adds:
+        if check not in single and check not in ("minkowski-shifted", "alexandrov"):
             raise ValueError(f"unknown check {check!r}")
-        if check == "alexandrov" and graph.n == 1:
-            raise PreconditionError("alexandrov applies to surfaces only", check="alexandrov")
-        if adds[check] == 0:
+        if check in only and graph.n != only[check][0]:
+            raise PreconditionError(f"{check} applies to {only[check][1]} only", check=check)
+        if check == "minkowski-shifted" and (len(eps_sweep) == 0 or len(k_list) == 0):
             raise ValueError(f"check {check!r} would add no result: its eps or k list is empty")
     if not all(math.isfinite(e) for e in eps_sweep):
         raise ValueError(f"eps must be finite, got {list(eps_sweep)}")
+    if not all(k in range(1, graph.n + 1) for k in k_list):
+        raise ValueError(f"order k must lie in 1..{graph.n}, got {list(k_list)}")
+    # a result is named by its check, eps (formatted :g) and k, so none may repeat
+    for items in (checks, [f"{e:g}" for e in eps_sweep], k_list):
+        if len(set(items)) != len(items):
+            raise ValueError(f"an entry of {list(items)} is requested twice")
+    if tol != "auto" and not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be 'auto' or a finite number >= 0, got {tol!r}")
     geom = geometry_for(graph, geom)
 
     surface = {"n": graph.n, "grid": list(graph.rho.shape), "meta": dict(graph.meta)}
@@ -333,7 +338,8 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
         "checks": list(checks),
         "eps_sweep": [float(e) for e in eps_sweep],
         "k_list": [int(k) for k in k_list],
-        "alexandrov_k": [int(k) for k in alexandrov_k],
+        # the chain's order is fixed at 2; the key stays so every config_hash is unchanged
+        "alexandrov_k": [2] if graph.n == 2 else [],
         "tol": tol if isinstance(tol, str) else float(tol),
         "surface": surface,
     }
@@ -356,7 +362,6 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
                 for eps in eps_sweep:
                     report.add(minkowski_shifted(geom, eps, k, tol))
         else:
-            for k in alexandrov_k:
-                for result in alexandrov_diagnostic(geom, k, tol):
-                    report.add(result)
+            for result in alexandrov_diagnostic(geom, tol):
+                report.add(result)
     return report

@@ -13,8 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hkverify import cli
 from hkverify.cli import build_parser, main
-from hkverify.hypersurface import RadialGraph, build_geometry, load_surface, save_surface
+from hkverify.hypersurface import (
+    RadialGraph,
+    build_geometry,
+    gen_sphere,
+    load_surface,
+    save_surface,
+)
 
 
 def dented_curve(tmp_path, amp):
@@ -162,6 +169,11 @@ class TestVerify:
         ["--k", ""],
         ["--eps", "nan"],
         ["--checks", "hk-shifted", "--eps", "inf"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol", "-1"],
+        ["--k", "0"],
+        ["--k", "3"],
     ])
     def test_vacuous_request_exits_64(self, circle, capsys, argv):
         # refused before any check runs: no PASS/FAIL line, one error line
@@ -173,6 +185,19 @@ class TestVerify:
     def test_alexandrov_on_a_curve_exits_3(self, circle, capsys):
         assert main(["verify", "--surface", circle, "--checks", "alexandrov"]) == 3
         assert "alexandrov applies to surfaces only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["1e308", "8.8e306"])
+    def test_overflowing_shift_exits_3(self, tmp_path, capsys, eps):
+        # a finite shift so large that an integrand (1e308) or a partial sum
+        # of one (8.8e306, at k = 2) leaves the float range is refused by the
+        # verdict rule rather than judged
+        surf = tmp_path / "s.json"
+        save_surface(gen_sphere(1.0, grid=(16, 32)), surf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["verify", "--surface", str(surf), "--checks", "minkowski-shifted",
+                       "--eps", eps, "--k", "2"])
+        assert rc == 3
+        assert "is not finite" in capsys.readouterr().err
 
     def test_explicit_checks_and_orders(self, circle, capsys):
         rc = main(["verify", "--surface", circle, "--checks",
@@ -283,8 +308,11 @@ class TestUsage:
     def test_no_command_exits_64(self):
         assert main([]) == 64
 
-    def test_unknown_flag_exits_64(self):
+    def test_unknown_flag_exits_64(self, tmp_path):
         assert main(["gen", "--nope", "--out", "x.json"]) == 64
+        # the Alexandrov chain's order is fixed at k = 2, not a flag
+        assert main(["verify", "--surface", str(tmp_path / "s.json"),
+                     "--alexandrov-k", "2"]) == 64
 
     def test_readme_flags_are_accepted(self):
         # a flag the parser dropped must not linger in the documentation
@@ -297,3 +325,29 @@ class TestUsage:
                     for flag in sub._option_string_actions}
         assert {"--surface", "--checks", "--trace", "--summary"} <= named
         assert named <= accepted, sorted(named - accepted)
+
+
+def _exit_table(text):
+    """{code: meaning} from the lines `<code> <meaning>` or `| <code> | <meaning> |`."""
+    rows = re.findall(r"^[ |]*(\d+)\s*\|?\s+(\S.*?)[ |]*$", text, flags=re.M)
+    return {int(code): meaning for code, meaning in rows}
+
+
+def test_exit_code_tables_agree():
+    # README's table, the module docstring (which --help prints) and the
+    # EXIT_* constants state one contract, code for code
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Exit codes are a stable contract:\n", 1)[1].split("\n## ", 1)[0]
+    documented = _exit_table(section)
+    docstring = cli.__doc__.split("Exit codes are a stable contract:\n", 1)[1]
+    assert _exit_table(docstring) == documented
+    constants = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert sorted(constants.values()) == sorted(documented)
+    # each constant's name and its documented meaning say the same thing
+    said = {"EXIT_OK": "passed", "EXIT_IO": "input/output", "EXIT_GENERATION": "generation",
+            "EXIT_PRECONDITION": "precondition", "EXIT_FLOW": "flow",
+            "EXIT_CONVERGENCE": "convergence", "EXIT_CHECK_FAILED": "check ran and failed",
+            "EXIT_USAGE": "usage"}
+    assert set(said) == set(constants)
+    for name, value in constants.items():
+        assert said[name] in documented[value], (name, documented[value])

@@ -91,6 +91,15 @@ class TestRadialGraph:
             {"n": 1, "grid": {"n_theta": 16}, "rho": [1.0] * 8}))
         with pytest.raises(ValueError):
             load_surface(path)
+        # a missing grid size, a grid or meta that is not an object: each a
+        # ValueError that names the problem
+        for record, named in (({"n": 2, "grid": {}, "rho": []}, "'n_phi'"),
+                              ({"n": 1, "grid": [8], "rho": [1.0] * 8}, "grid"),
+                              ({"n": 1, "grid": {"n_theta": 8}, "rho": [1.0] * 8,
+                                "meta": ["shape"]}, "meta")):
+            path.write_text(json.dumps(record))
+            with pytest.raises(ValueError, match=named):
+                load_surface(path)
 
 
 class TestGenerators:

@@ -33,7 +33,7 @@ from hkverify.identities import (
     run_verification,
     tolerance_table,
 )
-from hkverify import symfun
+from hkverify import hypersurface, symfun
 
 
 def _result(report, name):
@@ -271,7 +271,7 @@ class TestTolerances:
 
     def test_floor_guards_exact_cases(self, surface):
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
-        assert resolve_tolerance("hk-brendle", geom, 1.0, None) > 0.0
+        assert resolve_tolerance("hk-brendle", geom, 1.0, "auto") > 0.0
 
 
 class TestReportMachinery:
@@ -327,21 +327,45 @@ class TestReportMachinery:
         ({"checks": ["minkowski-shifted"], "eps_sweep": ()}, "minkowski-shifted"),
         ({"checks": ["minkowski-shifted"], "k_list": []}, "minkowski-shifted"),
         ({"eps_sweep": ()}, "minkowski-shifted"),
-        ({"checks": ["hk-shifted", "alexandrov"], "alexandrov_k": []}, "alexandrov"),
+        ({"checks": ["alexandrov", "hk-shifted", "alexandrov"]}, "alexandrov"),
         ({"eps_sweep": (0.0, math.nan)}, "finite"),
         ({"checks": ["hk-shifted"], "eps_sweep": (math.inf,)}, "finite"),
+        ({"eps_sweep": (0.5, 0.5)}, "twice"),
+        ({"k_list": [0, 1]}, "1..2"),
+        ({"k_list": [3]}, "1..2"),
+        ({"k_list": [1.5]}, "1..2"),
+        ({"k_list": [2, 2]}, "twice"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"tol": -1e-3}, "tol"),
+        ({"tol": None}, "tol"),
+        ({"tol": "1e-3"}, "tol"),
     ])
-    def test_vacuous_request_refused(self, surface, kwargs, named):
-        # a report is never empty, and no check judges a NaN shift
-        g, geom = surface("sphere", radius=1.0, grid=(32, 64))
+    def test_vacuous_request_refused(self, surface, monkeypatch, kwargs, named):
+        # a report is never empty, no check judges a NaN shift or tolerance,
+        # and the request is refused whole, before any geometry is built
+        g, _ = surface("sphere", radius=1.0, grid=(32, 64))
+        monkeypatch.setattr(hypersurface, "build_geometry", None)
         with pytest.raises(ValueError, match=named):
-            run_verification(g, geom=geom, **kwargs)
+            run_verification(g, **kwargs)
 
     @pytest.mark.parametrize("alexandrov_k", [None, [], [2]])
     def test_alexandrov_on_a_curve_refused(self, surface, alexandrov_k):
+        # the chain's order is no setting: without it a curve is refused,
+        # and any value of the removed alexandrov_k keyword is refused too
         g, geom = surface("sphere", radius=1.0, n=1, grid=64)
-        with pytest.raises(PreconditionError, match="alexandrov applies to surfaces only"):
-            run_verification(g, checks=["alexandrov"], alexandrov_k=alexandrov_k, geom=geom)
+        if alexandrov_k is None:
+            with pytest.raises(PreconditionError, match="alexandrov applies to surfaces only"):
+                run_verification(g, checks=["alexandrov"], geom=geom)
+        else:
+            with pytest.raises(TypeError, match="alexandrov_k"):
+                run_verification(g, checks=["alexandrov"], alexandrov_k=alexandrov_k, geom=geom)
+
+    def test_gauss_bonnet_on_a_surface_refused(self, monkeypatch):
+        # refused from the graph alone, before any geometry is built
+        monkeypatch.setattr(hypersurface, "build_geometry", None)
+        with pytest.raises(PreconditionError, match="gauss-bonnet applies to curves only"):
+            run_verification(gen_sphere(1.0, grid=(16, 32)), checks=["hk-brendle", "gauss-bonnet"])
 
     def test_config_hash_tracks_config(self, surface):
         g, geom = surface("sphere", radius=1.0, grid=(32, 64))
@@ -512,6 +536,53 @@ class TestProperties:
         # the (2,0) amp 0.01 lobe, under that shape's tolerance but above 0
         r = hk_shifted(build_geometry(graph))
         assert r.residual > 0.0, r
+
+
+_REQUEST_SURFACES = {1: gen_sphere(1.0, n=1, grid=64), 2: gen_sphere(1.0, grid=(16, 32))}
+_CHECK_NAMES = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted",
+                "alexandrov", "gauss-bonnet"]
+
+
+@st.composite
+def _requests(draw):
+    # any tol (NaN, +-inf and negatives included), any eps, orders from
+    # -1..3 and checks with repeats; each argument may be left at its default
+    kwargs = {"tol": draw(st.one_of(st.just("auto"), st.floats()))}
+    if draw(st.booleans()):
+        kwargs["checks"] = draw(st.lists(st.sampled_from(_CHECK_NAMES), max_size=4))
+    if draw(st.booleans()):
+        kwargs["eps_sweep"] = draw(st.lists(st.floats(), max_size=3))
+    if draw(st.booleans()):
+        kwargs["k_list"] = list(draw(st.sets(st.integers(-1, 3))))
+    return _REQUEST_SURFACES[draw(st.sampled_from([1, 2]))], kwargs
+
+
+class TestRequests:
+    @given(_requests())
+    @settings(max_examples=150, deadline=None)
+    def test_judged_or_refused_before_any_geometry(self, case):
+        graph, kwargs = case
+        built = []
+
+        def counting(*args, **kw):
+            built.append(1)
+            return build_geometry(*args, **kw)
+
+        # a huge finite shift overflows; the verdict rule refuses the result
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(hypersurface, "build_geometry", counting)
+            try:
+                rep = run_verification(graph, **kwargs)
+            except (ValueError, PreconditionError) as exc:
+                # a request is refused whole; after the geometry only an
+                # overflow at a huge finite shift is, by the verdict rule
+                assert not built or (isinstance(exc, PreconditionError)
+                                     and "is not finite" in str(exc)), exc
+                return
+        assert built == [1]
+        names = [r.name for r in rep.results]
+        assert names and len(names) == len(set(names))
+        assert all(math.isfinite(r.tolerance) and r.tolerance >= 0 for r in rep.results)
 
 
 def _boosted(p, d, axis):
