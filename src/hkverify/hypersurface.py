@@ -30,6 +30,7 @@ The outward normal gives geodesic spheres the positive curvature coth(R).
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -133,7 +134,7 @@ class RadialGraph:
         return {
             "n": self.n,
             "grid": grid,
-            "rho": self.rho.ravel().tolist(),
+            "rho": base64.b64encode(_rho_bytes(self.rho)).decode("ascii"),
             "meta": dict(self.meta),
         }
 
@@ -147,14 +148,35 @@ class RadialGraph:
             if not (isinstance(grid, dict) and isinstance(meta, dict)):
                 raise ValueError("grid and meta must be JSON objects")
             shape = tuple(int(grid[key]) for key in ("n_phi", "n_theta")[2 - n:])
-            flat = np.asarray(data["rho"], dtype=float)
-            if flat.size != math.prod(shape):
-                raise ValueError("rho length does not match the declared grid")
+            flat = _rho_from_text(data["rho"], math.prod(shape))
         except KeyError as exc:
             raise ValueError(f"malformed surface record: missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed surface record: {exc}") from exc
         return cls(n, flat.reshape(shape), dict(meta))
+
+
+def _rho_bytes(rho) -> bytes:
+    """rho as row-major little-endian float64 bytes: what a surface file
+    stores (base64) and what a report's config_hash hashes."""
+    return np.ascontiguousarray(rho, dtype="<f8").tobytes()
+
+
+def _rho_from_text(text, count: int) -> np.ndarray:
+    """The `count` values of a record's base64 rho, as a writable array."""
+    if isinstance(text, list):
+        raise ValueError("rho is in the old text format (a list of decimals); "
+                         "regenerate the surface with `hkverify gen`")
+    if not isinstance(text, str):
+        raise ValueError("rho must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error included
+        raise ValueError(f"rho is not base64: {exc}") from exc
+    if len(raw) != 8 * count:
+        raise ValueError(f"rho holds {len(raw)} bytes, the declared grid "
+                         f"needs {8 * count}")
+    return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
 def save_surface(graph: RadialGraph, path) -> None:

@@ -46,7 +46,14 @@ import scipy
 from . import __version__, symfun
 from ._util import atomic_write_text, exact_sum
 from .errors import PreconditionError
-from .hypersurface import H_MARGIN, RadialGraph, SurfaceGeometry, area_integral, geometry_for
+from .hypersurface import (
+    H_MARGIN,
+    RadialGraph,
+    SurfaceGeometry,
+    _rho_bytes,
+    area_integral,
+    geometry_for,
+)
 
 __all__ = [
     "CheckResult",
@@ -277,13 +284,12 @@ class VerificationReport:
 def _config_hash(config: dict, rho: np.ndarray) -> str:
     """sha256 of the canonical JSON config, then of rho as float64 bytes.
 
-    The profile's shape is in the config; its values are hashed as raw
-    little-endian bytes because a JSON dump of them cost about a third
-    of a verification.
+    The profile's shape is in the config; its values are hashed as the
+    same little-endian bytes a surface file stores.
     """
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode())
-    digest.update(np.ascontiguousarray(rho, dtype="<f8").tobytes())
+    digest.update(_rho_bytes(rho))
     return digest.hexdigest()
 
 

@@ -6,6 +6,7 @@ table CSV) are parsed back rather than pattern-matched.
 """
 
 import argparse
+import base64
 import json
 import re
 from pathlib import Path
@@ -18,10 +19,12 @@ from hkverify.cli import build_parser, main
 from hkverify.hypersurface import (
     RadialGraph,
     build_geometry,
+    gen_perturbed_sphere,
     gen_sphere,
     load_surface,
     save_surface,
 )
+from hkverify.identities import run_verification
 
 
 def dented_curve(tmp_path, amp):
@@ -144,12 +147,54 @@ class TestVerify:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_malformed_file_exits_1(self, tmp_path):
+    def test_malformed_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
         assert main(["verify", "--surface", str(bad)]) == 1
-        bad.write_text(json.dumps({"n": 7, "grid": {}, "rho": []}))
+        # an unsupported dimension with an otherwise valid base64 rho
+        rho = base64.b64encode(np.ones(8).tobytes()).decode()
+        bad.write_text(json.dumps({"n": 7, "grid": {"n_theta": 8}, "rho": rho}))
         assert main(["verify", "--surface", str(bad)]) == 1
+        assert "unsupported dimension n = 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho, named", [
+        (base64.b64encode(bytes(1024)).decode()[:-4] + "!!!=", "rho is not base64"),
+        (base64.b64encode(bytes(1016)).decode(), "rho holds 1016 bytes"),
+        (base64.b64encode(bytes(1032)).decode(), "rho holds 1032 bytes"),
+        (base64.b64encode(bytes(1021)).decode(), "rho holds 1021 bytes"),
+        ([1.0] * 128, "old text format"),
+    ])
+    def test_refused_rho_exits_1(self, tmp_path, capsys, rho, named):
+        # non-base64 characters, one value short or long, a byte count that
+        # is not a multiple of 8, and the old list of decimals
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 1, "grid": {"n_theta": 128}, "rho": rho}))
+        assert main(["verify", "--surface", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read surface" in err and named in err
+
+    @pytest.mark.parametrize("argv, n, grid, mode, checks", [
+        (["--grid", "32x64"], 2, (32, 64), (2, 0),
+         ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted",
+          "alexandrov"]),
+        (["--n", "1", "--grid", "128", "--mode", "2"], 1, (128,), 2, None),
+    ])
+    def test_report_through_the_file_is_lossless(self, tmp_path, argv, n, grid,
+                                                 mode, checks):
+        # gen -> file -> verify reports exactly what the in-memory surface
+        # does, config_hash included
+        surf, report = tmp_path / "s.json", tmp_path / "r.json"
+        assert main(["gen", "--shape", "perturbed", "--amp", "0.05", *argv,
+                     "--out", str(surf)]) == 0
+        extra = ["--checks", ",".join(checks)] if checks else []
+        assert main(["verify", "--surface", str(surf), "--report", str(report),
+                     *extra]) == 0
+        graph = gen_perturbed_sphere(1.0, 0.05, mode, n=n, grid=grid)
+        want = json.loads(json.dumps(run_verification(graph, checks=checks).to_dict()))
+        got = json.loads(report.read_text())
+        want["provenance"].pop("timestamp")
+        got["provenance"].pop("timestamp")
+        assert got == want
 
     def test_precondition_exits_3(self, tmp_path, capsys):
         rc = main(["verify", "--surface", dented_curve(tmp_path, 0.15)])

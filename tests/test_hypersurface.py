@@ -7,11 +7,13 @@ tests assert at near machine precision.  Off-center and perturbed shapes
 carry real discretization error with measured orders.
 """
 
+import base64
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hkverify import hypgeo
 from hkverify.errors import (
@@ -34,6 +36,7 @@ from hkverify.hypersurface import (
     save_surface,
     weighted_volume,
 )
+from hkverify.identities import _config_hash
 
 import hypgeo_oracle as oracle
 
@@ -76,30 +79,88 @@ class TestRadialGraph:
         save_surface(g, path)
         back = load_surface(path)
         assert back.n == 2
-        assert np.array_equal(back.rho, rho)  # bit-exact through repr floats
+        assert np.array_equal(back.rho, rho)  # bit-exact through the base64 bytes
+        assert back.rho.flags.writeable and back.rho.dtype == np.float64
         assert back.meta == {"shape": "random", "tag": 3}
+
+    # the smallest subnormal, the largest finite float, 17-digit values
+    EXTREMES = [5e-324, float(np.finfo(float).max), 0.30000000000000004,
+                1.2345678901234567, 2.2250738585072014e-308]
+
+    @given(st.sampled_from([(1, (8,)), (1, (10,)), (2, (8, 8)), (2, (9, 12))]),
+           st.lists(st.floats(min_value=5e-324, allow_infinity=False),
+                    min_size=108, max_size=108))
+    @example((1, (10,)), EXTREMES * 22)
+    @example((2, (9, 12)), EXTREMES[::-1] * 22)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_is_bit_exact(self, tmp_path, grid, values):
+        # any finite positive rho reads back byte for byte, and the loaded
+        # graph hashes to the saved graph's config_hash
+        n, shape = grid
+        rho = np.array(values[:math.prod(shape)]).reshape(shape)
+        g = RadialGraph(n, rho, {"shape": "random"})
+        path = tmp_path / "surf.json"
+        save_surface(g, path)
+        back = load_surface(path)
+        assert back.rho.shape == shape
+        assert back.rho.tobytes() == rho.tobytes()
+        config = {"n": n, "grid": list(shape)}
+        assert _config_hash(config, back.rho) == _config_hash(config, g.rho)
+
+    def test_surface_file_holds_no_decimal_floats(self, tmp_path):
+        # a 64x128 file is base64 of 8 bytes a value, plus a small header;
+        # decimal text would need about twice that
+        path = tmp_path / "surf.json"
+        save_surface(gen_perturbed_sphere(1.0, 0.05, (2, 0), grid=(64, 128)), path)
+        count = 64 * 128
+        assert path.stat().st_size <= math.ceil(8 * count / 3) * 4 + 1024
+
+    @staticmethod
+    def _record(n, grid, values, **extra):
+        rho = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+        return {"n": n, "grid": grid, "rho": rho, **extra}
 
     def test_malformed_records(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"n": 2, "grid": {"n_phi": 8, "n_theta": 16}}))
-        with pytest.raises(ValueError):
-            load_surface(path)
-        path.write_text(json.dumps({"n": 5, "grid": {"n_theta": 8}, "rho": [1.0] * 8}))
-        with pytest.raises(ValueError):
-            load_surface(path)
-        path.write_text(json.dumps(
-            {"n": 1, "grid": {"n_theta": 16}, "rho": [1.0] * 8}))
-        with pytest.raises(ValueError):
-            load_surface(path)
-        # a missing grid size, a grid or meta that is not an object: each a
-        # ValueError that names the problem
-        for record, named in (({"n": 2, "grid": {}, "rho": []}, "'n_phi'"),
-                              ({"n": 1, "grid": [8], "rho": [1.0] * 8}, "grid"),
-                              ({"n": 1, "grid": {"n_theta": 8}, "rho": [1.0] * 8,
-                                "meta": ["shape"]}, "meta")):
+        # each record is well formed but for the one fault the case names,
+        # so the refusal seen is that fault's and not the base64 rho's
+        cases = (
+            ({"n": 2, "grid": {"n_phi": 8, "n_theta": 16}}, "'rho'"),
+            (self._record(5, {"n_theta": 8}, [1.0] * 8), "dimension"),
+            (self._record(1, {"n_theta": 16}, [1.0] * 8), "rho holds 64 bytes"),
+            # a missing grid size, a grid or meta that is not an object
+            (self._record(2, {}, [1.0] * 64), "'n_phi'"),
+            (self._record(1, [8], [1.0] * 8), "grid"),
+            (self._record(1, {"n_theta": 8}, [1.0] * 8, meta=["shape"]), "meta"),
+        )
+        for record, named in cases:
             path.write_text(json.dumps(record))
             with pytest.raises(ValueError, match=named):
                 load_surface(path)
+        # and records without a fault load
+        for record, shape in ((self._record(1, {"n_theta": 8}, [1.0] * 8), (8,)),
+                              (self._record(2, {"n_phi": 8, "n_theta": 8}, [1.0] * 64),
+                               (8, 8))):
+            path.write_text(json.dumps(record))
+            assert load_surface(path).rho.shape == shape
+
+    @pytest.mark.parametrize("rho, named", [
+        (base64.b64encode(bytes(64)).decode()[:-4] + "!!!=", "rho is not base64"),
+        ("AAAA AAAA", "rho is not base64"),
+        (base64.b64encode(bytes(56)).decode(), "rho holds 56 bytes"),
+        (base64.b64encode(bytes(72)).decode(), "rho holds 72 bytes"),
+        (base64.b64encode(bytes(61)).decode(), "rho holds 61 bytes"),
+        ([1.0] * 8, "rho is in the old text format"),
+        (8.0, "rho must be a base64 string"),
+    ])
+    def test_refused_rho(self, tmp_path, rho, named):
+        # non-base64 characters, one value short or long, a byte count that
+        # is not a multiple of 8, the old list of decimals
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "grid": {"n_theta": 8}, "rho": rho}))
+        with pytest.raises(ValueError, match=named):
+            load_surface(path)
 
 
 class TestGenerators:

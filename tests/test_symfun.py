@@ -55,16 +55,27 @@ class TestSigma:
 
     @given(st.lists(finite_floats, min_size=2, max_size=6))
     @example([1.0, 8.318191355429434, -4.078125, 4.6875, 8.125, -7.28125])
+    @example([0.0, 0.75, 2.225073858507e-311, 2.225073858507e-311, 3.0, 9.0])
     @settings(max_examples=200, deadline=None)
     def test_permutation_invariance(self, lam):
-        # each order's recursion errs by at most ~2n roundings of the size
-        # of the terms that cancel, sigma_m of |lam|, not of their sum, plus
-        # a subnormal step per rounding where the terms underflow
+        # Error of the recursion e_j <- fl(e_j + fl(x_i e_{j-1})) of
+        # symfun._sigma.  A product rounds as ab(1 + d) + t with |d| <= u =
+        # eps/2 and |t| <= s/2, s the smallest subnormal; a sum rounds as
+        # (a + b)(1 + d), exactly when the result is subnormal.  Unrolled,
+        # each monomial of sigma_m passes through at most 2n roundings, and
+        # a product's t at column i, order j reaches e_m multiplied by the
+        # later columns' sigma_{m-j}(x_{i+1..n}) (times at most (1 + u)^2n).
+        # So with S = sum_{k<m} sigma_k(|lam|), over n columns,
+        #   |computed - sigma_m| <= gamma_2n sigma_m(|lam|) + n (s/2) S (1 + u)^2n,
+        # and two orders differ by at most twice that, about
+        # 2n eps sigma_m(|lam|) + n s S; asserted with a factor 2 to spare
         m = len(lam) // 2 + 1
         scale = symfun.sigma_m(np.abs(lam), m)
+        growth = sum(symfun.sigma_m(np.abs(lam), k) for k in range(m))
         diff = symfun.sigma_m(lam, m) - symfun.sigma_m(lam[::-1], m)
         fp = np.finfo(float)
-        assert abs(diff) <= 4 * len(lam) * (fp.eps * scale + fp.smallest_subnormal)
+        bound = 2 * len(lam) * (2 * fp.eps * scale + fp.smallest_subnormal * growth)
+        assert abs(diff) <= bound
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
