@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -177,7 +178,11 @@ def cmd_flow(args) -> int:
     for key, value in summary.items():
         print(f"{key}: {value}")
     if args.summary:
-        atomic_write_text(args.summary, json.dumps(summary, indent=2) + "\n")
+        # strict JSON: a non-finite value (cut_estimate = inf when nothing
+        # collides) is written as null
+        strict = {key: None if isinstance(value, float) and not math.isfinite(value)
+                  else value for key, value in summary.items()}
+        atomic_write_text(args.summary, json.dumps(strict, indent=2, allow_nan=False) + "\n")
     if not trace.passed():
         print("FAILED: flow monotonicity or level-set check", file=sys.stderr)
         return EXIT_CHECK_FAILED

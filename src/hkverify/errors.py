@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes, so keep the hierarchy flat and
-the constructor signatures boring.
+`cli.main` maps every subclass of HkError onto one code of its documented
+exit-code table, so a new subclass needs a code there too.  Keep the
+hierarchy flat and the constructor signatures boring.
 """
 
 from __future__ import annotations
@@ -9,27 +10,6 @@ from __future__ import annotations
 
 class HkError(Exception):
     """Base class for all package-specific failures."""
-
-
-class GardingConeError(HkError):
-    """An eigenvalue tuple left the Garding cone required by an operation.
-
-    Carries the elementary symmetric values so callers can see which
-    sigma_i failed the strict positivity test.
-    """
-
-    def __init__(self, m: int, sigmas):
-        self.m = m
-        self.sigmas = tuple(float(s) for s in sigmas)
-        self.first_failing = next(
-            (i + 1 for i, s in enumerate(self.sigmas) if s <= 0.0), None
-        )
-        super().__init__(
-            f"eigenvalue tuple is not in the order-{m} Garding cone: "
-            f"sigma_{self.first_failing} = {self.sigmas[self.first_failing - 1]:.6g}"
-            if self.first_failing
-            else f"eigenvalue tuple is not in the order-{m} Garding cone"
-        )
 
 
 class DegenerateSurfaceError(HkError):

@@ -432,14 +432,27 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     `base` is the base point of the static potential (defaults to the
     graph's own center); V and the support function V_nu are computed
     against it, so off-center potentials vary over the surface.  Refuses
-    a metric that is not positive definite and a support function that
-    reaches the potential, V - V_nu <= 0, naming the first such node.
+    a metric that is not positive definite, non-finite curvatures or
+    V - V_nu (sinh(rho)^2 overflows past rho ~ 355), and a support function
+    that reaches the potential, V - V_nu <= 0, naming the first such node.
+    Overflow and invalid-value warnings are silenced while the arrays are
+    built, because those refusals catch every value they would warn about.
     """
     if base is not None:
         base = np.asarray(base, dtype=float)
         hypgeo.validate_point(base)
-    geom = _core_n2(graph, base) if graph.n == 2 else _core_n1(graph, base)
-    bad = np.nonzero(geom.V - geom.V_nu <= 0.0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        geom = _core_n2(graph, base) if graph.n == 2 else _core_n1(graph, base)
+        gap = geom.V - geom.V_nu
+    finite = np.isfinite(gap)
+    for kappa_i in geom.kappa.T:  # column by column: all(axis=-1) is ~10x slower
+        finite &= np.isfinite(kappa_i)
+    bad = np.nonzero(~finite)[0]
+    if bad.size:
+        raise DegenerateSurfaceError(
+            "curvatures or V - V_nu are not finite", node=int(bad[0])
+        )
+    bad = np.nonzero(gap <= 0.0)[0]
     if bad.size:
         raise DegenerateSurfaceError(
             "support function reached the potential, V - V_nu <= 0", node=int(bad[0])

@@ -56,7 +56,6 @@ __all__ = [
     "CUT_SAMPLES",
     "DENOM_TOL",
     "EXCLUSION",
-    "H_MARGIN",
     "SAFETY",
     "SAMPLES",
     "FlowConfig",

@@ -163,53 +163,39 @@ def test_criterion_07_closed_forms_vs_oracles(surface, rng):
 
 
 def test_criterion_08_symmetric_function_suite(rng):
-    # contraction identities on 10^3 random symmetric matrices, n <= 5
-    def random_symmetric(n):
-        b = rng.normal(0.0, 2.0, size=(n, n))
-        return 0.5 * (b + b.T)
-
-    for i in range(1000):
-        n = 2 + i % 4
-        a = random_symmetric(n)
+    # contraction identities on 10^3 random eigenvalue tuples, n = 2..5, with
+    # D_i = dE_m/dlam_i = sigma_{m-1}(lam without i) / C(n, m), taken from
+    # the kernel on the n deleted tuples (whose E_{m-1} carries C(n-1, m-1))
+    e = symfun.e_m_values
+    for n in range(2, 6):
+        lam = rng.normal(0.0, 2.0, size=(250, n))
+        deleted = np.stack([np.delete(lam, i, axis=-1) for i in range(n)], axis=-2)
         for m in range(1, n + 1):
-            d = symfun.d_e_m(a, m)
-            em = symfun.e_m_matrix(a, m)
-            tr_da = float(np.trace(d @ a))
-            assert abs(tr_da - m * em) <= 1e-12 * (1.0 + abs(m * em))
-            em1 = symfun.e_m_matrix(a, m - 1) if m > 1 else 1.0
-            tr_d = float(np.trace(d))
-            assert abs(tr_d - m * em1) <= 1e-12 * (1.0 + abs(m * em1))
-            if m < n:
-                t1 = n * symfun.e_m_matrix(a, 1) * em
-                t2 = (n - m) * symfun.e_m_matrix(a, m + 1)
-                tr_da2 = float(np.trace(d @ a @ a))
-                assert abs(tr_da2 - (t1 - t2)) <= 1e-12 * (1.0 + abs(t1) + abs(t2))
+            d = m / n * e(deleted, m - 1)
+            em = e(lam, m)
+            tr_da = np.sum(lam * d, axis=-1)
+            assert np.all(np.abs(tr_da - m * em) <= 1e-12 * (1.0 + np.abs(m * em)))
+            em1 = e(lam, m - 1)
+            tr_d = np.sum(d, axis=-1)
+            assert np.all(np.abs(tr_d - m * em1) <= 1e-12 * (1.0 + np.abs(m * em1)))
+            t1 = n * e(lam, 1) * em
+            t2 = (n - m) * e(lam, m + 1)
+            tr_da2 = np.sum(lam * lam * d, axis=-1)
+            assert np.all(np.abs(tr_da2 - (t1 - t2)) <= 1e-12 * (1.0 + np.abs(t1) + np.abs(t2)))
 
-    # Newton-MacLaurin deficit on 10^4 cone samples, equality at c*ones
-    for i in range(10000):
-        n = 2 + i % 4
-        m = 2 + i % (n - 1) if n > 2 else 2
-        lam = rng.uniform(0.05, 3.0, size=n)
-        deficit = symfun.newton_maclaurin_deficit(lam, m)
-        scale = max(1.0, float(np.max(lam)) ** (2 * m - 1))
-        assert deficit >= -1e-12 * scale
+    # Newton-MacLaurin deficit E_1 E_{m-1} - E_m on 10^4 positive tuples
+    # (inside every Garding cone), at every order 2 <= m <= n; equality at c*ones
+    for n in range(2, 6):
+        lam = rng.uniform(0.05, 3.0, size=(2500, n))
+        for m in range(2, n + 1):
+            deficit = e(lam, 1) * e(lam, m - 1) - e(lam, m)
+            scale = np.maximum(1.0, np.max(lam, axis=-1) ** (2 * m - 1))
+            assert np.all(deficit >= -1e-12 * scale)
     for c in (0.3, 1.0, 2.5):
         for n, m in ((3, 2), (5, 4)):
-            d = symfun.newton_maclaurin_deficit(np.full(n, c), m)
+            ones = np.full(n, c)
+            d = float(e(ones, 1) * e(ones, m - 1) - e(ones, m))
             assert abs(d) <= 1e-12 * max(1.0, c ** (2 * m - 1))
-
-    # derivative matrix against symmetric-pair finite differences
-    step = 1e-6
-    for n, m in ((3, 2), (5, 3), (4, 4)):
-        a = random_symmetric(n)
-        d = symfun.d_e_m(a, m)
-        for i in range(n):
-            for j in range(i, n):
-                e = np.zeros((n, n))
-                e[i, j] = e[j, i] = step
-                fd = (symfun.e_m_matrix(a + e, m) - symfun.e_m_matrix(a - e, m)) / (2 * step)
-                want = d[i, j] + d[j, i] if i != j else d[i, i]
-                assert abs(fd - want) <= 1e-6 * (1.0 + abs(want))
     print("criterion-08 symmetric-function identities and cone bounds: PASS")
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hkverify import cli
+from hkverify import cli, errors
 from hkverify.cli import build_parser, main
 from hkverify.hypersurface import (
     RadialGraph,
@@ -92,6 +92,20 @@ class TestGen:
             f"min H - n: {np.min(H) - geom.n:.9g}",
             f"umbilicity spread: {np.max(k) - np.min(k):.9g}",
         ]
+
+    @pytest.mark.parametrize("argv", [
+        ["--shape", "sphere", "--radius", "800"],
+        ["--shape", "perturbed", "--radius", "800"],
+        ["--shape", "sphere", "--radius", "800", "--n", "1", "--grid", "64"],
+    ])
+    def test_overflowing_radius_exits_3(self, tmp_path, capsys, argv):
+        # sinh(rho) overflows: the geometry is refused, not printed as NaN
+        out = tmp_path / "x.json"
+        grid = [] if "--grid" in argv else ["--grid", "16x32"]
+        assert main(["gen", *argv, *grid, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "precondition failed" in err and "not finite (node 0)" in err
+        assert not out.exists()
 
     def test_bad_offset_exits_2(self, tmp_path):
         rc = main(["gen", "--offset", "1.5", "--radius", "1.0",
@@ -264,8 +278,10 @@ class TestFlow:
         assert rc == 0
         header = trace.read_text().splitlines()[0]
         assert header == "t,Q,H_min,H_max,area,levelset_residual,n_active"
-        s = json.loads(summary.read_text())
+        # strict JSON: nothing collides, so cut_estimate is null, not Infinity
+        s = json.loads(summary.read_text(), parse_constant=pytest.fail)
         assert s["pass"] is True and s["round_surface"] is True
+        assert s["cut_estimate"] is None and s["cut_pair"] is None
         out = capsys.readouterr().out
         assert "q_monotone_ok: True" in out
 
@@ -396,3 +412,23 @@ def test_exit_code_tables_agree():
     assert set(said) == set(constants)
     for name, value in constants.items():
         assert said[name] in documented[value], (name, documented[value])
+
+
+def _package_errors(cls=errors.HkError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _package_errors(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_package_errors()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_package_error_has_an_exit_code(monkeypatch, capsys, error):
+    # a package failure that main() does not map would end in a traceback
+    def failing(args):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "cmd_gen", failing)
+    documented = _exit_table(cli.__doc__.split("Exit codes are a stable contract:\n", 1)[1])
+    rc = main(["gen", "--out", "unused.json"])
+    assert rc in documented and rc not in (cli.EXIT_OK, cli.EXIT_USAGE)
+    assert "raised on purpose" in capsys.readouterr().err

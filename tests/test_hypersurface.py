@@ -449,6 +449,28 @@ class TestDegeneracy:
             build_geometry(g, base=far)
         assert exc.value.node == 32
 
+    @pytest.mark.parametrize("n, grid, node", [(1, (64,), 37), (2, (16, 32), 5 * 32 + 7)])
+    def test_overflow_names_node(self, n, grid, node):
+        # sinh(800) overflows, so the curvatures at that one node come out
+        # NaN; a NaN fails no `<= 0` test, so the refusal must ask for
+        # finite values.  The overflow warnings (errors under this suite's
+        # filterwarnings) are silenced inside build_geometry, so the
+        # refusal is what reaches the caller
+        rho = np.ones(grid)
+        rho.flat[node] = 800.0
+        with pytest.raises(DegenerateSurfaceError, match="not finite") as exc:
+            build_geometry(RadialGraph(n, rho))
+        assert exc.value.node == node
+
+    @pytest.mark.parametrize("n, grid", [(1, 64), (2, (16, 32))])
+    def test_overflowing_generator_is_refused(self, n, grid):
+        # the H > n test of gen_perturbed_sphere passes on NaN, so the
+        # refusal comes from the geometry it builds
+        with pytest.raises(DegenerateSurfaceError, match="not finite"):
+            gen_perturbed_sphere(800.0, 0.05, 2 if n == 1 else (2, 0), n=n, grid=grid)
+        with pytest.raises(DegenerateSurfaceError, match="not finite"):
+            build_geometry(gen_sphere(800.0, n=n, grid=grid))
+
     def test_base_point_must_be_valid(self):
         g = gen_sphere(1.0, grid=(16, 32))
         with pytest.raises(ValueError):
