@@ -188,49 +188,68 @@ def load_surface(path) -> RadialGraph:
         return RadialGraph.from_dict(json.load(handle))
 
 
-# 4th-order central stencils.  np.roll(f, k) picks up f[j - k], so positive
-# shifts look backward along the axis.
+# 4th-order central stencils on an array `ext` that carries two ghost
+# entries at each end of `axis`: ext[j + 2] is node j.  Each is summed in
+# the order of the written formula, one scratch buffer reused per term.
+
+def _d1(ext, h, axis=0):
+    """(-f[j+2] + 8 f[j+1] - 8 f[j-1] + f[j-2]) / (12 h)"""
+    def at(lo, hi):
+        return ext[(slice(None),) * axis + (slice(lo, hi),)]
+    out = np.negative(at(4, None))
+    tmp = np.multiply(at(3, -1), 8.0)
+    out += tmp
+    np.multiply(at(1, -3), 8.0, out=tmp)
+    out -= tmp
+    out += at(None, -4)
+    out /= 12.0 * h
+    return out
+
+
+def _d2(ext, h, axis=0):
+    """(-f[j+2] + 16 f[j+1] - 30 f[j] + 16 f[j-1] - f[j-2]) / (12 h^2)"""
+    def at(lo, hi):
+        return ext[(slice(None),) * axis + (slice(lo, hi),)]
+    out = np.negative(at(4, None))
+    tmp = np.multiply(at(3, -1), 16.0)
+    out += tmp
+    np.multiply(at(2, -2), 30.0, out=tmp)
+    out -= tmp
+    np.multiply(at(1, -3), 16.0, out=tmp)
+    out += tmp
+    out -= at(None, -4)
+    out /= 12.0 * h * h
+    return out
+
+
+def _wrap(f: np.ndarray, axis: int) -> np.ndarray:
+    """f with two periodic ghost entries at each end of `axis`."""
+    return np.concatenate([f.take([-2, -1], axis), f, f.take([0, 1], axis)], axis)
+
 
 def _periodic_d1(f, h, axis):
-    return (
-        -np.roll(f, -2, axis) + 8.0 * np.roll(f, -1, axis)
-        - 8.0 * np.roll(f, 1, axis) + np.roll(f, 2, axis)
-    ) / (12.0 * h)
+    return _d1(_wrap(f, axis), h, axis)
 
 
 def _periodic_d2(f, h, axis):
-    return (
-        -np.roll(f, -2, axis) + 16.0 * np.roll(f, -1, axis) - 30.0 * f
-        + 16.0 * np.roll(f, 1, axis) - np.roll(f, 2, axis)
-    ) / (12.0 * h * h)
+    return _d2(_wrap(f, axis), h, axis)
 
 
 def _pole_extend(f: np.ndarray) -> np.ndarray:
     """Add two ghost rows per pole using (phi -> -phi, theta -> theta + pi)."""
-    flip = np.roll(f, f.shape[1] // 2, axis=1)
-    return np.vstack([flip[1::-1], f, flip[:-3:-1]])
-
-
-def _colat_d1(ext, h):
-    return (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * h)
-
-
-def _colat_d2(ext, h):
-    return (
-        -ext[4:] + 16.0 * ext[3:-1] - 30.0 * ext[2:-2]
-        + 16.0 * ext[1:-3] - ext[:-4]
-    ) / (12.0 * h * h)
+    ghosts = np.roll(f[[1, 0, -1, -2]], f.shape[1] // 2, axis=1)
+    return np.vstack([ghosts[:2], f, ghosts[2:]])
 
 
 @dataclass
 class SurfaceGeometry:
     """Pointwise discrete geometry of a radial graph.
 
-    Grid-shaped fields: sinh(rho), cosh(rho), the normal's stretch v, the
-    angular derivatives of rho (`grad`: (rho_theta,) for n = 1, (rho_phi,
-    rho_theta) for n = 2) and the components of the induced metric and
-    second fundamental form ((g,) and (h,) for n = 1; the pp, pt, tt
-    components for n = 2).
+    Grid-shaped fields: sinh(rho), cosh(rho), the normal's stretch v and
+    the angular derivatives of rho (`grad`: (rho_theta,) for n = 1,
+    (rho_phi, rho_theta) for n = 2).  The induced metric and second
+    fundamental form are not kept: the builder turns them into kappa and
+    area_weight in place (`_fundamental_forms` assembles them).
 
     Flattened row-major: kappa, the principal curvatures sorted ascending
     per node, and area_weight, which already contains the full quadrature
@@ -247,8 +266,6 @@ class SurfaceGeometry:
     cosh_rho: np.ndarray
     v: np.ndarray
     grad: tuple
-    metric: tuple
-    second_form: tuple
     kappa: np.ndarray
     area_weight: np.ndarray
     base: np.ndarray | None = None
@@ -325,15 +342,12 @@ class SurfaceGeometry:
     @cached_property
     def weighted_volume(self) -> float:
         """Integral of V over the enclosed region, about `base`."""
-        return weighted_volume(self.graph, self.base)
+        return _weighted_volume(self.graph, self.sinh_rho, self.cosh_rho, self.base)
 
     @cached_property
     def enclosed_volume(self) -> float:
         """Unweighted volume of the enclosed region."""
-        return enclosed_volume(self.graph)
-
-    def node_count(self) -> int:
-        return self.area_weight.size
+        return _enclosed_volume(self.graph, self.sinh_rho, self.cosh_rho)
 
     def area(self) -> float:
         return exact_sum(self.area_weight)
@@ -351,12 +365,12 @@ def area_integral(geom: SurfaceGeometry, values) -> float:
 
 
 def _sigma_weights(graph: RadialGraph) -> np.ndarray:
-    """Quadrature weights for the parameter sphere (no surface factors)."""
+    """Quadrature weights for the parameter sphere (no surface factors);
+    for n = 2 one (P, 1) column that broadcasts over the azimuth."""
     if graph.n == 1:
         return np.full(graph.n_theta, graph.h_theta)
     phi, _ = graph.angles()
-    w = np.sin(phi)[:, None] * graph.h_phi * graph.h_theta
-    return np.broadcast_to(w, graph.rho.shape).copy()
+    return np.sin(phi)[:, None] * graph.h_phi * graph.h_theta
 
 
 def _directions(graph: RadialGraph) -> np.ndarray:
@@ -392,24 +406,39 @@ def weighted_volume(graph: RadialGraph, base=None) -> float:
     else:
         base = np.asarray(base, dtype=float)
         hypgeo.validate_point(base)
-    rho = graph.rho
-    if graph.n == 2:
-        c = np.cosh(rho)
-        tilt = (c - 1.0) ** 2 * (c + 2.0) / 3.0
+    return _weighted_volume(graph, np.sinh(graph.rho), np.cosh(graph.rho), base)
+
+
+def _weighted_volume(graph: RadialGraph, lam, lamp, base) -> float:
+    """weighted_volume from lam = sinh(rho) and lamp = cosh(rho), which a
+    geometry already holds; `base` is a validated point."""
+    n = graph.n
+    if n == 2:
+        tilt = (lamp - 1.0) ** 2 * (lamp + 2.0) / 3.0
     else:
-        tilt = (np.sinh(rho) * np.cosh(rho) - rho) / 2.0
-    radial = (base[0] * np.sinh(rho) ** (graph.n + 1) / (graph.n + 1)
-              - (_directions(graph) @ base[1:]) * tilt)
-    return exact_sum(radial * _sigma_weights(graph))
+        tilt = (lam * lamp - graph.rho) / 2.0
+    radial = base[0] * lam ** (n + 1) / (n + 1)
+    # about the origin b_space . w is a signed zero at every node: skip the
+    # directions, but keep the NaN of 0 * tilt where tilt overflows
+    along = _directions(graph) @ base[1:] if base[1:].any() else 0.0
+    radial -= along * tilt
+    radial *= _sigma_weights(graph)
+    return exact_sum(radial)
 
 
 def enclosed_volume(graph: RadialGraph) -> float:
     """Unweighted volume of the enclosed region (exact radial integral)."""
+    return _enclosed_volume(graph, np.sinh(graph.rho), np.cosh(graph.rho))
+
+
+def _enclosed_volume(graph: RadialGraph, lam, lamp) -> float:
+    """enclosed_volume from lam = sinh(rho) and lamp = cosh(rho)."""
     if graph.n == 1:
-        radial = np.cosh(graph.rho) - 1.0
+        radial = lamp - 1.0
     else:
-        radial = (np.sinh(graph.rho) * np.cosh(graph.rho) - graph.rho) / 2.0
-    return exact_sum(radial * _sigma_weights(graph))
+        radial = (lam * lamp - graph.rho) / 2.0
+    radial *= _sigma_weights(graph)
+    return exact_sum(radial)
 
 
 def geometry_for(graph: RadialGraph, geom: SurfaceGeometry | None = None) -> SurfaceGeometry:
@@ -460,84 +489,170 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     return geom
 
 
-def _core_n1(graph: RadialGraph, base) -> SurfaceGeometry:
+def _fundamental_forms(graph: RadialGraph):
+    """(sinh rho, cosh rho, v, grad, metric, second_form) of a graph.
+
+    metric and second_form are (g,) and (h,) for n = 1 and the pp, pt, tt
+    components for n = 2, all grid-shaped; the cores turn them into kappa
+    and area_weight in place.  Every array is a fresh buffer, summed in
+    the order of the closed forms in the module docstring.
+    """
     rho = graph.rho
-    h = graph.h_theta
     lam = np.sinh(rho)
     lamp = np.cosh(rho)
+    if graph.n == 1:
+        h = graph.h_theta
+        d1 = _periodic_d1(rho, h, 0)
+        g = np.multiply(d1, d1)                 # d1^2 + lam^2
+        tmp = np.multiply(lam, lam)
+        g += tmp
+        v = np.divide(d1, lam)                  # sqrt(1 + (d1 / lam)^2)
+        v *= v
+        v += 1.0
+        np.sqrt(v, out=v)
+        hform = _periodic_d2(rho, h, 0)         # (-d2 + 2 coth d1 d1 + lam lamp) / v
+        np.negative(hform, out=hform)
+        np.divide(lamp, lam, out=tmp)
+        tmp *= 2.0
+        tmp *= d1
+        tmp *= d1
+        hform += tmp
+        np.multiply(lam, lamp, out=tmp)
+        hform += tmp
+        hform /= v
+        return lam, lamp, v, (d1,), (g,), (hform,)
 
-    d1 = _periodic_d1(rho, h, 0)
-    d2 = _periodic_d2(rho, h, 0)
-
-    g = d1 * d1 + lam * lam
-    bad = np.nonzero(g <= 0.0)[0]
-    if bad.size:
-        raise DegenerateSurfaceError("induced metric is not positive", node=int(bad[0]))
-    v = np.sqrt(1.0 + (d1 / lam) ** 2)
-    hform = (-d2 + 2.0 * (lamp / lam) * d1 * d1 + lam * lamp) / v
-    kappa = (hform / g)[:, None]
-    weight = np.sqrt(g) * h
-    return SurfaceGeometry(graph, lam, lamp, v, (d1,), (g,), (hform,), kappa, weight, base)
-
-
-def _core_n2(graph: RadialGraph, base) -> SurfaceGeometry:
-    rho = graph.rho
-    T = rho.shape[1]
     hp, ht = graph.h_phi, graph.h_theta
     phi, _ = graph.angles()
     sp = np.sin(phi)[:, None]
     cp = np.cos(phi)[:, None]
-
     rho_t = _periodic_d1(rho, ht, 1)
-    rho_tt = _periodic_d2(rho, ht, 1)
     ext = _pole_extend(rho)
-    rho_p = _colat_d1(ext, hp)
-    rho_pp = _colat_d2(ext, hp)
-    rho_pt = _colat_d1(_pole_extend(rho_t), hp)
+    rho_p = _d1(ext, hp)
+    # the covariant Hessian of rho on the round sphere, built in h_pp,
+    # h_pt, h_tt: rho_pp, rho_pt - (cp / sp) rho_t, rho_tt + sp cp rho_p
+    h_pp = _d2(ext, hp)
+    del ext
+    h_pt = _d1(_pole_extend(rho_t), hp)
+    tmp = np.multiply(cp / sp, rho_t)
+    h_pt -= tmp
+    h_tt = _periodic_d2(rho, ht, 1)
+    np.multiply(sp * cp, rho_p, out=tmp)
+    h_tt += tmp
 
-    lam = np.sinh(rho)
-    lamp = np.cosh(rho)
+    # g = (rho_p^2 + lam^2, rho_p rho_t, rho_t^2 + (lam sp)^2) and
+    # v = sqrt(1 + (rho_p^2 + (rho_t / sp)^2) / lam^2)
+    g_pp = np.multiply(rho_p, rho_p)
+    g_pt = np.multiply(rho_p, rho_t)
+    g_tt = np.multiply(rho_t, rho_t)
+    v = np.divide(rho_t, sp)
+    v *= v
+    v += g_pp
+    lam2 = np.multiply(lam, lam)
+    v /= lam2
+    v += 1.0
+    np.sqrt(v, out=v)
+    g_pp += lam2
+    np.multiply(lam, sp, out=lam2)
+    lam2 *= lam2
+    g_tt += lam2
+    del lam2
 
-    # Covariant Hessian of rho on the round parameter sphere.
-    hess_pp = rho_pp
-    hess_pt = rho_pt - (cp / sp) * rho_t
-    hess_tt = rho_tt + sp * cp * rho_p
+    # h_ij = (-hess_ij + 2 coth(rho) rho_i rho_j + lam lamp s_ij) / v
+    two_cot = np.multiply(lamp, 2.0)
+    two_cot /= lam
+    cot_p = np.multiply(two_cot, rho_p)
+    np.negative(h_pp, out=h_pp)
+    np.multiply(cot_p, rho_p, out=tmp)
+    h_pp += tmp
+    lam_lamp = np.multiply(lam, lamp)
+    h_pp += lam_lamp
+    h_pp /= v
+    np.negative(h_pt, out=h_pt)
+    np.multiply(cot_p, rho_t, out=tmp)
+    h_pt += tmp
+    h_pt /= v
+    del cot_p
+    np.negative(h_tt, out=h_tt)
+    two_cot *= rho_t
+    two_cot *= rho_t
+    h_tt += two_cot
+    lam_lamp *= sp**2
+    h_tt += lam_lamp
+    h_tt /= v
+    return lam, lamp, v, (rho_p, rho_t), (g_pp, g_pt, g_tt), (h_pp, h_pt, h_tt)
 
-    grad2 = rho_p**2 + (rho_t / sp) ** 2
-    v = np.sqrt(1.0 + grad2 / lam**2)
 
-    g_pp = rho_p**2 + lam**2
-    g_pt = rho_p * rho_t
-    g_tt = rho_t**2 + (lam * sp) ** 2
-    detg = g_pp * g_tt - g_pt**2
+def _core_n1(graph: RadialGraph, base) -> SurfaceGeometry:
+    lam, lamp, v, grad, (g,), (hform,) = _fundamental_forms(graph)
+    bad = np.nonzero(g <= 0.0)[0]
+    if bad.size:
+        raise DegenerateSurfaceError("induced metric is not positive", node=int(bad[0]))
+    hform /= g
+    kappa = hform[:, None]
+    np.sqrt(g, out=g)
+    g *= graph.h_theta
+    return SurfaceGeometry(graph, lam, lamp, v, grad, kappa, g, base)
+
+
+def _core_n2(graph: RadialGraph, base) -> SurfaceGeometry:
+    lam, lamp, v, grad, (g_pp, g_pt, g_tt), (h_pp, h_pt, h_tt) = _fundamental_forms(graph)
+    detg = np.multiply(g_pp, g_tt)
+    tmp = np.multiply(g_pt, g_pt)
+    detg -= tmp
     bad = np.nonzero((detg <= 0.0) | (g_pp <= 0.0))
     if bad[0].size:
-        node = int(bad[0][0] * T + bad[1][0])
+        node = int(bad[0][0] * graph.n_theta + bad[1][0])
         raise DegenerateSurfaceError("induced metric is not positive definite", node=node)
 
-    two_cot = 2.0 * lamp / lam
-    h_pp = (-hess_pp + two_cot * rho_p * rho_p + lam * lamp) / v
-    h_pt = (-hess_pt + two_cot * rho_p * rho_t) / v
-    h_tt = (-hess_tt + two_cot * rho_t * rho_t + lam * lamp * sp**2) / v
+    # the inverse metric, in place of the metric
+    gi_pp, gi_pt, gi_tt = g_tt, g_pt, g_pp
+    gi_pp /= detg
+    np.negative(gi_pt, out=gi_pt)
+    gi_pt /= detg
+    gi_tt /= detg
 
-    gi_pp = g_tt / detg
-    gi_pt = -g_pt / detg
-    gi_tt = g_pp / detg
-    w_pp = gi_pp * h_pp + gi_pt * h_pt
-    w_pt = gi_pp * h_pt + gi_pt * h_tt
-    w_tp = gi_pt * h_pp + gi_tt * h_pt
-    w_tt = gi_pt * h_pt + gi_tt * h_tt
+    # the shape operator W = g^-1 h, each entry in a buffer it frees
+    w_pp = np.multiply(gi_pp, h_pp, out=detg)
+    np.multiply(gi_pt, h_pt, out=tmp)          # shared by w_pp and w_tt
+    w_pp += tmp
+    w_pt = np.multiply(gi_pp, h_pt, out=gi_pp)
+    scratch = np.multiply(gi_pt, h_tt)
+    w_pt += scratch
+    w_tp = np.multiply(gi_pt, h_pp, out=h_pp)
+    np.multiply(gi_tt, h_pt, out=scratch)
+    w_tp += scratch
+    w_tt = np.multiply(gi_tt, h_tt, out=h_tt)
+    w_tt += tmp
 
     # (tr^2 - 4 det) cancels catastrophically near umbilic points; the
     # difference form stays exact there
-    tr = w_pp + w_tt
-    disc = np.sqrt(np.maximum((w_pp - w_tt) ** 2 + 4.0 * w_pt * w_tp, 0.0))
-    k_lo = 0.5 * (tr - disc)
-    k_hi = 0.5 * (tr + disc)
-    kappa = np.stack([k_lo.ravel(), k_hi.ravel()], axis=-1)
-    weight = (lam**2 * v * sp * hp * ht).ravel()
-    return SurfaceGeometry(graph, lam, lamp, v, (rho_p, rho_t), (g_pp, g_pt, g_tt),
-                           (h_pp, h_pt, h_tt), kappa, weight, base)
+    disc = np.subtract(w_pp, w_tt, out=tmp)
+    disc *= disc
+    w_pt *= 4.0
+    w_pt *= w_tp
+    disc += w_pt
+    np.maximum(disc, 0.0, out=disc)
+    np.sqrt(disc, out=disc)
+    tr = w_pp
+    tr += w_tt
+    kappa = np.empty(graph.rho.shape + (2,))
+    np.subtract(tr, disc, out=scratch)
+    np.multiply(scratch, 0.5, out=kappa[..., 0])
+    np.add(tr, disc, out=scratch)
+    np.multiply(scratch, 0.5, out=kappa[..., 1])
+    # free the forms' buffers before the geometry allocates V_nu
+    del g_pp, g_pt, g_tt, h_pp, h_pt, h_tt, gi_pp, gi_pt, gi_tt, detg, tmp
+    del w_pp, w_pt, w_tp, w_tt, tr, disc
+
+    phi, _ = graph.angles()
+    weight = np.multiply(lam, lam, out=scratch)    # lam^2 v sin(phi) h_phi h_theta
+    weight *= v
+    weight *= np.sin(phi)[:, None]
+    weight *= graph.h_phi
+    weight *= graph.h_theta
+    return SurfaceGeometry(graph, lam, lamp, v, grad, kappa.reshape(-1, 2),
+                           weight.ravel(), base)
 
 
 def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
@@ -582,6 +697,13 @@ def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
 
 
 def _harmonic(n: int, mode, grid) -> np.ndarray:
+    """The harmonic a mode names, sampled on the grid.
+
+    A mode the grid cannot represent is refused rather than aliased onto
+    a lower one: the azimuth's T nodes carry wavenumbers below T/2 (k for
+    n = 1, m for n = 2), and a meridian, which holds 2P nodes of an n = 2
+    grid once continued over the poles, carries degrees l below P.
+    """
     if n == 2:
         try:
             ell, m = (int(v) for v in mode)
@@ -589,11 +711,19 @@ def _harmonic(n: int, mode, grid) -> np.ndarray:
             raise GenerationError(f"n = 2 mode must be a pair (l, m): {exc}") from exc
         if ell < 0 or not 0 <= m <= ell:
             raise GenerationError(f"mode order out of range: ({ell}, {m})")
+        P, T = grid
+        if m >= T // 2 or ell >= P:
+            raise GenerationError(f"mode ({ell}, {m}) is not resolved by a {P}x{T} grid: "
+                                  f"it needs m < n_theta/2 = {T // 2} and l < n_phi = {P}")
         phi, theta = _angle_grid(n, grid)
         return lpmv(m, ell, np.cos(phi))[:, None] * np.cos(m * theta)[None, :]
     k = int(mode[0]) if np.iterable(mode) else int(mode)
     if k < 0:
         raise GenerationError(f"mode order out of range: {k}")
+    (T,) = grid
+    if k >= T // 2:
+        raise GenerationError(f"mode {k} is not resolved by {T} points: "
+                              f"it needs k < n_theta/2 = {T // 2}")
     return np.cos(k * _angle_grid(n, grid))
 
 

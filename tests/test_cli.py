@@ -78,6 +78,21 @@ class TestGen:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["--n", "1", "--mode", "32", "--grid", "32"],      # would sample an exact circle
+        ["--n", "1", "--mode", "16", "--grid", "32"],
+        ["--mode", "20,16", "--grid", "32x32"],            # m >= n_theta / 2
+        ["--mode", "16,0", "--grid", "16x64"],             # l >= n_phi
+    ])
+    def test_unresolved_mode_exits_2(self, tmp_path, capsys, argv):
+        # a mode the grid cannot represent is refused, not aliased onto
+        # another surface whose meta still names the requested mode
+        out = tmp_path / "x.json"
+        assert main(["gen", "--shape", "perturbed", "--amp", "0.001", *argv,
+                     "--out", str(out)]) == 2
+        assert "is not resolved" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["--shape", "perturbed", "--amp", "0.05", "--mode", "2,0", "--grid", "32x64"],
         ["--shape", "sphere", "--offset", "0.3", "--n", "1", "--grid", "128"],
     ])

@@ -24,6 +24,7 @@ from hkverify.errors import (
 from hkverify.hypersurface import (
     H_MARGIN,
     RadialGraph,
+    _fundamental_forms,
     _harmonic,
     _periodic_d1,
     _periodic_d2,
@@ -221,6 +222,20 @@ class TestGenerators:
         with pytest.raises(RejectedShapeError):
             gen_perturbed_sphere(1.0, 1.5, 2, n=1, grid=64)
 
+    @pytest.mark.parametrize("n, mode, grid", [
+        (1, 32, 32), (1, 16, 32),
+        (2, (20, 16), (32, 32)), (2, (16, 0), (16, 64)), (2, (40, 33), (40, 64)),
+    ])
+    def test_unresolved_modes_refused(self, n, mode, grid):
+        # k, m >= n_theta / 2 or l >= n_phi would alias onto a lower mode
+        with pytest.raises(GenerationError, match="not resolved"):
+            gen_perturbed_sphere(1.0, 0.001, mode, n=n, grid=grid)
+
+    def test_highest_resolved_modes_sample(self):
+        assert _harmonic(1, 15, (32,)).shape == (32,)
+        assert _harmonic(2, (15, 15), (16, 32)).shape == (16, 32)
+        assert _harmonic(2, (31, 0), (32, 64)).shape == (32, 64)
+
     def test_mode_is_the_stated_harmonic(self):
         from scipy.special import lpmv
         g = gen_perturbed_sphere(1.0, 0.01, (3, 2), grid=(16, 32))
@@ -326,6 +341,12 @@ class TestCurvatureCore:
                     assert exc.value.node == int(np.argmin(H))
         assert outcomes == {True, False}
 
+    def test_geometry_keeps_only_what_checks_read(self):
+        # the forms are consumed in place by the builder, never stored
+        for graph in (gen_sphere(1.0, grid=(16, 32)), gen_sphere(1.0, n=1, grid=(64,))):
+            geom = build_geometry(graph)
+            assert not hasattr(geom, "metric") and not hasattr(geom, "second_form")
+
     def test_support_refusal_parity(self):
         # far out cosh(rho) - sinh(rho) / v rounds to zero: the centre route
         # refuses exactly where the potentials about the origin do, at the
@@ -375,8 +396,8 @@ class TestQuadrature:
         g, geom = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0),
                           grid=(16, 32))
         rng = np.random.default_rng(11)
-        f = rng.random(geom.node_count())
-        h = rng.random(geom.node_count())
+        f = rng.random(geom.area_weight.size)
+        h = rng.random(geom.area_weight.size)
         lin = area_integral(geom, 2.0 * f + 3.0 * h)
         parts = 2.0 * area_integral(geom, f) + 3.0 * area_integral(geom, h)
         assert lin == pytest.approx(parts, rel=1e-14)
@@ -410,6 +431,15 @@ class TestQuadrature:
         assert build_geometry(g).weighted_volume == want
         with pytest.raises(ValueError):
             weighted_volume(g, base=np.array([1.0, 0.5, 0.0, 0.0]))
+
+    def test_geometry_volumes_are_the_graph_volumes(self):
+        # the geometry hands its own sinh/cosh(rho) to the same sums
+        base = np.array([math.cosh(0.2), 0.0, math.sinh(0.2)])
+        for n, grid, mode, b in ((1, (64,), 3, base), (2, (16, 32), (3, 1), None)):
+            g = gen_perturbed_sphere(1.0, 0.01, mode, n=n, grid=grid)
+            geom = build_geometry(g, base=b)
+            assert geom.weighted_volume == weighted_volume(g, base=b)
+            assert geom.enclosed_volume == enclosed_volume(g)
 
 
 class TestSymmetries:
@@ -480,7 +510,7 @@ class TestDegeneracy:
 def covariant_hessian_n1(geom, h):
     """Test oracle: V'' - Gamma V' on the curve, Gamma = g'/(2g)."""
     V = geom.V
-    (gm,) = geom.metric
+    (gm,) = _fundamental_forms(geom.graph)[-2]
     dV = _periodic_d1(V, h, 0)
     ddV = _periodic_d2(V, h, 0)
     dg = _periodic_d1(gm, h, 0)
@@ -521,7 +551,7 @@ class TestPotentialConsistency:
             base = oracle.ball_to_hyper(np.array([0.2, 0.1]))
             geom = build_geometry(g, base=base)
             hess = covariant_hessian_n1(geom, g.h_theta)
-            (gm,), (hm,) = geom.metric, geom.second_form
+            (gm,), (hm,) = _fundamental_forms(g)[-2:]
             target = geom.V * gm - geom.V_nu * hm
             errs.append(np.max(np.abs(hess - target)) / np.max(np.abs(target)))
         assert errs[1] <= 1e-5
@@ -542,10 +572,11 @@ class TestPotentialConsistency:
 
         V = geom.V.reshape(P, T)
         Vnu = geom.V_nu.reshape(P, T)
+        metric, second_form = _fundamental_forms(g)[-2:]
         comp = {}
         for k, nm in enumerate(("pp", "pt", "tt")):
-            comp["g" + nm] = geom.metric[k]
-            comp["h" + nm] = geom.second_form[k]
+            comp["g" + nm] = metric[k]
+            comp["h" + nm] = second_form[k]
 
         def d_phi(f):
             out = np.full_like(f, np.nan)

@@ -23,6 +23,7 @@ import hkverify
 from hkverify.errors import PreconditionError, RejectedShapeError
 from hkverify.hypersurface import RadialGraph, build_geometry, gen_perturbed_sphere, gen_sphere
 from hkverify.identities import (
+    DEFAULT_EPS_SWEEP,
     alexandrov_diagnostic,
     gauss_bonnet,
     hk_brendle,
@@ -33,7 +34,8 @@ from hkverify.identities import (
     run_verification,
     tolerance_table,
 )
-from hkverify import hypersurface, symfun
+from hkverify import hypersurface, identities, symfun
+from hkverify.hypersurface import area_integral
 
 
 def _result(report, name):
@@ -202,6 +204,79 @@ class TestPreconditions:
         with pytest.raises(PreconditionError) as exc:
             gauss_bonnet(geom2)
         assert exc.value.check == "gauss-bonnet"
+
+
+def _direct_shifted(geom, eps, k):
+    """Reference sides of minkowski-shifted[eps, k]: each integrated from
+    its own shifted integrand, one node at a time."""
+    shifted = geom.kappa - eps
+    lhs = area_integral(geom, (geom.V - eps * geom.V_nu) * symfun.e_m_values(shifted, k - 1))
+    rhs = area_integral(geom, geom.V_nu * symfun.e_m_values(shifted, k))
+    return lhs, rhs
+
+
+# the stated rounding bound of the moment form, relative to max(|lhs|, |rhs|)
+MOMENT_BOUND = 1e-13
+
+
+class TestShiftedMoments:
+    # every minkowski-shifted row is assembled from 2(n+1) moments of the
+    # shifted curvatures kappa - 1; each must match the integrals of its
+    # own integrands to rounding
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("sphere", dict(radius=0.5, grid=(64, 128))),
+        ("sphere", dict(radius=1.0, grid=(64, 128))),
+        ("sphere", dict(radius=2.0, grid=(64, 128))),
+        ("sphere", dict(radius=1.0, offset=0.3, grid=(64, 128))),
+        ("perturbed", dict(radius=1.0, amp=0.05, mode=(2, 0), grid=(64, 128))),
+        ("perturbed", dict(radius=1.0, amp=0.01, mode=(3, 1), grid=(64, 128))),
+        ("perturbed", dict(radius=1.0, amp=0.01, mode=(3, 2), grid=(64, 128))),
+        ("sphere", dict(radius=1.0, offset=0.25, n=1, grid=256)),
+        ("perturbed", dict(radius=1.0, amp=0.1, mode=2, n=1, grid=1024)),
+    ], ids=["R.5", "R1", "R2", "offset", "lobe", "twist", "tesseral", "circle", "curve"])
+    def test_rows_match_direct_integrands(self, surface, kind, kw):
+        g, geom = surface(kind, **kw)
+        rep = run_verification(g, checks=["minkowski-shifted"],
+                               eps_sweep=(0.0, 0.5, 1.0, 3.0, -2.0), geom=geom)
+        for r in rep.results:
+            lhs, rhs = _direct_shifted(geom, r.metadata["eps"], r.metadata["k"])
+            bound = MOMENT_BOUND * max(abs(r.lhs), abs(r.rhs))
+            for got, want in ((r.lhs, lhs), (r.rhs, rhs), (r.residual, lhs - rhs)):
+                assert abs(got - want) <= bound, (r, want)
+
+
+class TestShiftedSweepCost:
+    # the moments are computed once per report, so kernel calls and exact
+    # sums in minkowski-shifted do not grow with the eps sweep
+
+    @pytest.mark.parametrize("n, grid", [(1, 64), (2, (16, 32))])
+    @pytest.mark.parametrize("eps_sweep", [DEFAULT_EPS_SWEEP, (-2.0, -1.0, 0.0, 0.25, 0.5,
+                                                               1.0, 1.5, 2.0, 3.0)])
+    def test_kernel_calls_and_sums(self, monkeypatch, n, grid, eps_sweep):
+        graph = gen_sphere(1.0, n=n, grid=grid)
+        geom = build_geometry(graph)
+        calls = {"kernel": 0, "sums": 0}
+        kernel, integral = symfun.e_m_values, identities.area_integral
+
+        def counting_kernel(*args, **kw):
+            calls["kernel"] += 1
+            return kernel(*args, **kw)
+
+        def counting_integral(*args, **kw):
+            calls["sums"] += 1
+            return integral(*args, **kw)
+
+        monkeypatch.setattr(symfun, "e_m_values", counting_kernel)
+        monkeypatch.setattr(identities, "area_integral", counting_integral)
+        rep = run_verification(graph, checks=["minkowski-shifted"], eps_sweep=eps_sweep,
+                               geom=geom)
+        assert len(rep.results) == n * len(eps_sweep)
+        assert calls == {"kernel": n, "sums": 2 * (n + 1)}
+        # no other default check calls the kernel
+        calls.update(kernel=0)
+        run_verification(graph, eps_sweep=eps_sweep, geom=geom)
+        assert calls["kernel"] == n
 
 
 class TestAlexandrov:
@@ -536,6 +611,23 @@ class TestProperties:
         # the (2,0) amp 0.01 lobe, under that shape's tolerance but above 0
         r = hk_shifted(build_geometry(graph))
         assert r.residual > 0.0, r
+
+    @given(_centered_profiles(), st.floats(-4.0, 4.0), st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_residual_is_a_binomial_sum_of_unshifted_residuals(self, case, eps, k):
+        # residual(eps, k) = sum_{i=1..k} C(k-1, i-1) (-eps)^(k-i) r_i, with
+        # r_i the unshifted order-i residual: the integrands obey it at
+        # every node and the quadrature is linear
+        graph, _ = case
+        k = min(k, graph.n)
+        geom = build_geometry(graph)
+        row = minkowski_shifted(geom, eps, k)
+        unshifted = [minkowski_shifted(geom, 0.0, i) for i in range(1, k + 1)]
+        weights = [math.comb(k - 1, i - 1) * (-eps) ** (k - i) for i in range(1, k + 1)]
+        want = math.fsum(w * r.residual for w, r in zip(weights, unshifted))
+        scale = max(abs(row.lhs), abs(row.rhs)) + math.fsum(
+            abs(w) * max(abs(r.lhs), abs(r.rhs)) for w, r in zip(weights, unshifted))
+        assert abs(row.residual - want) <= MOMENT_BOUND * scale, (row, want)
 
 
 _REQUEST_SURFACES = {1: gen_sphere(1.0, n=1, grid=64), 2: gen_sphere(1.0, grid=(16, 32))}

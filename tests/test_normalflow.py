@@ -201,7 +201,7 @@ class TestRowKernels:
         for n, grid in ((1, (8,)), (2, (8, 16))):
             geom = copy.copy(surface("sphere", radius=1.0, n=n, grid=grid)[1])
             geom.kappa = data.draw(hnp.arrays(
-                float, (geom.node_count(), n), elements=st.one_of(
+                float, (geom.area_weight.size, n), elements=st.one_of(
                     st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e300, 1e300))))
             assert oracle.same_bits(geom.mean_curvature, np.sum(geom.kappa, axis=-1))
 
@@ -259,7 +259,7 @@ class TestParticles:
     def test_from_geometry(self, surface):
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
         p = FlowParticles.from_geometry(geom)
-        assert p.count() == geom.node_count()
+        assert p.count() == geom.area_weight.size
         assert np.sum(p.w0) == pytest.approx(geom.area(), rel=1e-14)
         assert np.max(np.abs(p.positions_at(0.0) - p.y)) <= 1e-12
         assert np.max(np.abs(p.t_focal - 1.0)) <= 1e-12  # sphere R = 1
@@ -601,7 +601,7 @@ class TestVerifyFlow:
         assert trace.focal_min == pytest.approx(R, abs=1e-12)
         assert trace.t_safe == pytest.approx(0.9 * R, abs=1e-12)
         assert np.all(np.abs(trace.levelset_rel) <= trace.levelset_tol_rel)
-        assert np.all(trace.n_active == geom.node_count())
+        assert np.all(trace.n_active == geom.area_weight.size)
         assert np.all(np.diff(trace.area) < 0.0)
         # boundary term and coarea volume against their closed forms
         assert trace.hk_lhs0 == pytest.approx(2 * math.pi * math.sinh(R) ** 3,
@@ -629,7 +629,7 @@ class TestVerifyFlow:
         assert trace.window_truncated is True
         assert trace.cut_estimate < trace.focal_min
         pair = trace.cut_pair
-        assert 0 <= pair["i"] < pair["j"] < geom.node_count()
+        assert 0 <= pair["i"] < pair["j"] < geom.area_weight.size
         assert pair["d_hit"] < pair["threshold"]
         spacing = np.sqrt(geom.area_weight[[pair["i"], pair["j"]]])
         assert pair["d_init"] >= normalflow.EXCLUSION * np.max(spacing)
