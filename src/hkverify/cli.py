@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import identities, normalflow
+from . import identities
 from ._util import atomic_write_text
 from .errors import (
     DegenerateSurfaceError,
@@ -169,6 +169,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    # the flow is the only command that needs scipy.spatial's KD-trees
+    from . import normalflow
+
     graph = _load(args.surface)
     trace = normalflow.verify_flow(graph)
     if args.trace:

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import lpmv
 
 from . import hypgeo
 from ._util import atomic_write_text, exact_sum
@@ -672,8 +671,8 @@ def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
     form of s avoids the cancellation in cosh(d)^2 - sinh(d)^2 cos(gamma)^2
     at gamma = 0.
     """
-    if radius <= 0.0:
-        raise GenerationError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise GenerationError(f"radius must be positive and finite, got {radius}")
     if not 0.0 <= center_offset < radius:
         raise GenerationError(
             f"center offset must satisfy 0 <= offset < radius, got {center_offset}"
@@ -715,6 +714,9 @@ def _harmonic(n: int, mode, grid) -> np.ndarray:
         if m >= T // 2 or ell >= P:
             raise GenerationError(f"mode ({ell}, {m}) is not resolved by a {P}x{T} grid: "
                                   f"it needs m < n_theta/2 = {T // 2} and l < n_phi = {P}")
+        # imported here, its only use: scipy.special costs ~0.3 s to load
+        from scipy.special import lpmv
+
         phi, theta = _angle_grid(n, grid)
         return lpmv(m, ell, np.cos(phi))[:, None] * np.cos(m * theta)[None, :]
     k = int(mode[0]) if np.iterable(mode) else int(mode)
@@ -732,16 +734,26 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
     """Sphere of the given radius with a single harmonic perturbation.
 
     n = 2 takes mode = (l, m) and perturbs by amp * P_l^m(cos phi) cos(m
-    theta); n = 1 takes an integer Fourier mode k.  The result is validated
-    post-hoc: rho must stay positive and the mean curvature must stay above
-    n everywhere, otherwise the shape is rejected with the violating node.
+    theta); n = 1 takes an integer Fourier mode k.  A radius, amplitude or
+    sampled harmonic that is not finite is refused with GenerationError.
+    The result is validated post-hoc: rho must stay positive and the mean
+    curvature must stay above n everywhere, otherwise the shape is rejected
+    with the violating node.
     H comes from build_geometry(graph), so a shape it would refuse is
     refused here the same way; positions and normals are never built.
     """
-    if radius <= 0.0:
-        raise GenerationError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise GenerationError(f"radius must be positive and finite, got {radius}")
+    if not math.isfinite(amp):
+        raise GenerationError(f"amplitude must be finite, got {amp}")
     grid = tuple(int(g) for g in (grid if np.iterable(grid) else (grid,)))
-    rho = radius + amp * _harmonic(n, mode, grid)
+    harmonic = _harmonic(n, mode, grid)
+    if not np.all(np.isfinite(harmonic)):
+        # unnormalised P_l^m leaves the float range at high orders: it is
+        # inf at (86, 85) on 128 colatitudes and NaN at (255, 100) on 256
+        raise GenerationError(f"mode {mode} has a non-finite harmonic on a "
+                              f"{'x'.join(map(str, grid))} grid")
+    rho = radius + amp * harmonic
     flat = rho.ravel()
     bad = np.nonzero(flat <= 0.0)[0]
     if bad.size:

@@ -64,7 +64,6 @@ __all__ = [
     "evolve_curvature",
     "evolve_potentials",
     "area_jacobian",
-    "focal_time",
     "focal_times",
     "estimate_cut_time",
     "verify_flow",
@@ -137,16 +136,12 @@ def area_jacobian(kappa0, t):
     return out if out.ndim else float(out)
 
 
-def focal_time(kappa0) -> float:
-    """First time a Jacobian factor vanishes: min artanh(1/kappa_i).
-
-    Only curvatures above 1 focus; if there are none the time is +inf.
-    """
-    return float(focal_times(np.reshape(kappa0, (1, -1)))[0])
-
-
 def focal_times(kappa0) -> np.ndarray:
-    """Per-row focal times for an (N, n) array of curvature tuples."""
+    """Per-row focal times for an (N, n) array of curvature tuples: the
+    first time a Jacobian factor vanishes, min_i artanh(1/kappa_i).
+
+    Only curvatures above 1 focus; a row with none gets +inf.
+    """
     kappa0 = np.asarray(kappa0, dtype=float)
     # kappa <= 1 never focuses; the clamp keeps 1 / kappa finite there
     with np.errstate(divide="ignore"):

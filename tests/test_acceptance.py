@@ -30,7 +30,7 @@ from hkverify.normalflow import (
     FlowParticles,
     evolve_curvature,
     evolve_potentials,
-    focal_time,
+    focal_times,
     verify_flow,
 )
 
@@ -142,7 +142,7 @@ def test_criterion_07_closed_forms_vs_oracles(surface, rng):
 
     for _ in range(25):
         k0 = float(rng.uniform(-2.0, 3.0))
-        T = min(0.9 * focal_time([k0]), 1.5)
+        T = min(0.9 * focal_times([[k0]])[0], 1.5)
         want = rk4(k0, T, max(int(T / 1e-3), 10))
         assert abs(evolve_curvature(k0, T) - want) <= 1e-8 * max(1.0, abs(want))
 
@@ -158,7 +158,7 @@ def test_criterion_07_closed_forms_vs_oracles(surface, rng):
 
     for R in np.linspace(0.3, 3.0, 10):
         k = math.cosh(R) / math.sinh(R)
-        assert abs(focal_time([k]) - R) <= 1e-12
+        assert abs(focal_times([[k]])[0] - R) <= 1e-12
     print("criterion-07 evolution laws match ODE/geodesic oracles: PASS")
 
 

@@ -69,12 +69,31 @@ class TestGen:
         ["--shape", "perturbed", "--radius", "0"],
         ["--shape", "perturbed", "--radius", "-1", "--n", "1", "--mode", "2", "--grid", "64"],
         ["--shape", "perturbed", "--amp", "0.3", "--mode", "2,0"],  # H <= 2
+        ["--shape", "sphere", "--radius", "nan"],
+        ["--shape", "sphere", "--radius", "inf"],
     ])
     def test_refused_generation_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.json"
         grid = [] if "--grid" in argv else ["--grid", "32x64"]
         assert main(["gen", *argv, *grid, "--out", str(out)]) == 2
         assert "generation error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["--amp", "0.01", "--mode", "255,100", "--grid", "256x512"],
+         "mode (255, 100) has a non-finite harmonic on a 256x512 grid"),
+        (["--amp", "0.01", "--mode", "86,85", "--grid", "128x256"],
+         "mode (86, 85) has a non-finite harmonic on a 128x256 grid"),
+        (["--amp", "nan", "--grid", "32x64"], "amplitude must be finite, got nan"),
+        (["--amp=-inf", "--n", "1", "--mode", "2", "--grid", "64"],
+         "amplitude must be finite, got -inf"),
+        (["--radius", "nan", "--grid", "32x64"], "radius must be positive and finite"),
+    ])
+    def test_non_finite_perturbation_exits_2(self, tmp_path, capsys, argv, cause):
+        # these used to reach RadialGraph's non-finite rho check and exit 64
+        out = tmp_path / "x.json"
+        assert main(["gen", "--shape", "perturbed", *argv, "--out", str(out)]) == 2
+        assert cause in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

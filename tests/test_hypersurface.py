@@ -206,6 +206,27 @@ class TestGenerators:
         with pytest.raises(GenerationError):
             gen_perturbed_sphere(-2.0, 0.01, (2, 0), grid=(16, 32))
 
+    @pytest.mark.parametrize("radius, amp, mode, grid, match", [
+        (1.0, math.nan, (2, 0), (16, 32), "amplitude must be finite, got nan"),
+        (1.0, math.inf, (2, 0), (16, 32), "amplitude must be finite, got inf"),
+        (1.0, -math.inf, 2, (64,), "amplitude must be finite, got -inf"),
+        # resolved modes whose unnormalised P_l^m leaves the float range
+        (1.0, 0.01, (86, 85), (128, 256), r"mode \(86, 85\) has a non-finite harmonic"),
+        (1.0, 0.01, (255, 100), (256, 512), r"mode \(255, 100\) has a non-finite harmonic"),
+        (1.0, 0.0, (255, 100), (256, 512), "non-finite harmonic"),
+        (math.nan, 0.01, (2, 0), (16, 32), "radius must be positive and finite"),
+        (math.inf, 0.01, (2, 0), (16, 32), "radius must be positive and finite"),
+    ])
+    def test_perturbed_rejects_non_finite_input(self, radius, amp, mode, grid, match):
+        # a GenerationError, not RadialGraph's ValueError: exit 2, not 64
+        with pytest.raises(GenerationError, match=match):
+            gen_perturbed_sphere(radius, amp, mode, n=len(grid), grid=grid)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_gen_sphere_rejects_non_finite_radius(self, radius):
+        with pytest.raises(GenerationError, match="radius must be positive and finite"):
+            gen_sphere(radius, grid=(16, 32))
+
     def test_perturbed_rejects_h_violation(self):
         # a deep mode-2 dent flattens the curve below the horosphere bound
         with pytest.raises(RejectedShapeError) as exc:

@@ -38,7 +38,6 @@ from hkverify.normalflow import (
     estimate_cut_time,
     evolve_curvature,
     evolve_potentials,
-    focal_time,
     focal_times,
     verify_flow,
 )
@@ -73,7 +72,7 @@ class TestCurvatureEvolution:
     def test_against_rk4(self, rng):
         for _ in range(25):
             k0 = float(rng.uniform(-2.0, 3.0))
-            tf = focal_time([k0])
+            tf = focal_times([[k0]])[0]
             T = min(0.9 * tf, 1.5)
             got = evolve_curvature(k0, T)
             want = rk4_curvature(k0, T, max(int(T / 1e-3), 10))
@@ -143,7 +142,7 @@ class TestJacobian:
         d = 1e-5
         for _ in range(20):
             k = rng.uniform(-1.5, 2.5, size=2)
-            tf = focal_time(k)
+            tf = focal_times([k])[0]
             for t in (0.0, min(0.4 * tf, 0.5)):
                 lo = math.log(area_jacobian(k, t - d))
                 hi = math.log(area_jacobian(k, t + d))
@@ -231,16 +230,16 @@ class TestRowKernels:
 
 class TestFocalTimes:
     def test_frozen_value(self):
-        assert focal_time([2.0]) == pytest.approx(0.5493061443340549, abs=1e-15)
+        assert focal_times([[2.0]])[0] == pytest.approx(0.5493061443340549, abs=1e-15)
 
     def test_sphere_focuses_at_its_radius(self):
         for R in (0.5, 1.0, 2.0):
             k = math.cosh(R) / math.sinh(R)
-            assert focal_time([k, k]) == pytest.approx(R, abs=1e-12)
+            assert focal_times([[k, k]])[0] == pytest.approx(R, abs=1e-12)
 
     def test_nonfocusing(self):
-        assert focal_time([1.0, 0.3, -5.0]) == math.inf
-        assert focal_time([]) == math.inf
+        assert focal_times([[1.0, 0.3, -5.0]])[0] == math.inf
+        assert focal_times(np.empty((1, 0)))[0] == math.inf
 
     def test_vectorized_rows(self):
         k = np.array([[2.0, 4.0], [0.5, 1.0], [3.0, -1.0]])
@@ -252,7 +251,8 @@ class TestFocalTimes:
     def test_subnormal_curvatures_never_focus(self):
         # 1 / 5e-324 overflows; warnings are errors in the test run
         t = focal_times(np.array([[5e-324, 2.0], [-5e-324, 2.0], [5e-324, -5e-324]]))
-        assert list(t) == [focal_time([2.0]), focal_time([2.0]), math.inf]
+        two = focal_times([[2.0]])[0]
+        assert list(t) == [two, two, math.inf]
 
 
 class TestParticles:
