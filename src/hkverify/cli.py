@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -32,8 +33,8 @@ from .errors import (
     RejectedShapeError,
 )
 from .hypersurface import (
+    _perturbed_geometry,
     build_geometry,
-    gen_perturbed_sphere,
     gen_sphere,
     load_surface,
     save_surface,
@@ -56,7 +57,16 @@ _EPS_DEFAULT = ",".join(f"{e:g}" for e in identities.DEFAULT_EPS_SWEEP)
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage exit code moved off 2, which means
-    generation failure here."""
+    generation failure here, and with every negative number taken as a
+    value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse internal: an argument that starts with "-" is read as a
+        # value only when this pattern matches it.  Python 3.11's pattern
+        # (-1, -.5) leaves `--amp -1e-3`, `--radius -inf` and `--eps -0.5,1`
+        # to fail as unknown flags; no option here is spelt like a number
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -113,10 +123,13 @@ def _shape_arguments(sub):
 
 
 def _generate(args, grid):
+    """The requested surface's centred geometry, built once: a perturbed
+    surface's is the one its generator validated H on."""
     if args.shape == "sphere":
-        return gen_sphere(args.radius, center_offset=args.offset, n=args.n, grid=grid)
-    return gen_perturbed_sphere(args.radius, args.amp, _parse_mode(args.mode, args.n),
-                                n=args.n, grid=grid)
+        return build_geometry(gen_sphere(args.radius, center_offset=args.offset,
+                                         n=args.n, grid=grid))
+    return _perturbed_geometry(args.radius, args.amp, _parse_mode(args.mode, args.n),
+                               args.n, grid)
 
 
 def _load(path):
@@ -130,14 +143,13 @@ def _load(path):
 
 def cmd_gen(args) -> int:
     grid = _parse_grid(args.grid, args.n)
-    graph = _generate(args, grid)
-    geom = build_geometry(graph)
-    save_surface(graph, args.out)
+    geom = _generate(args, grid)
+    save_surface(geom.graph, args.out)
     kappa = geom.kappa
     H = geom.mean_curvature
     print(f"wrote {args.out}")
     print(f"kappa range: [{np.min(kappa):.9g}, {np.max(kappa):.9g}]")
-    print(f"min H - n: {np.min(H) - graph.n:.9g}")
+    print(f"min H - n: {np.min(H) - geom.n:.9g}")
     print(f"umbilicity spread: {np.max(kappa) - np.min(kappa):.9g}")
     return EXIT_OK
 
@@ -192,23 +204,27 @@ def cmd_flow(args) -> int:
     return EXIT_OK
 
 
-def _convergence_residuals(args, n_phi: int):
-    """Relative residuals of the requested series at one refinement level."""
+_SERIES = ("minkowski-classical", "minkowski-shifted", "gauss-bonnet", "umbilic-spread")
+
+
+def _convergence_residuals(args, names, eps_sweep, n_phi: int):
+    """Relative residuals of the requested series at one refinement level,
+    in request order, from one geometry and at most one report."""
     grid = (n_phi, 2 * n_phi) if args.n == 2 else (n_phi,)
-    graph = _generate(args, grid)
-    geom = build_geometry(graph)
+    geom = _generate(args, grid)
+    checks = [name for name in names if name != "umbilic-spread"]
+    results = identities.run_verification(geom.graph, checks, eps_sweep,
+                                          geom=geom).results if checks else []
     out = {}
-    for check in (c.strip() for c in args.checks.split(",")):
-        if check == "umbilic-spread":
+    for name in names:
+        if name == "umbilic-spread":
             spread = float(np.max(geom.kappa) - np.min(geom.kappa))
-            out[check] = spread / float(np.max(np.abs(geom.kappa)))
-        elif check in ("minkowski-classical", "minkowski-shifted", "gauss-bonnet"):
-            report = identities.run_verification(graph, [check], _parse_floats(args.eps),
-                                                 geom=geom)
-            out.update((r.name, abs(r.rel_residual)) for r in report.results)
+            out[name] = spread / float(np.max(np.abs(geom.kappa)))
         else:
-            raise ValueError(f"check {check!r} has no convergence series")
-    return graph.resolution, out
+            # a minkowski-shifted row is named minkowski-shifted[eps=...,k=...]
+            out.update((r.name, abs(r.rel_residual)) for r in results
+                       if r.name.partition("[")[0] == name)
+    return geom.resolution, out
 
 
 def cmd_convergence(args) -> int:
@@ -217,11 +233,19 @@ def cmd_convergence(args) -> int:
         raise ValueError("convergence needs at least 3 refinement levels")
     if sorted(levels) != levels or len(set(levels)) != len(levels):
         raise ValueError("levels must be strictly increasing")
+    # the series are refused before any level is generated
+    names = [c.strip() for c in args.checks.split(",")]
+    for name in names:
+        if name not in _SERIES:
+            raise ValueError(f"check {name!r} has no convergence series")
+    if len(set(names)) != len(names):
+        raise ValueError(f"an entry of {names} is requested twice")
+    eps_sweep = _parse_floats(args.eps)
 
     hs = []
     series: dict[str, list[float]] = {}
     for n_phi in levels:
-        h, residuals = _convergence_residuals(args, n_phi)
+        h, residuals = _convergence_residuals(args, names, eps_sweep, n_phi)
         hs.append(h)
         for name, value in residuals.items():
             series.setdefault(name, []).append(value)

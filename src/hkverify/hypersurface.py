@@ -741,7 +741,16 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
     with the violating node.
     H comes from build_geometry(graph), so a shape it would refuse is
     refused here the same way; positions and normals are never built.
+    That geometry is dropped: a caller that also needs it (the CLI's `gen`
+    and `convergence`) takes it from `_perturbed_geometry` instead of
+    building it a second time.
     """
+    return _perturbed_geometry(radius, amp, mode, n, grid).graph
+
+
+def _perturbed_geometry(radius: float, amp: float, mode, n: int,
+                        grid) -> SurfaceGeometry:
+    """The centred geometry `gen_perturbed_sphere` validates its surface on."""
     if not 0.0 < radius < math.inf:
         raise GenerationError(f"radius must be positive and finite, got {radius}")
     if not math.isfinite(amp):
@@ -765,10 +774,11 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
         {"shape": "perturbed", "radius": float(radius), "amp": float(amp),
          "mode": list(mode) if np.iterable(mode) else [int(mode)]},
     )
-    H = build_geometry(graph).mean_curvature
+    geom = build_geometry(graph)
+    H = geom.mean_curvature
     worst = int(np.argmin(H))
     if H[worst] <= n + H_MARGIN:
         raise RejectedShapeError(
             f"mean curvature {H[worst]:.6g} is not above {n}", node=worst
         )
-    return graph
+    return geom

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hkverify import cli, errors
+from hkverify import cli, errors, hypersurface
 from hkverify.cli import build_parser, main
 from hkverify.hypersurface import (
     RadialGraph,
@@ -126,6 +126,33 @@ class TestGen:
             f"min H - n: {np.min(H) - geom.n:.9g}",
             f"umbilicity spread: {np.max(k) - np.min(k):.9g}",
         ]
+
+    @pytest.mark.parametrize("argv, surface", [
+        (["--shape", "perturbed", "--amp", "0.05", "--mode", "2,0", "--grid", "32x64"],
+         lambda: gen_perturbed_sphere(1.0, 0.05, (2, 0), grid=(32, 64))),
+        (["--shape", "perturbed", "--amp", "0.02", "--mode", "3", "--n", "1",
+          "--grid", "256"],
+         lambda: gen_perturbed_sphere(1.0, 0.02, 3, n=1, grid=(256,))),
+        (["--shape", "sphere", "--offset", "0.3", "--grid", "32x64"],
+         lambda: gen_sphere(1.0, center_offset=0.3, grid=(32, 64))),
+    ])
+    def test_printout_describes_the_written_file(self, tmp_path, capsys, argv, surface):
+        # gen prints the geometry it generated with, never another surface's:
+        # the file holds the library generator's surface byte for byte, and
+        # each printed value is that file's geometry at the printed precision
+        out, want = tmp_path / "s.json", tmp_path / "want.json"
+        assert main(["gen", *argv, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        save_surface(surface(), want)
+        assert out.read_bytes() == want.read_bytes()
+        lo, hi = re.search(r"^kappa range: \[(\S+), (\S+)\]$", printed, re.M).groups()
+        gap = re.search(r"^min H - n: (\S+)$", printed, re.M).group(1)
+        spread = re.search(r"^umbilicity spread: (\S+)$", printed, re.M).group(1)
+        geom = build_geometry(load_surface(out))
+        k, H = geom.kappa, geom.mean_curvature
+        assert (lo, hi, gap, spread) == (
+            f"{np.min(k):.9g}", f"{np.max(k):.9g}", f"{np.min(H) - geom.n:.9g}",
+            f"{np.max(k) - np.min(k):.9g}")
 
     @pytest.mark.parametrize("argv", [
         ["--shape", "sphere", "--radius", "800"],
@@ -393,6 +420,134 @@ class TestConvergence:
                      "--checks", "hk-brendle", "--out", str(table)]) == 64
         assert "'hk-brendle' has no convergence series" in capsys.readouterr().err
         assert not table.exists()
+
+    @pytest.mark.parametrize("checks, cause", [
+        ("minkowski-classical,hk-brendle", "'hk-brendle' has no convergence series"),
+        ("umbilic-spread,", "'' has no convergence series"),
+        ("minkowski-classical,minkowski-classical", "is requested twice"),
+        ("umbilic-spread,gauss-bonnet,umbilic-spread", "is requested twice"),
+    ])
+    def test_series_refused_before_any_level(self, monkeypatch, capsys, checks, cause):
+        # an unknown or repeated series name is a usage error found before
+        # the first level is generated, not after
+        def never(*_):
+            raise AssertionError("a level was generated")
+
+        monkeypatch.setattr(cli, "_generate", never)
+        assert main(["convergence", "--n", "1", "--levels", "32,64,128",
+                     "--checks", checks]) == 64
+        assert cause in capsys.readouterr().err
+
+
+class TestNegativeValues:
+    """A negative value in any float spelling reaches the library's rule
+    instead of being read as an unknown flag (exit 64)."""
+
+    @pytest.mark.parametrize("argv, amp", [
+        (["--amp", "-1e-3"], -1e-3),
+        (["--amp", "-0.001"], -1e-3),
+        (["--amp=-1e-3"], -1e-3),
+        (["--amp", "-1E-3"], -1e-3),
+        (["--amp", "-.001"], -1e-3),
+    ])
+    def test_negative_amplitude_generates(self, tmp_path, argv, amp):
+        out, want = tmp_path / "s.json", tmp_path / "want.json"
+        assert main(["gen", "--shape", "perturbed", *argv, "--grid", "16x32",
+                     "--out", str(out)]) == 0
+        save_surface(gen_perturbed_sphere(1.0, amp, (2, 0), grid=(16, 32)), want)
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["--shape", "perturbed", "--amp", "-inf"], "amplitude must be finite, got -inf"),
+        (["--shape", "perturbed", "--amp", "-Infinity"], "amplitude must be finite, got -inf"),
+        (["--shape", "perturbed", "--radius", "-inf"], "radius must be positive and finite"),
+        (["--shape", "sphere", "--radius", "-inf"], "radius must be positive and finite"),
+        (["--shape", "sphere", "--radius", "-1e0"], "radius must be positive and finite"),
+        (["--shape", "sphere", "--offset", "-1e-1"], "0 <= offset < radius"),
+    ])
+    def test_refused_negative_values_exit_2(self, tmp_path, capsys, argv, cause):
+        out = tmp_path / "x.json"
+        assert main(["gen", *argv, "--grid", "16x32", "--out", str(out)]) == 2
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.fixture()
+    def sphere(self, tmp_path):
+        surf = tmp_path / "s.json"
+        save_surface(gen_sphere(1.0, grid=(16, 32)), surf)
+        return str(surf)
+
+    def test_verify_negative_shift(self, sphere, capsys):
+        assert main(["verify", "--surface", sphere, "--checks", "minkowski-shifted",
+                     "--eps", "-0.5,1", "--k", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == [
+            "minkowski-shifted[eps=-0.5,k=1]", "minkowski-shifted[eps=1,k=1]"]
+
+    @pytest.mark.parametrize("tol", ["-1e-3", "-0.001", "-inf"])
+    def test_verify_negative_tolerance_exits_64(self, sphere, capsys, tol):
+        assert main(["verify", "--surface", sphere, "--tol", tol]) == 64
+        assert "tol must be 'auto' or a finite number >= 0" in capsys.readouterr().err
+
+    def test_convergence_negative_shift(self, tmp_path):
+        table = tmp_path / "orders.csv"
+        assert main(["convergence", "--n", "1", "--levels", "32,64,128",
+                     "--checks", "minkowski-shifted", "--eps", "-0.5,1",
+                     "--out", str(table)]) == 0
+        names = [line.rsplit(",", 5)[0] for line in table.read_text().splitlines()[1:]]
+        assert names == ["minkowski-shifted[eps=-0.5,k=1]"] * 3 + ["minkowski-shifted[eps=1,k=1]"] * 3
+
+    def test_flags_stay_flags(self):
+        # the pattern takes numbers only: -h is still help
+        assert main(["gen", "-h"]) == 0
+        assert main(["gen", "--out", "x.json", "-x"]) == 64
+
+
+class TestBuildCount:
+    """Each CLI command builds each surface's geometry once.
+
+    Every build runs the cores, which look `_fundamental_forms` up in the
+    module when called, so counting its calls counts builds whatever the
+    caller imported."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        forms = hypersurface._fundamental_forms
+
+        def counted(graph):
+            calls.append(graph.rho.shape)
+            return forms(graph)
+
+        monkeypatch.setattr(hypersurface, "_fundamental_forms", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["--shape", "perturbed", "--amp", "0.05", "--mode", "2,0", "--grid", "32x64"],
+        ["--shape", "perturbed", "--amp", "0.05", "--mode", "2", "--n", "1", "--grid", "128"],
+        ["--shape", "sphere", "--offset", "0.3", "--grid", "32x64"],
+    ])
+    def test_gen_builds_once(self, tmp_path, builds, argv):
+        assert main(["gen", *argv, "--out", str(tmp_path / "s.json")]) == 0
+        assert len(builds) == 1
+
+    def test_verify_builds_once(self, tmp_path, builds):
+        surf = tmp_path / "s.json"
+        save_surface(gen_sphere(1.0, center_offset=0.3, grid=(16, 32)), surf)
+        assert main(["verify", "--surface", str(surf), "--checks",
+                     "minkowski-classical,minkowski-shifted,hk-brendle,hk-shifted,"
+                     "alexandrov"]) == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--shape", "perturbed", "--amp", "0.05", "--mode", "2,0",
+         "--checks", "minkowski-classical,umbilic-spread,minkowski-shifted"],
+        ["--shape", "perturbed", "--amp", "0.05", "--mode", "2", "--n", "1",
+         "--checks", "gauss-bonnet,minkowski-classical,minkowski-shifted"],
+    ])
+    def test_convergence_builds_once_per_level(self, builds, argv):
+        main(["convergence", *argv, "--levels", "16,32,64"])
+        assert len(builds) == 3 and len(set(builds)) == 3
 
 
 class TestUsage:

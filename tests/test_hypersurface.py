@@ -28,6 +28,7 @@ from hkverify.hypersurface import (
     _harmonic,
     _periodic_d1,
     _periodic_d2,
+    _perturbed_geometry,
     area_integral,
     build_geometry,
     enclosed_volume,
@@ -226,6 +227,19 @@ class TestGenerators:
     def test_gen_sphere_rejects_non_finite_radius(self, radius):
         with pytest.raises(GenerationError, match="radius must be positive and finite"):
             gen_sphere(radius, grid=(16, 32))
+
+    @pytest.mark.parametrize("n, mode, grid", [(2, (2, 0), (16, 32)), (1, 2, (64,))])
+    def test_perturbed_geometry_is_the_surface_built(self, n, mode, grid):
+        # the geometry the generator validates on is, bit for bit, the one
+        # build_geometry makes of the surface it returns
+        geom = _perturbed_geometry(1.0, 0.05, mode, n, grid)
+        graph = gen_perturbed_sphere(1.0, 0.05, mode, n=n, grid=grid)
+        assert geom.graph.to_dict() == graph.to_dict()
+        fresh = build_geometry(graph)
+        for name in ("sinh_rho", "cosh_rho", "v", "kappa", "area_weight", "V", "V_nu"):
+            assert np.array_equal(getattr(geom, name), getattr(fresh, name)), name
+        assert all(np.array_equal(a, b) for a, b in zip(geom.grad, fresh.grad))
+        assert np.array_equal(geom.base, fresh.base)
 
     def test_perturbed_rejects_h_violation(self):
         # a deep mode-2 dent flattens the curve below the horosphere bound
