@@ -207,12 +207,11 @@ def cmd_flow(args) -> int:
 _SERIES = ("minkowski-classical", "minkowski-shifted", "gauss-bonnet", "umbilic-spread")
 
 
-def _convergence_residuals(args, names, eps_sweep, n_phi: int):
+def _convergence_residuals(args, names, checks, eps_sweep, n_phi: int):
     """Relative residuals of the requested series at one refinement level,
-    in request order, from one geometry and at most one report."""
+    in request order, from one geometry and at most one report of `checks`."""
     grid = (n_phi, 2 * n_phi) if args.n == 2 else (n_phi,)
     geom = _generate(args, grid)
-    checks = [name for name in names if name != "umbilic-spread"]
     results = identities.run_verification(geom.graph, checks, eps_sweep,
                                           geom=geom).results if checks else []
     out = {}
@@ -233,7 +232,7 @@ def cmd_convergence(args) -> int:
         raise ValueError("convergence needs at least 3 refinement levels")
     if sorted(levels) != levels or len(set(levels)) != len(levels):
         raise ValueError("levels must be strictly increasing")
-    # the series are refused before any level is generated
+    # the series and their report's request are refused before any level
     names = [c.strip() for c in args.checks.split(",")]
     for name in names:
         if name not in _SERIES:
@@ -241,11 +240,14 @@ def cmd_convergence(args) -> int:
     if len(set(names)) != len(names):
         raise ValueError(f"an entry of {names} is requested twice")
     eps_sweep = _parse_floats(args.eps)
+    checks = [name for name in names if name != "umbilic-spread"]
+    if checks:
+        identities._check_request(args.n, checks, eps_sweep, None, "auto")
 
     hs = []
     series: dict[str, list[float]] = {}
     for n_phi in levels:
-        h, residuals = _convergence_residuals(args, names, eps_sweep, n_phi)
+        h, residuals = _convergence_residuals(args, names, checks, eps_sweep, n_phi)
         hs.append(h)
         for name, value in residuals.items():
             series.setdefault(name, []).append(value)

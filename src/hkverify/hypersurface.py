@@ -49,8 +49,6 @@ __all__ = [
     "build_geometry",
     "geometry_for",
     "area_integral",
-    "weighted_volume",
-    "enclosed_volume",
     "gen_sphere",
     "gen_perturbed_sphere",
     "save_surface",
@@ -141,18 +139,25 @@ class RadialGraph:
     def from_dict(cls, data: dict) -> "RadialGraph":
         """A graph from its to_dict() record; any malformed record is a ValueError."""
         try:
-            n, grid, meta = int(data["n"]), data["grid"], data.get("meta", {})
+            n, grid, meta = _json_int(data, "n"), data["grid"], data.get("meta", {})
             if n not in (1, 2):
                 raise ValueError(f"unsupported dimension n = {n}")
             if not (isinstance(grid, dict) and isinstance(meta, dict)):
                 raise ValueError("grid and meta must be JSON objects")
-            shape = tuple(int(grid[key]) for key in ("n_phi", "n_theta")[2 - n:])
+            shape = tuple(_json_int(grid, key) for key in ("n_phi", "n_theta")[2 - n:])
             flat = _rho_from_text(data["rho"], math.prod(shape))
         except KeyError as exc:
             raise ValueError(f"malformed surface record: missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed surface record: {exc}") from exc
         return cls(n, flat.reshape(shape), dict(meta))
+
+
+def _json_int(record: dict, key: str) -> int:
+    """record[key], which must be a JSON integer: 2.0, "2" and true are refused."""
+    if type(record[key]) is not int:
+        raise ValueError(f"{key} must be an integer, got {record[key]!r}")
+    return record[key]
 
 
 def _rho_bytes(rho) -> bytes:
@@ -345,11 +350,11 @@ class SurfaceGeometry:
 
     @cached_property
     def enclosed_volume(self) -> float:
-        """Unweighted volume of the enclosed region."""
-        return _enclosed_volume(self.graph, self.sinh_rho, self.cosh_rho)
-
-    def area(self) -> float:
-        return exact_sum(self.area_weight)
+        """Unweighted volume of the enclosed region (exact radial integral)."""
+        lam, lamp = self.sinh_rho, self.cosh_rho
+        radial = lamp - 1.0 if self.n == 1 else (lam * lamp - self.graph.rho) / 2.0
+        radial *= _sigma_weights(self.graph)
+        return exact_sum(radial)
 
 
 def area_integral(geom: SurfaceGeometry, values) -> float:
@@ -387,8 +392,10 @@ def _directions(graph: RadialGraph) -> np.ndarray:
     )
 
 
-def weighted_volume(graph: RadialGraph, base=None) -> float:
-    """Integral of the potential V = -<x, base> over the enclosed region.
+def _weighted_volume(graph: RadialGraph, lam, lamp, base) -> float:
+    """Integral of the potential V = -<x, base> over the enclosed region,
+    from lam = sinh(rho) and lamp = cosh(rho), which a geometry already
+    holds; `base` is a validated point.
 
     The integrand is linear in x = (cosh r, sinh r w), so per direction w
     the radial integral is exact:
@@ -397,20 +404,9 @@ def weighted_volume(graph: RadialGraph, base=None) -> float:
 
     where the last integral is (cosh rho - 1)^2 (cosh rho + 2) / 3 for
     n = 2 and (sinh rho cosh rho - rho) / 2 for n = 1.  Only the angular
-    quadrature is discrete.  `base` defaults to the graph's center, the
-    coordinate origin, where the second term vanishes.
+    quadrature is discrete.  About the graph's center, the coordinate
+    origin, the second term vanishes.
     """
-    if base is None:
-        base = hypgeo.origin(graph.n)
-    else:
-        base = np.asarray(base, dtype=float)
-        hypgeo.validate_point(base)
-    return _weighted_volume(graph, np.sinh(graph.rho), np.cosh(graph.rho), base)
-
-
-def _weighted_volume(graph: RadialGraph, lam, lamp, base) -> float:
-    """weighted_volume from lam = sinh(rho) and lamp = cosh(rho), which a
-    geometry already holds; `base` is a validated point."""
     n = graph.n
     if n == 2:
         tilt = (lamp - 1.0) ** 2 * (lamp + 2.0) / 3.0
@@ -421,21 +417,6 @@ def _weighted_volume(graph: RadialGraph, lam, lamp, base) -> float:
     # directions, but keep the NaN of 0 * tilt where tilt overflows
     along = _directions(graph) @ base[1:] if base[1:].any() else 0.0
     radial -= along * tilt
-    radial *= _sigma_weights(graph)
-    return exact_sum(radial)
-
-
-def enclosed_volume(graph: RadialGraph) -> float:
-    """Unweighted volume of the enclosed region (exact radial integral)."""
-    return _enclosed_volume(graph, np.sinh(graph.rho), np.cosh(graph.rho))
-
-
-def _enclosed_volume(graph: RadialGraph, lam, lamp) -> float:
-    """enclosed_volume from lam = sinh(rho) and lamp = cosh(rho)."""
-    if graph.n == 1:
-        radial = lamp - 1.0
-    else:
-        radial = (lam * lamp - graph.rho) / 2.0
     radial *= _sigma_weights(graph)
     return exact_sum(radial)
 

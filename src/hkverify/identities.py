@@ -204,18 +204,22 @@ def _shifted_row(geom: SurfaceGeometry, moments: tuple, eps: float, k: int,
                   geom, lhs, rhs, tol, {"eps": eps, "k": k})
 
 
-def minkowski_shifted(geom: SurfaceGeometry, eps: float = 1.0, k: int = 1,
-                      tol="auto") -> CheckResult:
-    """Shifted Minkowski identity at shift eps and order k.
+def minkowski_shifted(geom: SurfaceGeometry, eps_sweep=DEFAULT_EPS_SWEEP, k_list=None,
+                      tol="auto") -> list[CheckResult]:
+    """The shifted Minkowski identities: one row per order k (default 1..n)
+    and shift eps, k-major, all from one set of moments.
 
-    Both sides come from the moments, as in `run_verification`, and agree
-    with the integrals of the shifted integrands to rounding: within 1e-13
-    of max(|lhs|, |rhs|) on the calibrated family.
+    A k outside 1..n is refused with PreconditionError before any moment is
+    computed.  Each row agrees with the integrals of its shifted integrands
+    to rounding: within 1e-13 of max(|lhs|, |rhs|) on the calibrated family.
     """
-    if not 1 <= k <= geom.n:
-        raise PreconditionError(f"order k must satisfy 1 <= k <= {geom.n}, got {k}",
-                                check="minkowski-shifted")
-    return _shifted_row(geom, _moments(geom), eps, k, tol)
+    k_list = range(1, geom.n + 1) if k_list is None else k_list
+    for k in k_list:
+        if k not in range(1, geom.n + 1):
+            raise PreconditionError(f"order k must satisfy 1 <= k <= {geom.n}, got {k}",
+                                    check="minkowski-shifted")
+    moments = _moments(geom)
+    return [_shifted_row(geom, moments, eps, k, tol) for k in k_list for eps in eps_sweep]
 
 
 def minkowski_classical(geom: SurfaceGeometry, tol="auto") -> CheckResult:
@@ -274,9 +278,8 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult
 
     e2_mean = exact_sum(e2) / e2.size
     e2_spread = float(np.max(e2) - np.min(e2))
-    h = geom.resolution
-    const_tol = tolerance_table()["checks"]["ek-constancy"] * h * h * max(abs(e2_mean), 1e-300)
-    e2_constant = e2_spread <= const_tol
+    e2_constant = e2_spread <= resolve_tolerance("ek-constancy", geom,
+                                                 max(abs(e2_mean), 1e-300), "auto")
 
     weight = geom.V - geom.V_nu
     lhs_ratio = area_integral(geom, weight * e1 / e2)
@@ -348,6 +351,42 @@ def _config_hash(config: dict, rho: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
+    """(checks, k_list), defaults filled in, of a request that passes the
+    rules needing only the dimension n.  A check at the wrong dimension
+    (alexandrov on a curve, gauss-bonnet on a surface) is refused with
+    PreconditionError; with ValueError no checks, an unknown check,
+    minkowski-shifted with an empty eps or k list, a non-finite eps, a k
+    outside 1..n, a repeated check, eps or k, and a tol other than "auto"
+    or a finite number >= 0.
+    """
+    default = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
+    if checks is None:
+        checks = default + (["gauss-bonnet"] if n == 1 else [])
+    k_list = list(range(1, n + 1)) if k_list is None else k_list
+    if len(checks) == 0:
+        raise ValueError("no checks requested")
+    only = {"alexandrov": (2, "surfaces"), "gauss-bonnet": (1, "curves")}
+    for check in checks:
+        if check not in default and check not in only:
+            raise ValueError(f"unknown check {check!r}")
+        if check in only and n != only[check][0]:
+            raise PreconditionError(f"{check} applies to {only[check][1]} only", check=check)
+        if check == "minkowski-shifted" and (len(eps_sweep) == 0 or len(k_list) == 0):
+            raise ValueError(f"check {check!r} would add no result: its eps or k list is empty")
+    if not all(math.isfinite(e) for e in eps_sweep):
+        raise ValueError(f"eps must be finite, got {list(eps_sweep)}")
+    if not all(k in range(1, n + 1) for k in k_list):
+        raise ValueError(f"order k must lie in 1..{n}, got {list(k_list)}")
+    # a result is named by its check, eps (formatted :g) and k, so none may repeat
+    for items in (checks, [f"{e:g}" for e in eps_sweep], k_list):
+        if len(set(items)) != len(items):
+            raise ValueError(f"an entry of {list(items)} is requested twice")
+    if tol != "auto" and not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be 'auto' or a finite number >= 0, got {tol!r}")
+    return checks, k_list
+
+
 def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEEP,
                      k_list=None, tol="auto",
                      geom: SurfaceGeometry | None = None) -> VerificationReport:
@@ -355,43 +394,13 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
 
     checks defaults to the identities and inequalities that apply at the
     surface's dimension; the Alexandrov diagnostics (k = 2) run only when
-    asked for, as their constancy verdict describes the shape.  Before any
-    geometry is built, a check at the wrong dimension (alexandrov on a
-    curve, gauss-bonnet on a surface) is refused with PreconditionError;
-    with ValueError no checks, an unknown check, minkowski-shifted with an
-    empty eps or k list, a non-finite eps, a k outside 1..n, a repeated
-    check, eps or k, and a tol other than "auto" or a finite number >= 0.
-    `geom` defaults to the centered geometry of `graph`; one built from
-    another graph is refused with ValueError.
+    asked for, as their constancy verdict describes the shape.  The request
+    is refused by `_check_request` before any geometry is built; then each
+    check runs through its public function.  `geom` defaults to the
+    centered geometry of `graph`; one built from another graph is refused
+    with ValueError.
     """
-    if checks is None:
-        checks = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
-        if graph.n == 1:
-            checks = checks + ["gauss-bonnet"]
-    if k_list is None:
-        k_list = list(range(1, graph.n + 1))
-    single = {"minkowski-classical": minkowski_classical, "hk-brendle": hk_brendle,
-              "hk-shifted": hk_shifted, "gauss-bonnet": gauss_bonnet}
-    if len(checks) == 0:
-        raise ValueError("no checks requested")
-    only = {"alexandrov": (2, "surfaces"), "gauss-bonnet": (1, "curves")}
-    for check in checks:
-        if check not in single and check not in ("minkowski-shifted", "alexandrov"):
-            raise ValueError(f"unknown check {check!r}")
-        if check in only and graph.n != only[check][0]:
-            raise PreconditionError(f"{check} applies to {only[check][1]} only", check=check)
-        if check == "minkowski-shifted" and (len(eps_sweep) == 0 or len(k_list) == 0):
-            raise ValueError(f"check {check!r} would add no result: its eps or k list is empty")
-    if not all(math.isfinite(e) for e in eps_sweep):
-        raise ValueError(f"eps must be finite, got {list(eps_sweep)}")
-    if not all(k in range(1, graph.n + 1) for k in k_list):
-        raise ValueError(f"order k must lie in 1..{graph.n}, got {list(k_list)}")
-    # a result is named by its check, eps (formatted :g) and k, so none may repeat
-    for items in (checks, [f"{e:g}" for e in eps_sweep], k_list):
-        if len(set(items)) != len(items):
-            raise ValueError(f"an entry of {list(items)} is requested twice")
-    if tol != "auto" and not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be 'auto' or a finite number >= 0, got {tol!r}")
+    checks, k_list = _check_request(graph.n, checks, eps_sweep, k_list, tol)
     geom = geometry_for(graph, geom)
 
     surface = {"n": graph.n, "grid": list(graph.rho.shape), "meta": dict(graph.meta)}
@@ -415,15 +424,15 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
             "scipy_version": scipy.__version__,
         },
     )
+    single = {"minkowski-classical": minkowski_classical, "hk-brendle": hk_brendle,
+              "hk-shifted": hk_shifted, "gauss-bonnet": gauss_bonnet}
     for check in checks:
         if check in single:
-            report.add(single[check](geom, tol))
+            results = [single[check](geom, tol)]
         elif check == "minkowski-shifted":
-            moments = _moments(geom)
-            for k in k_list:
-                for eps in eps_sweep:
-                    report.add(_shifted_row(geom, moments, eps, k, tol))
+            results = minkowski_shifted(geom, eps_sweep, k_list, tol)
         else:
-            for result in alexandrov_diagnostic(geom, tol):
-                report.add(result)
+            results = alexandrov_diagnostic(geom, tol)
+        for result in results:
+            report.add(result)
     return report

@@ -79,10 +79,8 @@ def test_criterion_04_minkowski_residual_convergence(surface):
         g, geom = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0),
                           grid=(P, 2 * P))
         hs.append(geom.resolution)
-        for k in (1, 2):
-            for eps in (0.0, 0.5, 1.0):
-                r = minkowski_shifted(geom, eps, k)
-                series.setdefault(r.name, []).append(abs(r.rel_residual))
+        for r in minkowski_shifted(geom, (0.0, 0.5, 1.0), (1, 2)):
+            series.setdefault(r.name, []).append(abs(r.rel_residual))
         rc = minkowski_classical(geom)
         series.setdefault(rc.name, []).append(abs(rc.rel_residual))
     log_h = np.log(hs)

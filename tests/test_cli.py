@@ -231,6 +231,12 @@ class TestVerify:
         bad.write_text(json.dumps({"n": 7, "grid": {"n_theta": 8}, "rho": rho}))
         assert main(["verify", "--surface", str(bad)]) == 1
         assert "unsupported dimension n = 7" in capsys.readouterr().err
+        # a size that is not a JSON integer is refused, not truncated to 8
+        rho = base64.b64encode(np.ones(64).tobytes()).decode()
+        bad.write_text(json.dumps({"n": 2, "grid": {"n_phi": 8.9, "n_theta": 8}, "rho": rho}))
+        for command in ("verify", "flow"):
+            assert main([command, "--surface", str(bad)]) == 1
+        assert capsys.readouterr().err.count("n_phi must be an integer, got 8.9") == 2
 
     @pytest.mark.parametrize("rho, named", [
         (base64.b64encode(bytes(1024)).decode()[:-4] + "!!!=", "rho is not base64"),
@@ -436,6 +442,24 @@ class TestConvergence:
         monkeypatch.setattr(cli, "_generate", never)
         assert main(["convergence", "--n", "1", "--levels", "32,64,128",
                      "--checks", checks]) == 64
+        assert cause in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv, code, cause", [
+        (["--n", "2", "--checks", "gauss-bonnet"], 3, "gauss-bonnet applies to curves only"),
+        (["--n", "1", "--checks", "minkowski-shifted", "--eps", ""], 64,
+         "would add no result"),
+        (["--n", "1", "--checks", "umbilic-spread,minkowski-shifted", "--eps", "1,nan"], 64,
+         "eps must be finite"),
+    ])
+    def test_request_refused_before_any_level(self, monkeypatch, capsys, argv, code, cause):
+        # what run_verification would refuse at every level is refused
+        # before the first one is generated
+        def never(*_):
+            raise AssertionError("a level was generated")
+
+        monkeypatch.setattr(cli, "_generate", never)
+        assert main(["convergence", *argv, "--levels", "16,32,64"]) == code
         assert cause in capsys.readouterr().err
 
 

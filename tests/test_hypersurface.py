@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hkverify import hypgeo
+from hkverify._util import exact_sum
 from hkverify.errors import (
     DegenerateSurfaceError,
     GenerationError,
@@ -29,14 +30,13 @@ from hkverify.hypersurface import (
     _periodic_d1,
     _periodic_d2,
     _perturbed_geometry,
+    _weighted_volume,
     area_integral,
     build_geometry,
-    enclosed_volume,
     gen_perturbed_sphere,
     gen_sphere,
     load_surface,
     save_surface,
-    weighted_volume,
 )
 from hkverify.identities import _config_hash
 
@@ -135,6 +135,17 @@ class TestRadialGraph:
             (self._record(2, {}, [1.0] * 64), "'n_phi'"),
             (self._record(1, [8], [1.0] * 8), "grid"),
             (self._record(1, {"n_theta": 8}, [1.0] * 8, meta=["shape"]), "meta"),
+            # a size that is not a JSON integer is refused, not truncated
+            (self._record(2.5, {"n_phi": 8, "n_theta": 8}, [1.0] * 64),
+             "n must be an integer, got 2.5"),
+            (self._record("2", {"n_phi": 8, "n_theta": 8}, [1.0] * 64),
+             "n must be an integer, got '2'"),
+            (self._record(2.0, {"n_phi": 8, "n_theta": 8}, [1.0] * 64),
+             "n must be an integer, got 2.0"),
+            (self._record(True, {"n_theta": 8}, [1.0] * 8), "n must be an integer, got True"),
+            (self._record(2, {"n_phi": 8.9, "n_theta": 8}, [1.0] * 64),
+             "n_phi must be an integer, got 8.9"),
+            (self._record(1, {"n_theta": 8.0}, [1.0] * 8), "n_theta must be an integer, got 8.0"),
         )
         for record, named in cases:
             path.write_text(json.dumps(record))
@@ -407,9 +418,9 @@ class TestQuadrature:
         R = 1.0
         g = gen_sphere(R, n=1, grid=256)
         geom = build_geometry(g)
-        assert geom.area() == pytest.approx(2 * np.pi * math.sinh(R), rel=1e-14)
-        assert weighted_volume(g) == pytest.approx(np.pi * math.sinh(R) ** 2, rel=1e-14)
-        assert enclosed_volume(g) == pytest.approx(
+        assert exact_sum(geom.area_weight) == pytest.approx(2 * np.pi * math.sinh(R), rel=1e-14)
+        assert geom.weighted_volume == pytest.approx(np.pi * math.sinh(R) ** 2, rel=1e-14)
+        assert geom.enclosed_volume == pytest.approx(
             2 * np.pi * (math.cosh(R) - 1.0), rel=1e-14)
 
     def test_sphere_integrals_second_order(self, surface):
@@ -419,8 +430,8 @@ class TestQuadrature:
         area_err, wvol_err = [], []
         for P in (16, 32, 64):
             g, geom = surface("sphere", radius=R, grid=(P, 2 * P))
-            area_err.append(abs(geom.area() - area_want) / area_want)
-            wvol_err.append(abs(weighted_volume(g) - wvol_want) / wvol_want)
+            area_err.append(abs(exact_sum(geom.area_weight) - area_want) / area_want)
+            wvol_err.append(abs(geom.weighted_volume - wvol_want) / wvol_want)
         for errs in (area_err, wvol_err):
             orders = [math.log(errs[i] / errs[i + 1]) / math.log(2.0)
                       for i in range(2)]
@@ -450,9 +461,8 @@ class TestQuadrature:
             center = np.zeros(n + 2)
             center[0], center[-1 if n == 2 else 1] = math.cosh(d), math.sinh(d)
             want = omega * math.sinh(R) ** (n + 1) / (n + 1)
-            got = weighted_volume(g, base=center)
+            got = build_geometry(g, base=center).weighted_volume
             assert abs(got - want) <= tol * want, (n, got, want)
-            assert build_geometry(g, base=center).weighted_volume == got
 
     def test_weighted_volume_origin_base_bit_identical(self):
         # about the origin the tilt term vanishes exactly, leaving the
@@ -461,20 +471,26 @@ class TestQuadrature:
         phi, _ = g.angles()
         w = np.sin(phi)[:, None] * g.h_phi * g.h_theta
         want = math.fsum((np.sinh(g.rho) ** 3 / 3 * w).ravel().tolist())
-        assert weighted_volume(g) == want
-        assert weighted_volume(g, base=hypgeo.origin(2)) == want
         assert build_geometry(g).weighted_volume == want
+        assert build_geometry(g, base=hypgeo.origin(2)).weighted_volume == want
         with pytest.raises(ValueError):
-            weighted_volume(g, base=np.array([1.0, 0.5, 0.0, 0.0]))
+            build_geometry(g, base=np.array([1.0, 0.5, 0.0, 0.0]))
 
     def test_geometry_volumes_are_the_graph_volumes(self):
-        # the geometry hands its own sinh/cosh(rho) to the same sums
+        # the geometry hands its own sinh/cosh(rho) to the radial sums, the
+        # same bits as sinh/cosh of the graph's rho
         base = np.array([math.cosh(0.2), 0.0, math.sinh(0.2)])
         for n, grid, mode, b in ((1, (64,), 3, base), (2, (16, 32), (3, 1), None)):
             g = gen_perturbed_sphere(1.0, 0.01, mode, n=n, grid=grid)
             geom = build_geometry(g, base=b)
-            assert geom.weighted_volume == weighted_volume(g, base=b)
-            assert geom.enclosed_volume == enclosed_volume(g)
+            lam, lamp = np.sinh(g.rho), np.cosh(g.rho)
+            assert geom.weighted_volume == _weighted_volume(g, lam, lamp, geom.base)
+            if n == 1:
+                radial = (lamp - 1.0) * g.h_theta
+            else:
+                phi, _ = g.angles()
+                radial = (lam * lamp - g.rho) / 2.0 * (np.sin(phi)[:, None] * g.h_phi * g.h_theta)
+            assert geom.enclosed_volume == math.fsum(radial.ravel().tolist())
 
 
 class TestSymmetries:
@@ -489,7 +505,8 @@ class TestSymmetries:
             a = area_integral(geom, f)
             b = area_integral(geom_r, fr)
             assert a == pytest.approx(b, rel=1e-12)
-        assert geom.area() == pytest.approx(geom_r.area(), rel=1e-12)
+        assert exact_sum(geom.area_weight) == pytest.approx(exact_sum(geom_r.area_weight),
+                                                            rel=1e-12)
 
     def test_reflection_symmetry(self, surface):
         # (2,0) mode is symmetric under phi -> pi - phi, which maps

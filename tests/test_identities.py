@@ -35,6 +35,7 @@ from hkverify.identities import (
     tolerance_table,
 )
 from hkverify import hypersurface, identities, symfun
+from hkverify._util import exact_sum
 from hkverify.hypersurface import area_integral
 
 
@@ -73,8 +74,8 @@ class TestSphereClosedForms:
     def test_shifted_lhs_closed_form(self, surface):
         R = 1.0
         g, geom = surface("sphere", radius=R, grid=(64, 128))
-        r = minkowski_shifted(geom, eps=1.0, k=1)
-        want = math.exp(-R) * geom.area()
+        (r,) = minkowski_shifted(geom, (1.0,), (1,))
+        want = math.exp(-R) * exact_sum(geom.area_weight)
         assert r.lhs == pytest.approx(want, rel=1e-13)
         assert r.rhs == pytest.approx(want, rel=1e-13)
 
@@ -82,14 +83,14 @@ class TestSphereClosedForms:
         R = 1.0
         g, geom = surface("sphere", radius=R, grid=(64, 128))
         r = minkowski_classical(geom)
-        assert r.lhs == pytest.approx(math.sinh(R) * geom.area(), rel=1e-13)
+        assert r.lhs == pytest.approx(math.sinh(R) * exact_sum(geom.area_weight), rel=1e-13)
 
     def test_unshifted_k1_ties_to_classical(self, surface):
         # eps = 0, k = 1 integrates V; times tanh R it must reproduce the
         # support integral on a centered sphere
         R = 1.0
         g, geom = surface("sphere", radius=R, grid=(64, 128))
-        r0 = minkowski_shifted(geom, eps=0.0, k=1)
+        (r0,) = minkowski_shifted(geom, (0.0,), (1,))
         rc = minkowski_classical(geom)
         assert r0.lhs * math.tanh(R) == pytest.approx(rc.lhs, rel=1e-13)
 
@@ -102,10 +103,10 @@ class TestSphereClosedForms:
 
     def test_arbitrary_eps_exact_on_sphere(self, surface):
         _, geom = surface("sphere", radius=1.5, grid=(32, 64))
-        for eps in (-0.7, 0.0, 0.3, 1.0, 2.9):
-            for k in (1, 2):
-                r = minkowski_shifted(geom, eps=eps, k=k)
-                assert abs(r.rel_residual) <= 1e-13, r
+        rows = minkowski_shifted(geom, (-0.7, 0.0, 0.3, 1.0, 2.9), (1, 2))
+        assert len(rows) == 10
+        for r in rows:
+            assert abs(r.rel_residual) <= 1e-13, r
 
 
 class TestClassicalExactness:
@@ -192,13 +193,14 @@ class TestPreconditions:
         assert "cone" in str(exc.value)
         assert exc.value.node is not None
 
-    def test_order_ranges(self, surface):
+    def test_order_ranges(self, surface, monkeypatch):
         g2, geom2 = surface("sphere", radius=1.0, grid=(32, 64))
         g1, geom1 = surface("sphere", radius=1.0, n=1, grid=64)
-        with pytest.raises(PreconditionError):
-            minkowski_shifted(geom2, k=3)
-        with pytest.raises(PreconditionError):
-            minkowski_shifted(geom2, k=0)
+        # an order outside 1..n is refused before any moment is computed
+        monkeypatch.setattr(identities, "_moments", None)
+        for geom, k_list in ((geom2, (3,)), (geom2, (0,)), (geom2, (1, 3)), (geom1, (2,))):
+            with pytest.raises(PreconditionError, match="order k must satisfy"):
+                minkowski_shifted(geom, k_list=k_list)
         with pytest.raises(PreconditionError):
             alexandrov_diagnostic(geom1)
         with pytest.raises(PreconditionError) as exc:
@@ -277,6 +279,43 @@ class TestShiftedSweepCost:
         calls.update(kernel=0)
         run_verification(graph, eps_sweep=eps_sweep, geom=geom)
         assert calls["kernel"] == n
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestPublicRoutes:
+    # a report takes every result from its check's public function, called
+    # once, so rebinding that name (a tracer, a counting wrapper) sees it run
+
+    ROUTES = ("minkowski_classical", "minkowski_shifted", "hk_brendle", "hk_shifted",
+              "alexandrov_diagnostic", "gauss_bonnet")
+
+    @pytest.mark.parametrize("kind, kw, checks, skipped", [
+        ("sphere", dict(radius=1.0, grid=(32, 64)),
+         ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted", "alexandrov"],
+         "gauss_bonnet"),
+        ("perturbed", dict(radius=1.0, amp=0.1, mode=2, n=1, grid=256), None,
+         "alexandrov_diagnostic"),
+    ], ids=["surface", "curve"])
+    @pytest.mark.parametrize("eps_sweep", [(1.0,), (-2.0, 0.0, 0.5, 1.0, 3.0)])
+    def test_each_check_runs_once_through_its_function(self, surface, monkeypatch, kind, kw,
+                                                       checks, skipped, eps_sweep):
+        g, geom = surface(kind, **kw)
+        calls = dict.fromkeys(self.ROUTES, 0)
+        for name in self.ROUTES:
+            monkeypatch.setattr(identities, name, _counting(calls, name, getattr(identities, name)))
+        rep = run_verification(g, checks, eps_sweep, geom=geom)
+        assert calls == {name: int(name != skipped) for name in self.ROUTES}
+        # the sweep's rows are the report's rows
+        rows = [r.to_dict() for r in minkowski_shifted(geom, eps_sweep)]
+        assert rows == [r.to_dict() for r in rep.results
+                        if r.name.startswith("minkowski-shifted[")]
+        assert len(rows) == g.n * len(eps_sweep)
 
 
 class TestAlexandrov:
@@ -621,8 +660,8 @@ class TestProperties:
         graph, _ = case
         k = min(k, graph.n)
         geom = build_geometry(graph)
-        row = minkowski_shifted(geom, eps, k)
-        unshifted = [minkowski_shifted(geom, 0.0, i) for i in range(1, k + 1)]
+        (row,) = minkowski_shifted(geom, (eps,), (k,))
+        unshifted = minkowski_shifted(geom, (0.0,), range(1, k + 1))
         weights = [math.comb(k - 1, i - 1) * (-eps) ** (k - i) for i in range(1, k + 1)]
         want = math.fsum(w * r.residual for w, r in zip(weights, unshifted))
         scale = max(abs(row.lhs), abs(row.rhs)) + math.fsum(

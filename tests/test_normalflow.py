@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hkverify import hypgeo, normalflow
+from hkverify._util import exact_sum
 from hkverify.errors import FlowAssumptionError, FocalTimeError
 from hkverify.hypersurface import (
     H_MARGIN,
@@ -28,7 +29,6 @@ from hkverify.hypersurface import (
     build_geometry,
     gen_perturbed_sphere,
     gen_sphere,
-    weighted_volume,
 )
 from hkverify.normalflow import (
     FlowConfig,
@@ -260,7 +260,7 @@ class TestParticles:
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
         p = FlowParticles.from_geometry(geom)
         assert p.count() == geom.area_weight.size
-        assert np.sum(p.w0) == pytest.approx(geom.area(), rel=1e-14)
+        assert np.sum(p.w0) == pytest.approx(exact_sum(geom.area_weight), rel=1e-14)
         assert np.max(np.abs(p.positions_at(0.0) - p.y)) <= 1e-12
         assert np.max(np.abs(p.t_focal - 1.0)) <= 1e-12  # sphere R = 1
         # the particles share the geometry's arrays instead of copying them
@@ -606,7 +606,7 @@ class TestVerifyFlow:
         # boundary term and coarea volume against their closed forms
         assert trace.hk_lhs0 == pytest.approx(2 * math.pi * math.sinh(R) ** 3,
                                               rel=1e-3)
-        assert trace.coarea_volume == pytest.approx(weighted_volume(g), rel=1e-3)
+        assert trace.coarea_volume == pytest.approx(geom.weighted_volume, rel=1e-3)
         assert abs(trace.Q[0]) <= trace.q_slack
 
     def test_perturbed_trace(self, surface):
