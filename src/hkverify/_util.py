@@ -1,4 +1,4 @@
-"""Small shared helpers: exact summation and atomic file writes."""
+"""Small shared helpers: the integer rule, exact summation and atomic file writes."""
 
 from __future__ import annotations
 
@@ -18,6 +18,14 @@ _EXACT_TOP = 2.0 ** (1023 - 24)
 # C is normal, and the grid 2^(e-29) no finer than the subnormal step,
 # only while e >= -1045.
 _EXACT_FLOOR = -1022 - 23
+
+
+def _as_int(value, name: str) -> int:
+    """value, an int or numpy integer but not a bool, as a Python int; 2.0,
+    "2" and True are refused with ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def exact_sum(values) -> float:

@@ -74,39 +74,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_grid(text: str, n: int):
-    try:
-        if "x" in text:
-            parts = tuple(int(p) for p in text.lower().split("x"))
-        else:
-            parts = (int(text),)
-    except ValueError:
-        raise ValueError(f"cannot parse grid {text!r}")
-    if n == 2 and len(parts) != 2:
-        raise ValueError("n = 2 needs a PHIxTHETA grid, e.g. 128x256")
-    if n == 1 and len(parts) != 1:
-        raise ValueError("n = 1 needs a single point count, e.g. 256")
-    return parts
-
-
-def _parse_mode(text: str, n: int):
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse mode {text!r}")
-    if n == 2 and len(parts) != 2:
-        raise ValueError("n = 2 perturbation mode is l,m")
-    if n == 1 and len(parts) != 1:
-        raise ValueError("n = 1 perturbation mode is a single wavenumber")
-    return parts
-
-
 def _parse_floats(text: str):
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _parse_ints(text: str):
-    return [int(p) for p in text.split(",") if p.strip()]
+def _parse_ints(text: str, sep: str):
+    """The integers of `text` split on `sep`; their count and range are the library's rule."""
+    try:
+        return [int(p) for p in text.lower().split(sep) if p.strip()]
+    except ValueError:
+        raise ValueError(f"cannot parse {text!r} as integers separated by {sep!r}") from None
 
 
 def _shape_arguments(sub):
@@ -128,7 +105,7 @@ def _generate(args, grid):
     if args.shape == "sphere":
         return build_geometry(gen_sphere(args.radius, center_offset=args.offset,
                                          n=args.n, grid=grid))
-    return _perturbed_geometry(args.radius, args.amp, _parse_mode(args.mode, args.n),
+    return _perturbed_geometry(args.radius, args.amp, _parse_ints(args.mode, ","),
                                args.n, grid)
 
 
@@ -142,8 +119,7 @@ def _load(path):
 
 
 def cmd_gen(args) -> int:
-    grid = _parse_grid(args.grid, args.n)
-    geom = _generate(args, grid)
+    geom = _generate(args, _parse_ints(args.grid, "x"))
     save_surface(geom.graph, args.out)
     kappa = geom.kappa
     H = geom.mean_curvature
@@ -166,7 +142,7 @@ def cmd_verify(args) -> int:
     graph = _load(args.surface)
     checks = None if args.checks == "auto" else [c.strip() for c in args.checks.split(",")]
     tol = "auto" if args.tol == "auto" else float(args.tol)
-    k_list = None if args.k == "auto" else _parse_ints(args.k)
+    k_list = None if args.k == "auto" else _parse_ints(args.k, ",")
     report = identities.run_verification(graph, checks=checks, eps_sweep=_parse_floats(args.eps),
                                          k_list=k_list, tol=tol)
     _print_results(report.results)
@@ -227,7 +203,7 @@ def _convergence_residuals(args, names, checks, eps_sweep, n_phi: int):
 
 
 def cmd_convergence(args) -> int:
-    levels = _parse_ints(args.levels)
+    levels = _parse_ints(args.levels, ",")
     if len(levels) < 3:
         raise ValueError("convergence needs at least 3 refinement levels")
     if sorted(levels) != levels or len(set(levels)) != len(levels):

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hypgeo
-from ._util import atomic_write_text, exact_sum
+from ._util import _as_int, atomic_write_text, exact_sum
 from .errors import DegenerateSurfaceError, GenerationError, RejectedShapeError
 
 __all__ = [
@@ -56,9 +56,19 @@ __all__ = [
 ]
 
 MIN_GRID = 8
+# a surface record's grid sizes, of which n = 1 keeps the last
+_GRID_KEYS = ("n_phi", "n_theta")
 # margin by which H must exceed its bound (0 or n) before a check or
 # flow that divides by H or H - n accepts a surface
 H_MARGIN = 1e-8
+
+
+def _dimension(n) -> int:
+    """n as a Python int, which must be 1 or 2 (ValueError otherwise)."""
+    n = _as_int(n, "n")
+    if n not in (1, 2):
+        raise ValueError(f"unsupported dimension n = {n}")
+    return n
 
 
 def _angle_grid(n: int, grid):
@@ -79,9 +89,8 @@ class RadialGraph:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.n = _dimension(self.n)
         self.rho = np.asarray(self.rho, dtype=float)
-        if self.n not in (1, 2):
-            raise ValueError(f"hypersurface dimension must be 1 or 2, got {self.n}")
         if self.rho.ndim != self.n:
             raise ValueError(f"rho must be a {self.n}-D array for n = {self.n}")
         if not np.all(np.isfinite(self.rho)):
@@ -122,15 +131,12 @@ class RadialGraph:
 
     def rotated(self, steps: int) -> "RadialGraph":
         """Same surface with the azimuth grid rolled by an integer step."""
-        return RadialGraph(self.n, np.roll(self.rho, steps, axis=-1), dict(self.meta))
+        return RadialGraph(self.n, np.roll(self.rho, _as_int(steps, "step"), -1), dict(self.meta))
 
     def to_dict(self) -> dict:
-        grid = {"n_theta": self.n_theta}
-        if self.n == 2:
-            grid = {"n_phi": self.n_phi, "n_theta": self.n_theta}
         return {
             "n": self.n,
-            "grid": grid,
+            "grid": dict(zip(_GRID_KEYS[2 - self.n:], self.rho.shape)),
             "rho": base64.b64encode(_rho_bytes(self.rho)).decode("ascii"),
             "meta": dict(self.meta),
         }
@@ -139,25 +145,16 @@ class RadialGraph:
     def from_dict(cls, data: dict) -> "RadialGraph":
         """A graph from its to_dict() record; any malformed record is a ValueError."""
         try:
-            n, grid, meta = _json_int(data, "n"), data["grid"], data.get("meta", {})
-            if n not in (1, 2):
-                raise ValueError(f"unsupported dimension n = {n}")
+            n, grid, meta = _dimension(data["n"]), data["grid"], data.get("meta", {})
             if not (isinstance(grid, dict) and isinstance(meta, dict)):
                 raise ValueError("grid and meta must be JSON objects")
-            shape = tuple(_json_int(grid, key) for key in ("n_phi", "n_theta")[2 - n:])
+            shape = tuple(_as_int(grid[key], key) for key in _GRID_KEYS[2 - n:])
             flat = _rho_from_text(data["rho"], math.prod(shape))
         except KeyError as exc:
             raise ValueError(f"malformed surface record: missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed surface record: {exc}") from exc
         return cls(n, flat.reshape(shape), dict(meta))
-
-
-def _json_int(record: dict, key: str) -> int:
-    """record[key], which must be a JSON integer: 2.0, "2" and true are refused."""
-    if type(record[key]) is not int:
-        raise ValueError(f"{key} must be an integer, got {record[key]!r}")
-    return record[key]
 
 
 def _rho_bytes(rho) -> bytes:
@@ -652,16 +649,15 @@ def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
     form of s avoids the cancellation in cosh(d)^2 - sinh(d)^2 cos(gamma)^2
     at gamma = 0.
     """
-    if not 0.0 < radius < math.inf:
-        raise GenerationError(f"radius must be positive and finite, got {radius}")
+    radius = _radius(radius)
     if not 0.0 <= center_offset < radius:
         raise GenerationError(
             f"center offset must satisfy 0 <= offset < radius, got {center_offset}"
         )
-    grid = tuple(int(g) for g in (grid if np.iterable(grid) else (grid,)))
+    grid = _n_ints(n, grid, "grid size")
+    meta = {"shape": "sphere", "radius": radius}
     if center_offset == 0.0:
-        rho = np.full(grid, float(radius))
-        return RadialGraph(n, rho, {"shape": "sphere", "radius": radius, "offset": 0.0})
+        return RadialGraph(n, np.full(grid, radius), {**meta, "offset": 0.0})
 
     d = float(center_offset)
     angles = _angle_grid(n, grid)
@@ -670,25 +666,42 @@ def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
     s = np.hypot(1.0, shd * np.sin(gamma))
     alpha = np.arcsinh(shd * np.cos(gamma) / s)
     rho = alpha + np.arccosh(np.cosh(radius) / s)
-    return RadialGraph(
-        n, np.broadcast_to(rho, grid).copy(),
-        {"shape": "sphere", "radius": float(radius), "offset": d},
-    )
+    return RadialGraph(n, np.broadcast_to(rho, grid).copy(), {**meta, "offset": d})
+
+
+def _radius(radius) -> float:
+    """A generator's radius as a float; GenerationError unless positive and finite."""
+    if not 0.0 < radius < math.inf:
+        raise GenerationError(f"radius must be positive and finite, got {radius}")
+    return float(radius)
+
+
+_NEEDS = {"grid size": ("a single point count, e.g. 256", "a PHIxTHETA grid, e.g. 128x256"),
+          "mode entry": ("a single wavenumber as its mode", "a pair l,m as its mode")}
+
+
+def _n_ints(n, value, name: str) -> tuple:
+    """A generator's grid or mode (`name` says which) as exactly n Python ints,
+    a bare value counting as one; else ValueError saying what n needs."""
+    n = _dimension(n)
+    parts = tuple(value) if np.iterable(value) else (value,)
+    if len(parts) != n:
+        raise ValueError(f"n = {n} needs {_NEEDS[name][n - 1]}, got {value!r}")
+    return tuple(_as_int(part, name) for part in parts)
 
 
 def _harmonic(n: int, mode, grid) -> np.ndarray:
     """The harmonic a mode names, sampled on the grid.
 
-    A mode the grid cannot represent is refused rather than aliased onto
-    a lower one: the azimuth's T nodes carry wavenumbers below T/2 (k for
-    n = 1, m for n = 2), and a meridian, which holds 2P nodes of an n = 2
-    grid once continued over the poles, carries degrees l below P.
+    A mode of other than n integers is ValueError.  One the grid cannot
+    represent is refused rather than aliased onto a lower one: the azimuth's
+    T nodes carry wavenumbers below T/2 (k for n = 1, m for n = 2), and a
+    meridian, which holds 2P nodes of an n = 2 grid once continued over the
+    poles, carries degrees l below P.
     """
+    mode = _n_ints(n, mode, "mode entry")
     if n == 2:
-        try:
-            ell, m = (int(v) for v in mode)
-        except (TypeError, ValueError) as exc:
-            raise GenerationError(f"n = 2 mode must be a pair (l, m): {exc}") from exc
+        ell, m = mode
         if ell < 0 or not 0 <= m <= ell:
             raise GenerationError(f"mode order out of range: ({ell}, {m})")
         P, T = grid
@@ -700,7 +713,7 @@ def _harmonic(n: int, mode, grid) -> np.ndarray:
 
         phi, theta = _angle_grid(n, grid)
         return lpmv(m, ell, np.cos(phi))[:, None] * np.cos(m * theta)[None, :]
-    k = int(mode[0]) if np.iterable(mode) else int(mode)
+    (k,) = mode
     if k < 0:
         raise GenerationError(f"mode order out of range: {k}")
     (T,) = grid
@@ -715,8 +728,9 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
     """Sphere of the given radius with a single harmonic perturbation.
 
     n = 2 takes mode = (l, m) and perturbs by amp * P_l^m(cos phi) cos(m
-    theta); n = 1 takes an integer Fourier mode k.  A radius, amplitude or
-    sampled harmonic that is not finite is refused with GenerationError.
+    theta); n = 1 takes an integer Fourier mode k, or (k,).  A grid or mode
+    of other than n integers is ValueError.  A radius, amplitude or sampled
+    harmonic that is not finite is refused with GenerationError.
     The result is validated post-hoc: rho must stay positive and the mean
     curvature must stay above n everywhere, otherwise the shape is rejected
     with the violating node.
@@ -732,11 +746,11 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
 def _perturbed_geometry(radius: float, amp: float, mode, n: int,
                         grid) -> SurfaceGeometry:
     """The centred geometry `gen_perturbed_sphere` validates its surface on."""
-    if not 0.0 < radius < math.inf:
-        raise GenerationError(f"radius must be positive and finite, got {radius}")
+    radius = _radius(radius)
     if not math.isfinite(amp):
         raise GenerationError(f"amplitude must be finite, got {amp}")
-    grid = tuple(int(g) for g in (grid if np.iterable(grid) else (grid,)))
+    grid = _n_ints(n, grid, "grid size")
+    mode = _n_ints(n, mode, "mode entry")
     harmonic = _harmonic(n, mode, grid)
     if not np.all(np.isfinite(harmonic)):
         # unnormalised P_l^m leaves the float range at high orders: it is
@@ -750,12 +764,8 @@ def _perturbed_geometry(radius: float, amp: float, mode, n: int,
         raise RejectedShapeError(
             f"perturbation drives rho to {flat[bad[0]]:.3g}", node=int(bad[0])
         )
-    graph = RadialGraph(
-        n, rho,
-        {"shape": "perturbed", "radius": float(radius), "amp": float(amp),
-         "mode": list(mode) if np.iterable(mode) else [int(mode)]},
-    )
-    geom = build_geometry(graph)
+    meta = {"shape": "perturbed", "radius": radius, "amp": float(amp), "mode": list(mode)}
+    geom = build_geometry(RadialGraph(n, rho, meta))
     H = geom.mean_curvature
     worst = int(np.argmin(H))
     if H[worst] <= n + H_MARGIN:

@@ -46,7 +46,7 @@ import numpy as np
 import scipy
 
 from . import __version__, symfun
-from ._util import atomic_write_text, exact_sum
+from ._util import _as_int, atomic_write_text, exact_sum
 from .errors import PreconditionError
 from .hypersurface import (
     H_MARGIN,
@@ -204,20 +204,26 @@ def _shifted_row(geom: SurfaceGeometry, moments: tuple, eps: float, k: int,
                   geom, lhs, rhs, tol, {"eps": eps, "k": k})
 
 
+def _orders(n: int, k_list) -> list:
+    """k_list (default 1..n) as Python ints, each `_as_int` and in 1..n (else ValueError)."""
+    if k_list is None:
+        return list(range(1, n + 1))
+    orders = [_as_int(k, f"order k in 1..{n}") for k in k_list]
+    if not all(1 <= k <= n for k in orders):
+        raise ValueError(f"order k must lie in 1..{n}, got {orders}")
+    return orders
+
+
 def minkowski_shifted(geom: SurfaceGeometry, eps_sweep=DEFAULT_EPS_SWEEP, k_list=None,
                       tol="auto") -> list[CheckResult]:
     """The shifted Minkowski identities: one row per order k (default 1..n)
     and shift eps, k-major, all from one set of moments.
 
-    A k outside 1..n is refused with PreconditionError before any moment is
-    computed.  Each row agrees with the integrals of its shifted integrands
-    to rounding: within 1e-13 of max(|lhs|, |rhs|) on the calibrated family.
+    A k that `_orders` refuses is ValueError, before any moment is computed.
+    Each row agrees with the integrals of its shifted integrands to
+    rounding: within 1e-13 of max(|lhs|, |rhs|) on the calibrated family.
     """
-    k_list = range(1, geom.n + 1) if k_list is None else k_list
-    for k in k_list:
-        if k not in range(1, geom.n + 1):
-            raise PreconditionError(f"order k must satisfy 1 <= k <= {geom.n}, got {k}",
-                                    check="minkowski-shifted")
+    k_list = _orders(geom.n, k_list)
     moments = _moments(geom)
     return [_shifted_row(geom, moments, eps, k, tol) for k in k_list for eps in eps_sweep]
 
@@ -356,14 +362,14 @@ def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
     rules needing only the dimension n.  A check at the wrong dimension
     (alexandrov on a curve, gauss-bonnet on a surface) is refused with
     PreconditionError; with ValueError no checks, an unknown check,
-    minkowski-shifted with an empty eps or k list, a non-finite eps, a k
-    outside 1..n, a repeated check, eps or k, and a tol other than "auto"
-    or a finite number >= 0.
+    minkowski-shifted with an empty eps or k list, an eps that is a bool or
+    not finite, a k that `_orders` refuses, a repeated check, eps or k, and
+    a tol other than "auto" or a finite number >= 0 that is not a bool.
     """
     default = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
     if checks is None:
         checks = default + (["gauss-bonnet"] if n == 1 else [])
-    k_list = list(range(1, n + 1)) if k_list is None else k_list
+    k_list = _orders(n, k_list)
     if len(checks) == 0:
         raise ValueError("no checks requested")
     only = {"alexandrov": (2, "surfaces"), "gauss-bonnet": (1, "curves")}
@@ -374,15 +380,14 @@ def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
             raise PreconditionError(f"{check} applies to {only[check][1]} only", check=check)
         if check == "minkowski-shifted" and (len(eps_sweep) == 0 or len(k_list) == 0):
             raise ValueError(f"check {check!r} would add no result: its eps or k list is empty")
-    if not all(math.isfinite(e) for e in eps_sweep):
-        raise ValueError(f"eps must be finite, got {list(eps_sweep)}")
-    if not all(k in range(1, n + 1) for k in k_list):
-        raise ValueError(f"order k must lie in 1..{n}, got {list(k_list)}")
+    if not all(not isinstance(e, bool) and math.isfinite(e) for e in eps_sweep):
+        raise ValueError(f"eps must be finite numbers, got {list(eps_sweep)}")
     # a result is named by its check, eps (formatted :g) and k, so none may repeat
     for items in (checks, [f"{e:g}" for e in eps_sweep], k_list):
         if len(set(items)) != len(items):
             raise ValueError(f"an entry of {list(items)} is requested twice")
-    if tol != "auto" and not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    if tol != "auto" and (isinstance(tol, bool) or not (
+            isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0)):
         raise ValueError(f"tol must be 'auto' or a finite number >= 0, got {tol!r}")
     return checks, k_list
 
@@ -407,7 +412,7 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
     config = {
         "checks": list(checks),
         "eps_sweep": [float(e) for e in eps_sweep],
-        "k_list": [int(k) for k in k_list],
+        "k_list": k_list,
         # the chain's order is fixed at 2; the key stays so every config_hash is unchanged
         "alexandrov_k": [2] if graph.n == 2 else [],
         "tol": tol if isinstance(tol, str) else float(tol),

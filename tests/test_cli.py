@@ -191,6 +191,37 @@ class TestGen:
                    "--grid", "32x64", "--out", str(tmp_path / "x.json")])
         assert rc == 64
 
+    @pytest.mark.parametrize("argv, cause", [
+        (["--n", "1", "--grid", "32x64"], "n = 1 needs a single point count, e.g. 256"),
+        (["--grid", "32"], "n = 2 needs a PHIxTHETA grid, e.g. 128x256"),
+        (["--grid", "notagrid"], "cannot parse 'notagrid' as integers separated by 'x'"),
+        (["--grid", "16.5x32"], "cannot parse '16.5x32'"),
+        (["--shape", "perturbed", "--mode", "2", "--grid", "32x64"],
+         "n = 2 needs a pair l,m as its mode, got [2]"),
+        (["--shape", "perturbed", "--n", "1", "--mode", "2,0", "--grid", "64"],
+         "n = 1 needs a single wavenumber as its mode, got [2, 0]"),
+        (["--shape", "perturbed", "--mode", "2.0,0", "--grid", "32x64"],
+         "cannot parse '2.0,0' as integers separated by ','"),
+    ])
+    def test_malformed_grid_or_mode_names_what_n_needs(self, tmp_path, capsys, argv, cause):
+        # the library's rule, not a copy of it in the CLI, refuses these: exit 64
+        out = tmp_path / "x.json"
+        assert main(["gen", *argv, "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and cause in err
+        assert not out.exists()
+
+    def test_convergence_refuses_a_malformed_mode(self, capsys):
+        assert main(["convergence", "--shape", "perturbed", "--n", "1", "--mode", "2,0",
+                     "--levels", "16,32,64"]) == 64
+        assert "n = 1 needs a single wavenumber as its mode" in capsys.readouterr().err
+
+    def test_grid_separator_is_case_insensitive(self, tmp_path):
+        upper, lower = tmp_path / "upper.json", tmp_path / "lower.json"
+        assert main(["gen", "--grid", "16X32", "--out", str(upper)]) == 0
+        assert main(["gen", "--grid", "16x32", "--out", str(lower)]) == 0
+        assert upper.read_bytes() == lower.read_bytes()
+
 
 class TestVerify:
     @pytest.fixture()

@@ -38,7 +38,7 @@ from hkverify.hypersurface import (
     load_surface,
     save_surface,
 )
-from hkverify.identities import _config_hash
+from hkverify.identities import _config_hash, minkowski_shifted
 
 import hypgeo_oracle as oracle
 
@@ -288,6 +288,155 @@ class TestGenerators:
         phi, theta = g.angles()
         want = 1.0 + 0.01 * lpmv(2, 3, np.cos(phi))[:, None] * np.cos(2 * theta)
         assert np.max(np.abs(g.rho - want)) <= 1e-15
+
+
+# How an integer v is spelt at an integer input, and whether the integer
+# rule takes it: an int or a numpy integer is taken as exactly v, and every
+# other spelling is refused with ValueError.
+SPELLINGS = {
+    "int": (lambda v: v, True),
+    "np.int64": (np.int64, True),
+    "integral float": (float, False),
+    "fractional float": (lambda v: v + 0.5, False),
+    "np.float32": (np.float32, False),
+    "str": (str, False),
+    "True": (lambda v: True, False),
+}
+
+
+def _loaded(n, grid, count):
+    """The graph RadialGraph.from_dict makes of a record with these (maybe
+    malformed) n and grid sizes and `count` values of rho."""
+    rho = base64.b64encode(np.ones(count, dtype="<f8").tobytes()).decode()
+    return RadialGraph.from_dict({"n": n, "grid": grid, "rho": rho})
+
+
+def _shifted_k(x, v):
+    (row,) = minkowski_shifted(build_geometry(gen_sphere(1.0, grid=(8, 16))), (0.5,), [x])
+    assert row.name == f"minkowski-shifted[eps=0.5,k={v}]"
+    return row.metadata["k"]
+
+
+def _rolled(x, v):
+    g = RadialGraph(2, 1.0 + np.arange(128.0).reshape(8, 16) / 256)
+    assert np.array_equal(g.rotated(x).rho, np.roll(g.rho, v, axis=-1))
+    return v
+
+
+# each integer input: the valid values to spell, and what the library
+# stored when it took the spelling x of v
+INTEGER_INPUTS = {
+    "RadialGraph n": ([1, 2], lambda x, v: RadialGraph(x, np.ones((8,) * v)).n),
+    "loader n": ([1, 2], lambda x, v: _loaded(x, {"n_phi": 8, "n_theta": 8}
+                                              if v == 2 else {"n_theta": 8}, 8 ** v).n),
+    "loader n_phi": ([8, 9, 12],
+                     lambda x, v: _loaded(2, {"n_phi": x, "n_theta": 8}, 8 * v).n_phi),
+    "loader n_theta": ([8, 10], lambda x, v: _loaded(1, {"n_theta": x}, v).n_theta),
+    "generator n": ([1, 2], lambda x, v: gen_sphere(1.0, n=x, grid=(16, 32)[:v]).n),
+    "generator n_phi": ([8, 11], lambda x, v: gen_sphere(1.0, 0.3, grid=(x, 16)).n_phi),
+    "generator n_theta": ([8, 16], lambda x, v: gen_sphere(1.0, grid=(8, x)).n_theta),
+    "generator bare size": ([8, 13], lambda x, v: gen_sphere(1.0, n=1, grid=x).n_theta),
+    "mode l": ([2, 3], lambda x, v: gen_perturbed_sphere(
+        1.0, 1e-3, (x, 1), grid=(16, 32)).meta["mode"][0]),
+    "mode m": ([0, 2], lambda x, v: gen_perturbed_sphere(
+        1.0, 1e-3, (2, x), grid=(16, 32)).meta["mode"][1]),
+    "mode k": ([0, 3], lambda x, v: gen_perturbed_sphere(
+        1.0, 1e-3, x, n=1, grid=32).meta["mode"][0]),
+    "mode (k,)": ([1, 2], lambda x, v: gen_perturbed_sphere(
+        1.0, 1e-3, [x], n=1, grid=(32,)).meta["mode"][0]),
+    "rotated step": ([-17, 0, 5], _rolled),
+    "k_list": ([1, 2], _shifted_k),
+}
+
+
+@st.composite
+def _spelt_inputs(draw):
+    name = draw(st.sampled_from(sorted(INTEGER_INPUTS)))
+    values, stored = INTEGER_INPUTS[name]
+    spelling = draw(st.sampled_from(sorted(SPELLINGS)))
+    return name, stored, draw(st.sampled_from(values)), spelling
+
+
+class TestIntegerRule:
+    @given(_spelt_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_taken_exactly_or_refused(self, case):
+        # every integer input follows one rule: the exact int, or ValueError
+        name, stored, v, spelling = case
+        spell, taken = SPELLINGS[spelling]
+        if not taken:
+            with pytest.raises(ValueError):
+                stored(spell(v), v)
+            return
+        got = stored(spell(v), v)
+        assert got == v and type(got) is int, (name, spelling, got)
+
+    @pytest.mark.parametrize("make, match", [
+        pytest.param(lambda: gen_sphere(1.0, grid=(16.9, 32.2)),
+                     "grid size must be an integer, got 16.9", id="float grid"),
+        pytest.param(lambda: gen_perturbed_sphere(1.0, 0.05, (2.7, 0), grid=(16, 32)),
+                     "mode entry must be an integer, got 2.7", id="float mode"),
+        pytest.param(lambda: gen_perturbed_sphere(1.0, 0.05, (2, 5), n=1, grid=64),
+                     r"n = 1 needs a single wavenumber as its mode, got \(2, 5\)",
+                     id="pair mode at n=1"),
+        pytest.param(lambda: gen_perturbed_sphere(1.0, 0.05, 2, grid=(16, 32)),
+                     "n = 2 needs a pair l,m as its mode, got 2", id="bare mode at n=2"),
+        # n = True once built a curve whose file the loader refuses
+        pytest.param(lambda: gen_sphere(1.0, n=True, grid=(16,)),
+                     "n must be an integer, got True", id="bool n"),
+        pytest.param(lambda: gen_perturbed_sphere(1.0, 0.1, 2, n=True, grid=(64,)),
+                     "n must be an integer, got True", id="bool n, perturbed"),
+        pytest.param(lambda: gen_sphere(1.0, 0.3, n=1, grid=(16, 32)),
+                     r"n = 1 needs a single point count, e.g. 256, got \(16, 32\)",
+                     id="pair grid at n=1"),
+        pytest.param(lambda: gen_sphere(1.0, grid=32), "n = 2 needs a PHIxTHETA grid",
+                     id="bare grid at n=2"),
+        pytest.param(lambda: gen_sphere(1.0, n=3, grid=(8, 8, 8)),
+                     "unsupported dimension n = 3", id="n=3"),
+    ])
+    def test_malformed_generator_input_refused(self, make, match):
+        # once truncated, unpacked by accident or saved misnamed; now refused
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
+# the generators' outputs at Python and numpy scalar inputs; each keyword
+# set is passed to (gen_sphere, gen_perturbed_sphere) as its name says
+ROUND_TRIP_CASES = {
+    "sphere n=2": (gen_sphere, dict(radius=1.0, n=2, grid=(16, 32))),
+    "sphere n=2 numpy": (gen_sphere, dict(radius=np.float32(1.1), n=np.int64(2),
+                                          grid=(np.int64(16), np.int32(32)))),
+    "sphere n=1 int radius": (gen_sphere, dict(radius=2, n=1, grid=32)),
+    "sphere n=1 numpy": (gen_sphere, dict(radius=np.float64(1.5), n=np.int64(1),
+                                          grid=np.int64(32))),
+    "offset n=2 numpy": (gen_sphere, dict(radius=np.float32(1.0), center_offset=np.float32(0.3),
+                                          n=np.int64(2), grid=(np.int64(16), 32))),
+    "offset n=1": (gen_sphere, dict(radius=1.0, center_offset=0.3, n=1, grid=(32,))),
+    "lobe n=2": (gen_perturbed_sphere, dict(radius=1.0, amp=0.05, mode=(2, 0), n=2,
+                                            grid=(16, 32))),
+    "lobe n=2 numpy": (gen_perturbed_sphere, dict(
+        radius=np.float32(1.0), amp=np.float32(0.01), mode=(np.int64(3), np.int8(1)),
+        n=np.int64(2), grid=[np.int16(16), np.int64(32)])),
+    "curve n=1": (gen_perturbed_sphere, dict(radius=1.0, amp=0.1, mode=2, n=1, grid=64)),
+    "curve n=1 numpy": (gen_perturbed_sphere, dict(
+        radius=np.float32(1.0), amp=0.1, mode=np.array([2])[0], n=np.int64(1),
+        grid=(np.int64(64),))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
+def test_generated_surfaces_round_trip(tmp_path, name):
+    # what a generator returns is what its file loads back as: the same
+    # rho bits, n and meta, whatever scalar types built it
+    generate, kwargs = ROUND_TRIP_CASES[name]
+    graph = generate(**kwargs)
+    path = tmp_path / "s.json"
+    save_surface(graph, path)
+    back = load_surface(path)
+    assert back.n == graph.n and type(back.n) is type(graph.n) is int
+    assert back.rho.tobytes() == graph.rho.tobytes()
+    assert back.meta == graph.meta
+    assert json.loads(json.dumps(graph.meta)) == graph.meta
 
 
 class TestSphereGeometry:

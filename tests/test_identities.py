@@ -196,11 +196,21 @@ class TestPreconditions:
     def test_order_ranges(self, surface, monkeypatch):
         g2, geom2 = surface("sphere", radius=1.0, grid=(32, 64))
         g1, geom1 = surface("sphere", radius=1.0, n=1, grid=64)
-        # an order outside 1..n is refused before any moment is computed
+        # an order outside 1..n, or one that is not an integer, is refused
+        # with the same ValueError by the sweep and by run_verification,
+        # before any moment is computed
         monkeypatch.setattr(identities, "_moments", None)
-        for geom, k_list in ((geom2, (3,)), (geom2, (0,)), (geom2, (1, 3)), (geom1, (2,))):
-            with pytest.raises(PreconditionError, match="order k must satisfy"):
+        for geom, k_list, match in (
+                (geom2, (3,), r"order k must lie in 1\.\.2, got \[3\]"),
+                (geom2, (0,), "order k must lie in"), (geom2, (1, 3), "order k must lie in"),
+                (geom1, (2,), r"order k must lie in 1\.\.1"),
+                (geom2, (1.0,), r"order k in 1\.\.2 must be an integer, got 1\.0"),
+                (geom2, (True,), r"order k in 1\.\.2 must be an integer, got True"),
+                (geom1, ("1",), r"order k in 1\.\.1 must be an integer, got '1'")):
+            with pytest.raises(ValueError, match=match):
                 minkowski_shifted(geom, k_list=k_list)
+            with pytest.raises(ValueError, match=match):
+                run_verification(geom.graph, k_list=k_list, geom=geom)
         with pytest.raises(PreconditionError):
             alexandrov_diagnostic(geom1)
         with pytest.raises(PreconditionError) as exc:
@@ -454,6 +464,11 @@ class TestReportMachinery:
         ({"tol": -1e-3}, "tol"),
         ({"tol": None}, "tol"),
         ({"tol": "1e-3"}, "tol"),
+        # a bool is no number: True would judge at an absolute 1.0, or name eps=1
+        ({"tol": True}, "tol"),
+        ({"eps_sweep": (0.0, True)}, "finite numbers"),
+        ({"k_list": [True]}, "must be an integer, got True"),
+        ({"k_list": [1.0]}, "must be an integer, got 1.0"),
     ])
     def test_vacuous_request_refused(self, surface, monkeypatch, kwargs, named):
         # a report is never empty, no check judges a NaN shift or tolerance,
