@@ -1,4 +1,5 @@
-"""Small shared helpers: the integer rule, exact summation and atomic file writes."""
+"""Small shared helpers: the integer and real-number rules, exact summation
+and atomic file writes."""
 
 from __future__ import annotations
 
@@ -26,6 +27,17 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_real(value, name: str) -> float:
+    """value, an int, float or numpy real but not a bool, as a Python float;
+    "1.0", None, 1j, True or 10**400 is ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {value!r} is past the float range") from None
 
 
 def exact_sum(values) -> float:

@@ -126,7 +126,7 @@ def cmd_gen(args) -> int:
     print(f"wrote {args.out}")
     print(f"kappa range: [{np.min(kappa):.9g}, {np.max(kappa):.9g}]")
     print(f"min H - n: {np.min(H) - geom.n:.9g}")
-    print(f"umbilicity spread: {np.max(kappa) - np.min(kappa):.9g}")
+    print(f"umbilicity spread: {geom.umbilicity_spread:.9g}")
     return EXIT_OK
 
 
@@ -193,8 +193,7 @@ def _convergence_residuals(args, names, checks, eps_sweep, n_phi: int):
     out = {}
     for name in names:
         if name == "umbilic-spread":
-            spread = float(np.max(geom.kappa) - np.min(geom.kappa))
-            out[name] = spread / float(np.max(np.abs(geom.kappa)))
+            out[name] = geom.umbilicity_spread / float(np.max(np.abs(geom.kappa)))
         else:
             # a minkowski-shifted row is named minkowski-shifted[eps=...,k=...]
             out.update((r.name, abs(r.rel_residual)) for r in results

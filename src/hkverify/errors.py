@@ -9,17 +9,16 @@ from __future__ import annotations
 
 
 class HkError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures.  A refusal that names
+    a node passes `node`: kept as `.node`, appended as " (node N)"."""
+
+    def __init__(self, message: str, node: int | None = None):
+        self.node = node
+        super().__init__(message if node is None else f"{message} (node {node})")
 
 
 class DegenerateSurfaceError(HkError):
     """The discrete surface failed a pointwise well-posedness check."""
-
-    def __init__(self, message: str, node: int | None = None):
-        self.node = node
-        if node is not None:
-            message = f"{message} (node {node})"
-        super().__init__(message)
 
 
 class GenerationError(HkError):
@@ -29,25 +28,13 @@ class GenerationError(HkError):
 class RejectedShapeError(HkError):
     """A generated shape failed post-hoc validation."""
 
-    def __init__(self, message: str, node: int | None = None):
-        self.node = node
-        if node is not None:
-            message = f"{message} (node {node})"
-        super().__init__(message)
-
 
 class PreconditionError(HkError):
     """A verification check's mathematical precondition does not hold."""
 
     def __init__(self, message: str, check: str | None = None, node: int | None = None):
         self.check = check
-        self.node = node
-        detail = message
-        if check is not None:
-            detail = f"{check}: {detail}"
-        if node is not None:
-            detail = f"{detail} (node {node})"
-        super().__init__(detail)
+        super().__init__(message if check is None else f"{check}: {message}", node)
 
 
 class FocalTimeError(HkError):

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hypgeo
-from ._util import _as_int, atomic_write_text, exact_sum
+from ._util import _as_int, _as_real, atomic_write_text, exact_sum
 from .errors import DegenerateSurfaceError, GenerationError, RejectedShapeError
 
 __all__ = [
@@ -189,51 +189,39 @@ def load_surface(path) -> RadialGraph:
         return RadialGraph.from_dict(json.load(handle))
 
 
-# 4th-order central stencils on an array `ext` that carries two ghost
-# entries at each end of `axis`: ext[j + 2] is node j.  Each is summed in
-# the order of the written formula, one scratch buffer reused per term.
-
-def _d1(ext, h, axis=0):
-    """(-f[j+2] + 8 f[j+1] - 8 f[j-1] + f[j-2]) / (12 h)"""
-    def at(lo, hi):
-        return ext[(slice(None),) * axis + (slice(lo, hi),)]
-    out = np.negative(at(4, None))
-    tmp = np.multiply(at(3, -1), 8.0)
-    out += tmp
-    np.multiply(at(1, -3), 8.0, out=tmp)
-    out -= tmp
-    out += at(None, -4)
-    out /= 12.0 * h
-    return out
+# 4th-order central stencils: the weights of f[j+2], f[j+1], f[j], f[j-1],
+# f[j-2], over 12 h^power.  Both tables start with -f[j+2].
+_D1 = ((-1.0, 8.0, 0.0, -8.0, 1.0), 1)
+_D2 = ((-1.0, 16.0, -30.0, 16.0, -1.0), 2)
 
 
-def _d2(ext, h, axis=0):
-    """(-f[j+2] + 16 f[j+1] - 30 f[j] + 16 f[j-1] - f[j-2]) / (12 h^2)"""
-    def at(lo, hi):
-        return ext[(slice(None),) * axis + (slice(lo, hi),)]
-    out = np.negative(at(4, None))
-    tmp = np.multiply(at(3, -1), 16.0)
-    out += tmp
-    np.multiply(at(2, -2), 30.0, out=tmp)
-    out -= tmp
-    np.multiply(at(1, -3), 16.0, out=tmp)
-    out += tmp
-    out -= at(None, -4)
-    out /= 12.0 * h * h
+def _stencil(ext, taps, h, axis=0):
+    """The `taps` derivative along `axis` of `ext`, which has two ghost entries
+    at each end of it (`_wrap`, `_pole_extend`): ext[j + 2] is node j.  Summed
+    in the written order; |c| f goes through one scratch buffer unless |c| = 1."""
+    weights, power = taps
+
+    def at(k):  # f[j + 2 - k] at every node j
+        return ext[(slice(None),) * axis + (slice(4 - k, ext.shape[axis] - k),)]
+    out = np.negative(at(0))
+    tmp = None
+    for k, c in enumerate(weights[1:], 1):
+        if c == 0.0:
+            continue
+        term = at(k)
+        if abs(c) != 1.0:
+            term = tmp = np.multiply(term, abs(c), out=tmp)
+        if c > 0.0:
+            out += term
+        else:
+            out -= term
+    out /= 12.0 * h if power == 1 else 12.0 * h * h
     return out
 
 
 def _wrap(f: np.ndarray, axis: int) -> np.ndarray:
     """f with two periodic ghost entries at each end of `axis`."""
     return np.concatenate([f.take([-2, -1], axis), f, f.take([0, 1], axis)], axis)
-
-
-def _periodic_d1(f, h, axis):
-    return _d1(_wrap(f, axis), h, axis)
-
-
-def _periodic_d2(f, h, axis):
-    return _d2(_wrap(f, axis), h, axis)
 
 
 def _pole_extend(f: np.ndarray) -> np.ndarray:
@@ -340,6 +328,11 @@ class SurfaceGeometry:
     def mean_curvature(self) -> np.ndarray:
         return hypgeo._row_fold(np.add, self.kappa)
 
+    @property
+    def umbilicity_spread(self) -> float:
+        """max kappa - min kappa over every node and direction; 0 on a sphere."""
+        return float(np.max(self.kappa) - np.min(self.kappa))
+
     @cached_property
     def weighted_volume(self) -> float:
         """Integral of V over the enclosed region, about `base`."""
@@ -348,8 +341,7 @@ class SurfaceGeometry:
     @cached_property
     def enclosed_volume(self) -> float:
         """Unweighted volume of the enclosed region (exact radial integral)."""
-        lam, lamp = self.sinh_rho, self.cosh_rho
-        radial = lamp - 1.0 if self.n == 1 else (lam * lamp - self.graph.rho) / 2.0
+        radial = _sinh_power_integral(self.n, self.graph.rho, self.sinh_rho, self.cosh_rho)
         radial *= _sigma_weights(self.graph)
         return exact_sum(radial)
 
@@ -389,6 +381,17 @@ def _directions(graph: RadialGraph) -> np.ndarray:
     )
 
 
+def _sinh_power_integral(m: int, rho, lam, lamp) -> np.ndarray:
+    """int_0^rho sinh(r)^m dr for m = 1, 2, 3, from lam = sinh(rho) and
+    lamp = cosh(rho), as a fresh array: the radial factor of the enclosed
+    volume (m = n) and of the weighted volume's tilt (m = n + 1)."""
+    if m == 1:
+        return lamp - 1.0
+    if m == 2:
+        return (lam * lamp - rho) / 2.0
+    return (lamp - 1.0) ** 2 * (lamp + 2.0) / 3.0
+
+
 def _weighted_volume(graph: RadialGraph, lam, lamp, base) -> float:
     """Integral of the potential V = -<x, base> over the enclosed region,
     from lam = sinh(rho) and lamp = cosh(rho), which a geometry already
@@ -399,16 +402,12 @@ def _weighted_volume(graph: RadialGraph, lam, lamp, base) -> float:
 
         b_0 sinh(rho)^{n+1} / (n+1) - (b_space . w) int_0^rho sinh(r)^{n+1} dr,
 
-    where the last integral is (cosh rho - 1)^2 (cosh rho + 2) / 3 for
-    n = 2 and (sinh rho cosh rho - rho) / 2 for n = 1.  Only the angular
+    with the last integral from `_sinh_power_integral`.  Only the angular
     quadrature is discrete.  About the graph's center, the coordinate
     origin, the second term vanishes.
     """
     n = graph.n
-    if n == 2:
-        tilt = (lamp - 1.0) ** 2 * (lamp + 2.0) / 3.0
-    else:
-        tilt = (lam * lamp - graph.rho) / 2.0
+    tilt = _sinh_power_integral(n + 1, graph.rho, lam, lamp)
     radial = base[0] * lam ** (n + 1) / (n + 1)
     # about the origin b_space . w is a signed zero at every node: skip the
     # directions, but keep the NaN of 0 * tilt where tilt overflows
@@ -479,7 +478,7 @@ def _fundamental_forms(graph: RadialGraph):
     lamp = np.cosh(rho)
     if graph.n == 1:
         h = graph.h_theta
-        d1 = _periodic_d1(rho, h, 0)
+        d1 = _stencil(_wrap(rho, 0), _D1, h)
         g = np.multiply(d1, d1)                 # d1^2 + lam^2
         tmp = np.multiply(lam, lam)
         g += tmp
@@ -487,7 +486,7 @@ def _fundamental_forms(graph: RadialGraph):
         v *= v
         v += 1.0
         np.sqrt(v, out=v)
-        hform = _periodic_d2(rho, h, 0)         # (-d2 + 2 coth d1 d1 + lam lamp) / v
+        hform = _stencil(_wrap(rho, 0), _D2, h)  # (-d2 + 2 coth d1 d1 + lam lamp) / v
         np.negative(hform, out=hform)
         np.divide(lamp, lam, out=tmp)
         tmp *= 2.0
@@ -503,17 +502,17 @@ def _fundamental_forms(graph: RadialGraph):
     phi, _ = graph.angles()
     sp = np.sin(phi)[:, None]
     cp = np.cos(phi)[:, None]
-    rho_t = _periodic_d1(rho, ht, 1)
+    rho_t = _stencil(_wrap(rho, 1), _D1, ht, 1)
     ext = _pole_extend(rho)
-    rho_p = _d1(ext, hp)
+    rho_p = _stencil(ext, _D1, hp)
     # the covariant Hessian of rho on the round sphere, built in h_pp,
     # h_pt, h_tt: rho_pp, rho_pt - (cp / sp) rho_t, rho_tt + sp cp rho_p
-    h_pp = _d2(ext, hp)
+    h_pp = _stencil(ext, _D2, hp)
     del ext
-    h_pt = _d1(_pole_extend(rho_t), hp)
+    h_pt = _stencil(_pole_extend(rho_t), _D1, hp)
     tmp = np.multiply(cp / sp, rho_t)
     h_pt -= tmp
-    h_tt = _periodic_d2(rho, ht, 1)
+    h_tt = _stencil(_wrap(rho, 1), _D2, ht, 1)
     np.multiply(sp * cp, rho_p, out=tmp)
     h_tt += tmp
 
@@ -650,16 +649,16 @@ def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
     at gamma = 0.
     """
     radius = _radius(radius)
-    if not 0.0 <= center_offset < radius:
+    d = _as_real(center_offset, "center offset")
+    if not 0.0 <= d < radius:
         raise GenerationError(
-            f"center offset must satisfy 0 <= offset < radius, got {center_offset}"
+            f"center offset must satisfy 0 <= offset < radius, got {d}"
         )
     grid = _n_ints(n, grid, "grid size")
     meta = {"shape": "sphere", "radius": radius}
-    if center_offset == 0.0:
+    if d == 0.0:
         return RadialGraph(n, np.full(grid, radius), {**meta, "offset": 0.0})
 
-    d = float(center_offset)
     angles = _angle_grid(n, grid)
     gamma = angles[0][:, None] if n == 2 else angles
     shd = np.sinh(d)
@@ -670,10 +669,11 @@ def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
 
 
 def _radius(radius) -> float:
-    """A generator's radius as a float; GenerationError unless positive and finite."""
+    """A generator's radius by `_as_real`; GenerationError unless positive and finite."""
+    radius = _as_real(radius, "radius")
     if not 0.0 < radius < math.inf:
         raise GenerationError(f"radius must be positive and finite, got {radius}")
-    return float(radius)
+    return radius
 
 
 _NEEDS = {"grid size": ("a single point count, e.g. 256", "a PHIxTHETA grid, e.g. 128x256"),
@@ -747,6 +747,7 @@ def _perturbed_geometry(radius: float, amp: float, mode, n: int,
                         grid) -> SurfaceGeometry:
     """The centred geometry `gen_perturbed_sphere` validates its surface on."""
     radius = _radius(radius)
+    amp = _as_real(amp, "amplitude")
     if not math.isfinite(amp):
         raise GenerationError(f"amplitude must be finite, got {amp}")
     grid = _n_ints(n, grid, "grid size")
@@ -764,7 +765,7 @@ def _perturbed_geometry(radius: float, amp: float, mode, n: int,
         raise RejectedShapeError(
             f"perturbation drives rho to {flat[bad[0]]:.3g}", node=int(bad[0])
         )
-    meta = {"shape": "perturbed", "radius": radius, "amp": float(amp), "mode": list(mode)}
+    meta = {"shape": "perturbed", "radius": radius, "amp": amp, "mode": list(mode)}
     geom = build_geometry(RadialGraph(n, rho, meta))
     H = geom.mean_curvature
     worst = int(np.argmin(H))

@@ -46,7 +46,7 @@ import numpy as np
 import scipy
 
 from . import __version__, symfun
-from ._util import _as_int, atomic_write_text, exact_sum
+from ._util import _as_int, _as_real, atomic_write_text, exact_sum
 from .errors import PreconditionError
 from .hypersurface import (
     H_MARGIN,
@@ -219,11 +219,13 @@ def minkowski_shifted(geom: SurfaceGeometry, eps_sweep=DEFAULT_EPS_SWEEP, k_list
     """The shifted Minkowski identities: one row per order k (default 1..n)
     and shift eps, k-major, all from one set of moments.
 
-    A k that `_orders` refuses is ValueError, before any moment is computed.
+    A k that `_orders` refuses, or an eps that `_as_real` refuses, is
+    ValueError, before any moment is computed; each row's eps is a float.
     Each row agrees with the integrals of its shifted integrands to
     rounding: within 1e-13 of max(|lhs|, |rhs|) on the calibrated family.
     """
     k_list = _orders(geom.n, k_list)
+    eps_sweep = [_as_real(eps, "eps") for eps in eps_sweep]
     moments = _moments(geom)
     return [_shifted_row(geom, moments, eps, k, tol) for k in k_list for eps in eps_sweep]
 
@@ -300,7 +302,7 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult
                    geom, lhs_slack, 0.0, tol, {"k": 2},
                    scale=max(abs(lhs_slack), max(abs(lhs_ratio), abs(rhs_ratio), 1e-300)))
 
-    spread = float(np.max(geom.kappa) - np.min(geom.kappa))
+    spread = geom.umbilicity_spread
     umb = _judge("report", "alexandrov-umbilic[k=2]", "alexandrov-umbilic", geom,
                  spread, 0.0, tol, {"k": 2},
                  scale=max(float(np.max(np.abs(geom.kappa))), 1e-300))
@@ -362,9 +364,10 @@ def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
     rules needing only the dimension n.  A check at the wrong dimension
     (alexandrov on a curve, gauss-bonnet on a surface) is refused with
     PreconditionError; with ValueError no checks, an unknown check,
-    minkowski-shifted with an empty eps or k list, an eps that is a bool or
-    not finite, a k that `_orders` refuses, a repeated check, eps or k, and
-    a tol other than "auto" or a finite number >= 0 that is not a bool.
+    minkowski-shifted with an empty eps or k list, an eps that `_as_real`
+    refuses or that is not finite, a k that `_orders` refuses, a repeated
+    check, eps or k, and a tol other than "auto" or a finite number >= 0
+    that is not a bool.
     """
     default = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
     if checks is None:
@@ -380,7 +383,11 @@ def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
             raise PreconditionError(f"{check} applies to {only[check][1]} only", check=check)
         if check == "minkowski-shifted" and (len(eps_sweep) == 0 or len(k_list) == 0):
             raise ValueError(f"check {check!r} would add no result: its eps or k list is empty")
-    if not all(not isinstance(e, bool) and math.isfinite(e) for e in eps_sweep):
+    try:
+        finite = all(math.isfinite(_as_real(e, "eps")) for e in eps_sweep)
+    except ValueError:
+        finite = False
+    if not finite:
         raise ValueError(f"eps must be finite numbers, got {list(eps_sweep)}")
     # a result is named by its check, eps (formatted :g) and k, so none may repeat
     for items in (checks, [f"{e:g}" for e in eps_sweep], k_list):

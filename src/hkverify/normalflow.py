@@ -9,10 +9,12 @@ evolution equations in closed form:
     Vnu(t)   = Vnu0 cosh t - V0 sinh t
     J(t)     = prod_i (cosh t - kappa_i sinh t)
 
-so the only numerical errors are the initial geometry and the quadrature
-in flow time.  A particle stays active until the first of its focal time
-(a Jacobian factor vanishes) and a global collision estimate.  The
-estimate scans a fixed grid of CUT_SAMPLES times below the smallest focal
+and H(t) = sum_i kappa_i(t).  Their one home is `_evolve`, which forms the
+stretch factors cosh t - kappa_i sinh t once per sample.  So the only
+numerical errors are the initial geometry and the quadrature in flow
+time.  A particle stays active until the first of its focal time (a
+Jacobian factor vanishes) and a global collision estimate.  The estimate
+scans a fixed grid of CUT_SAMPLES times below the smallest focal
 time for a pair that collides, never counting pairs closer than EXCLUSION
 spacings at t = 0; estimate_cut_time returns the cut and the pair behind
 it, and verify_flow derives every particle's window from them.  The scan
@@ -61,9 +63,6 @@ __all__ = [
     "FlowConfig",
     "FlowParticles",
     "FlowTrace",
-    "evolve_curvature",
-    "evolve_potentials",
-    "area_jacobian",
     "focal_times",
     "estimate_cut_time",
     "verify_flow",
@@ -88,52 +87,19 @@ LEVELSET_C_TIME = 400.0
 ROUND_C = 4.0
 
 
-def evolve_curvature(kappa, t):
-    """Principal curvature after flowing for time t.
+def _evolve(kappa0, V0, Vnu0, t):
+    """(H, J, V, V_nu) at time t of (N, n) curvature rows and (N,) potentials.
 
-    Solves kappa' = kappa^2 - 1 from the initial value; broadcasts over
-    arrays of curvatures and times.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    t = np.asarray(t, dtype=float)
+    The stretch factors are the curvature law's denominators and J's factors;
+    one at or below DENOM_TOL means t is at or past a focal time, where the
+    flow map is undefined: FocalTimeError, not a sign flip."""
     ch, sh = np.cosh(t), np.sinh(t)
-    denom = ch - kappa * sh
-    if np.any(denom <= DENOM_TOL):
+    factor = ch - kappa0 * sh
+    if np.any(factor <= DENOM_TOL):
         raise FocalTimeError("curvature evolution hit a focal time")
-    out = (kappa * ch - sh) / denom
-    return out if out.ndim else float(out)
-
-
-def evolve_potentials(V0, Vnu0, t):
-    """Potential and support function after time t (a Lorentz boost).
-
-    The combination V^2 - Vnu^2 is preserved exactly.
-    """
-    V0 = np.asarray(V0, dtype=float)
-    Vnu0 = np.asarray(Vnu0, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ch, sh = np.cosh(t), np.sinh(t)
-    V = V0 * ch - Vnu0 * sh
-    Vnu = Vnu0 * ch - V0 * sh
-    if V.ndim:
-        return V, Vnu
-    return float(V), float(Vnu)
-
-
-def area_jacobian(kappa0, t):
-    """Area element ratio J(t) = prod_i (cosh t - kappa_i sinh t).
-
-    kappa0 holds the initial principal curvatures along the last axis.
-    Strictly positive before the focal time; past it the flow map is no
-    longer defined, so that is an error rather than a sign flip.
-    """
-    kappa0 = np.asarray(kappa0, dtype=float)
-    t = np.asarray(t, dtype=float)
-    factors = np.cosh(t)[..., None] - kappa0 * np.sinh(t)[..., None]
-    if np.any(factors <= DENOM_TOL):
-        raise FocalTimeError("area Jacobian evaluated at or past a focal time")
-    out = hypgeo._row_fold(np.multiply, factors)
-    return out if out.ndim else float(out)
+    H = hypgeo._row_fold(np.add, (kappa0 * ch - sh) / factor)
+    J = hypgeo._row_fold(np.multiply, factor)
+    return H, J, V0 * ch - Vnu0 * sh, Vnu0 * ch - V0 * sh
 
 
 def focal_times(kappa0) -> np.ndarray:
@@ -347,14 +313,12 @@ def _active_sums(particles: FlowParticles, active_until: np.ndarray, tau: float)
     kap, V0, Vnu0, w0 = particles.kappa0, particles.V0, particles.Vnu0, particles.w0
     if n_active < particles.count():
         kap, V0, Vnu0, w0 = kap[mask], V0[mask], Vnu0[mask], w0[mask]
-    H = hypgeo._row_fold(np.add, evolve_curvature(kap, tau))
+    H, J, V, Vnu = _evolve(kap, V0, Vnu0, tau)
     low = int(np.argmin(H))
     if H[low] <= particles.n + H_MARGIN:
         raise FlowAssumptionError(
             f"mean curvature {H[low]:.6g} fell to n = {particles.n} at t = {tau:.6g}"
         )
-    J = area_jacobian(kap, tau)
-    V, Vnu = evolve_potentials(V0, Vnu0, tau)
     w = w0 * J
     S_vol = float(np.sum(V * w))
     S_nu = float(np.sum(Vnu * w))
@@ -524,8 +488,7 @@ def verify_flow(graph: RadialGraph, *, geom: SurfaceGeometry | None = None) -> F
     area_decreasing_ok = bool(np.all(np.diff(area[keep]) < 0.0))
     h_above_n_ok = bool(np.all(H_min[keep] > n + H_MARGIN))
 
-    spread = float(np.max(particles.kappa0) - np.min(particles.kappa0))
-    round_surface = spread <= ROUND_C * h * h * float(
+    round_surface = geom.umbilicity_spread <= ROUND_C * h * h * float(
         np.max(np.abs(particles.kappa0)))
     if round_surface:
         levelset_ok = bool(np.all(np.abs(levelset_rel) <= ls_tol))

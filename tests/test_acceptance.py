@@ -28,8 +28,7 @@ from hkverify.identities import (
 )
 from hkverify.normalflow import (
     FlowParticles,
-    evolve_curvature,
-    evolve_potentials,
+    _evolve,
     focal_times,
     verify_flow,
 )
@@ -142,13 +141,14 @@ def test_criterion_07_closed_forms_vs_oracles(surface, rng):
         k0 = float(rng.uniform(-2.0, 3.0))
         T = min(0.9 * focal_times([[k0]])[0], 1.5)
         want = rk4(k0, T, max(int(T / 1e-3), 10))
-        assert abs(evolve_curvature(k0, T) - want) <= 1e-8 * max(1.0, abs(want))
+        got = _evolve(np.array([[k0]]), np.ones(1), np.zeros(1), T)[0][0]
+        assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
     # potential law against moving the actual points and normals
     _, geom = surface("sphere", radius=1.0, offset=0.3, grid=(32, 64))
     p = FlowParticles.from_geometry(geom)
     for t in (0.2, 0.45):
-        V, Vnu = evolve_potentials(p.V0, p.Vnu0, t)
+        _, _, V, Vnu = _evolve(p.kappa0, p.V0, p.Vnu0, t)
         pos = p.positions_at(t)
         nu_t = math.cosh(t) * p.nu0 - math.sinh(t) * p.y
         assert np.max(np.abs(V - hypgeo.potential(pos, hypgeo.origin(2)))) <= 1e-10 * np.max(V)

@@ -14,23 +14,27 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hkverify import hypgeo
 from hkverify._util import exact_sum
 from hkverify.errors import (
     DegenerateSurfaceError,
     GenerationError,
+    HkError,
     RejectedShapeError,
 )
 from hkverify.hypersurface import (
+    _D1,
+    _D2,
     H_MARGIN,
     RadialGraph,
     _fundamental_forms,
     _harmonic,
-    _periodic_d1,
-    _periodic_d2,
     _perturbed_geometry,
+    _stencil,
     _weighted_volume,
+    _wrap,
     area_integral,
     build_geometry,
     gen_perturbed_sphere,
@@ -38,7 +42,7 @@ from hkverify.hypersurface import (
     load_surface,
     save_surface,
 )
-from hkverify.identities import _config_hash, minkowski_shifted
+from hkverify.identities import _config_hash, minkowski_shifted, run_verification
 
 import hypgeo_oracle as oracle
 
@@ -400,6 +404,68 @@ class TestIntegerRule:
             make()
 
 
+def _record(graph):
+    return graph.rho.tobytes(), json.dumps(graph.meta)
+
+
+def _report(x):
+    report = run_verification(gen_sphere(1.0, 0.3, grid=(16, 32)), eps_sweep=[x]).to_dict()
+    del report["provenance"]["timestamp"]
+    return json.dumps(report)
+
+
+# each real input: values to spell, the name its refusal gives, and what
+# the library made of the spelling x (a surface's rho bits and meta, or rows)
+REAL_INPUTS = {
+    "sphere radius": ([0.5, 1.0, 2.0, -1.0], "radius",
+                      lambda x: _record(gen_sphere(x, grid=(16, 32)))),
+    "sphere offset": ([0.0, 0.3, 1.0], "center offset",
+                      lambda x: _record(gen_sphere(1.5, x, grid=(16, 32)))),
+    "lobe radius": ([1.0, 2.0], "radius",
+                    lambda x: _record(gen_perturbed_sphere(x, 0.05, (2, 0), grid=(16, 32)))),
+    "lobe amplitude": ([0.0, 0.05, -0.1, 1.0], "amplitude",
+                       lambda x: _record(gen_perturbed_sphere(1.0, x, (2, 0), grid=(16, 32)))),
+    "report eps": ([0.0, 0.5, 1.0, 2.0], "eps", _report),
+    "sweep eps": ([0.0, 0.5, 1.0, 2.0], "eps", lambda x: json.dumps([r.to_dict() for r in (
+        minkowski_shifted(build_geometry(gen_sphere(1.0, 0.3, grid=(16, 32))), [x]))])),
+}
+REAL_SPELLINGS = {
+    "float": (float, True),
+    "int": (int, True),
+    "np.float32": (np.float32, True),
+    "np.int64": (np.int64, True),
+    "str": (str, False),
+    "None": (lambda v: None, False),
+    "complex": (complex, False),
+    "True": (lambda v: True, False),
+    "int past the float range": (lambda v: 10 ** 400, False),
+}
+
+
+def _outcome(make, x):
+    try:
+        return make(x)
+    except HkError as exc:      # a radius or shape the generator refuses
+        return type(exc), str(exc)
+
+
+class TestRealRule:
+    @given(st.sampled_from(sorted(REAL_INPUTS)), st.sampled_from(sorted(REAL_SPELLINGS)),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_taken_exactly_or_refused(self, name, spelling, data):
+        # every real input follows one rule: float(x) exactly, or ValueError
+        # naming the input
+        values, named, make = REAL_INPUTS[name]
+        spell, taken = REAL_SPELLINGS[spelling]
+        x = spell(data.draw(st.sampled_from(values)))
+        if not taken:
+            with pytest.raises(ValueError, match=named):
+                make(x)
+            return
+        assert _outcome(make, x) == _outcome(make, float(x)), (name, spelling, x)
+
+
 # the generators' outputs at Python and numpy scalar inputs; each keyword
 # set is passed to (gen_sphere, gen_perturbed_sphere) as its name says
 ROUND_TRIP_CASES = {
@@ -708,13 +774,36 @@ class TestDegeneracy:
             build_geometry(g, base=np.array([0.2, 0.0, 0.0, 0.0]))
 
 
+def rolled_stencil(f, taps, h, axis):
+    """The written 5-point formulas on periodic f; f[j + s] is np.roll(f, -s)."""
+    def at(s):
+        return np.roll(f, -s, axis)
+    if taps is _D1:
+        return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
+    return (-at(2) + 16.0 * at(1) - 30.0 * at(0) + 16.0 * at(-1) - at(-2)) / (12.0 * h * h)
+
+
+class TestStencil:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_written_formulas_bit_for_bit(self, data):
+        f = data.draw(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=2,
+                                                        max_side=7), elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e6, 1e6))))
+        axis = data.draw(st.integers(0, f.ndim - 1))
+        h = data.draw(st.floats(1e-3, 1.0))
+        for taps in (_D1, _D2):
+            assert oracle.same_bits(_stencil(_wrap(f, axis), taps, h, axis),
+                                    rolled_stencil(f, taps, h, axis))
+
+
 def covariant_hessian_n1(geom, h):
     """Test oracle: V'' - Gamma V' on the curve, Gamma = g'/(2g)."""
     V = geom.V
     (gm,) = _fundamental_forms(geom.graph)[-2]
-    dV = _periodic_d1(V, h, 0)
-    ddV = _periodic_d2(V, h, 0)
-    dg = _periodic_d1(gm, h, 0)
+    dV = _stencil(_wrap(V, 0), _D1, h, 0)
+    ddV = _stencil(_wrap(V, 0), _D2, h, 0)
+    dg = _stencil(_wrap(gm, 0), _D1, h, 0)
     return ddV - (dg / (2.0 * gm)) * dV
 
 
@@ -727,8 +816,8 @@ class TestPotentialConsistency:
         base = oracle.ball_to_hyper(np.array([0.2, 0.1]))
         geom = build_geometry(g, base=base)
         h = g.h_theta
-        dV = _periodic_d1(geom.V, h, 0)
-        dpos = _periodic_d1(geom.position, h, 0)
+        dV = _stencil(_wrap(geom.V, 0), _D1, h, 0)
+        dpos = _stencil(_wrap(geom.position, 0), _D1, h, 0)
         rhs = hypgeo.minkowski_inner(oracle.radial_field(geom.position, base), dpos)
         assert np.max(np.abs(dV - rhs)) <= 1e-5 * np.max(np.abs(rhs))
 
@@ -739,8 +828,8 @@ class TestPotentialConsistency:
         geom = build_geometry(g, base=base)
         V = geom.V.reshape(P, 2 * P)
         pos = geom.position.reshape(P, 2 * P, 4)
-        dV = _periodic_d1(V, g.h_theta, 1)
-        dpos = _periodic_d1(pos, g.h_theta, 1)
+        dV = _stencil(_wrap(V, 1), _D1, g.h_theta, 1)
+        dpos = _stencil(_wrap(pos, 1), _D1, g.h_theta, 1)
         rhs = hypgeo.minkowski_inner(oracle.radial_field(pos, base), dpos)
         assert np.max(np.abs(dV - rhs)) <= 2e-3 * np.max(np.abs(rhs))
 
@@ -785,7 +874,7 @@ class TestPotentialConsistency:
             return out
 
         def d_theta(f):
-            return _periodic_d1(f, ht, 1)
+            return _stencil(_wrap(f, 1), _D1, ht, 1)
 
         dV = {"p": d_phi(V), "t": d_theta(V)}
         ddV = {

@@ -34,10 +34,8 @@ from hkverify.normalflow import (
     FlowConfig,
     FlowParticles,
     _active_sums,
-    area_jacobian,
+    _evolve,
     estimate_cut_time,
-    evolve_curvature,
-    evolve_potentials,
     focal_times,
     verify_flow,
 )
@@ -58,44 +56,52 @@ def rk4_curvature(k0, T, steps):
     return k
 
 
+def evolve(kappa, t, V0=1.0, Vnu0=0.0):
+    """_evolve on one particle with curvatures `kappa`: (H, J, V, Vnu) as
+    floats; for a single curvature H is kappa(t)."""
+    H, J, V, Vnu = _evolve(np.array([kappa], dtype=float), np.array([V0]),
+                           np.array([Vnu0]), t)
+    return float(H[0]), float(J[0]), float(V[0]), float(Vnu[0])
+
+
 class TestCurvatureEvolution:
     def test_sphere_closed_form(self):
         R = 1.0
         k0 = math.cosh(R) / math.sinh(R)
         for t in (0.0, 0.2, 0.5, 0.9):
             want = math.cosh(R - t) / math.sinh(R - t)
-            assert evolve_curvature(k0, t) == pytest.approx(want, rel=1e-12)
+            assert evolve([k0], t)[0] == pytest.approx(want, rel=1e-12)
 
     def test_horosphere_fixed_point(self):
-        assert evolve_curvature(1.0, 0.7) == pytest.approx(1.0, abs=1e-12)
+        assert evolve([1.0], 0.7)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_against_rk4(self, rng):
         for _ in range(25):
             k0 = float(rng.uniform(-2.0, 3.0))
             tf = focal_times([[k0]])[0]
             T = min(0.9 * tf, 1.5)
-            got = evolve_curvature(k0, T)
+            got = evolve([k0], T)[0]
             want = rk4_curvature(k0, T, max(int(T / 1e-3), 10))
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
     def test_focal_crossing_is_an_error(self):
-        with pytest.raises(FocalTimeError):
-            evolve_curvature(2.0, 0.6)  # focal at artanh(1/2) ~ 0.549
-        with pytest.raises(FocalTimeError):
-            area_jacobian([2.0, 0.3], 0.6)
+        # focal at artanh(1/2) ~ 0.549, for one curvature and in a row
+        for kappa in ([2.0], [2.0, 0.3], [0.3, 2.0]):
+            with pytest.raises(FocalTimeError, match="^curvature evolution hit a focal time$"):
+                evolve(kappa, 0.6)
 
     def test_broadcasts(self):
         k = np.array([[0.5, 2.0], [0.0, 1.2]])
-        out = evolve_curvature(k, 0.3)
-        assert out.shape == k.shape
-        assert out[0, 0] == pytest.approx(evolve_curvature(0.5, 0.3))
+        H, J, V, Vnu = _evolve(k, np.ones(2), np.zeros(2), 0.3)
+        assert H.shape == J.shape == V.shape == Vnu.shape == (2,)
+        assert H[1] == pytest.approx(evolve([0.0], 0.3)[0] + evolve([1.2], 0.3)[0])
 
 
 class TestPotentialEvolution:
     def test_sphere_closed_form(self):
         R = 2.0
         for t in (0.0, 0.4, 1.1):
-            V, Vnu = evolve_potentials(math.cosh(R), math.sinh(R), t)
+            _, _, V, Vnu = evolve([1.0 / math.tanh(R)] * 2, t, math.cosh(R), math.sinh(R))
             assert V == pytest.approx(math.cosh(R - t), rel=1e-12)
             assert Vnu == pytest.approx(math.sinh(R - t), rel=1e-12)
 
@@ -104,7 +110,8 @@ class TestPotentialEvolution:
             V0 = float(rng.uniform(1.0, 10.0))
             Vnu0 = float(rng.uniform(-0.99, 0.99)) * math.sqrt(V0 * V0 - 1.0)
             t = float(rng.uniform(-3.0, 3.0))
-            V, Vnu = evolve_potentials(V0, Vnu0, t)
+            # a geodesic (kappa = 0) never focuses, whatever the sign of t
+            _, _, V, Vnu = evolve([0.0], t, V0, Vnu0)
             assert V * V - Vnu * Vnu == pytest.approx(
                 V0 * V0 - Vnu0 * Vnu0, rel=1e-10)
 
@@ -118,7 +125,7 @@ class TestPotentialEvolution:
         V_want = hypgeo.potential(pos, hypgeo.origin(2))
         nu_t = math.cosh(t) * particles.nu0 - math.sinh(t) * particles.y
         Vnu_want = hypgeo.potential(nu_t, hypgeo.origin(2))
-        V, Vnu = evolve_potentials(particles.V0, particles.Vnu0, t)
+        _, _, V, Vnu = _evolve(particles.kappa0, particles.V0, particles.Vnu0, t)
         assert np.max(np.abs(V - V_want)) <= 1e-10 * np.max(V_want)
         assert np.max(np.abs(Vnu - Vnu_want)) <= 1e-10 * np.max(np.abs(Vnu_want))
         # evolved normals stay unit and orthogonal to the moving point
@@ -128,14 +135,14 @@ class TestPotentialEvolution:
 
 class TestJacobian:
     def test_identity_at_zero(self):
-        assert area_jacobian([1.7, 0.4], 0.0) == 1.0
+        assert evolve([1.7, 0.4], 0.0)[1] == 1.0
 
     def test_sphere_closed_form(self):
         R = 1.0
         k0 = [math.cosh(R) / math.sinh(R)] * 2
         for t in (0.1, 0.5, 0.9):
             want = (math.sinh(R - t) / math.sinh(R)) ** 2
-            assert area_jacobian(k0, t) == pytest.approx(want, rel=1e-12)
+            assert evolve(k0, t)[1] == pytest.approx(want, rel=1e-12)
 
     def test_log_derivative_is_minus_h(self, rng):
         # d/dt log J = -H along the flow, at t = 0 and mid-window
@@ -144,9 +151,9 @@ class TestJacobian:
             k = rng.uniform(-1.5, 2.5, size=2)
             tf = focal_times([k])[0]
             for t in (0.0, min(0.4 * tf, 0.5)):
-                lo = math.log(area_jacobian(k, t - d))
-                hi = math.log(area_jacobian(k, t + d))
-                H = float(np.sum(evolve_curvature(k, t))) if t else float(np.sum(k))
+                lo = math.log(evolve(k, t - d)[1])
+                hi = math.log(evolve(k, t + d)[1])
+                H = evolve(k, t)[0] if t else float(np.sum(k))
                 assert (hi - lo) / (2 * d) == pytest.approx(-H, abs=1e-6 * (1 + abs(H)))
 
     def test_mean_curvature_rate(self, rng):
@@ -154,8 +161,8 @@ class TestJacobian:
         d = 1e-5
         for _ in range(20):
             k = rng.uniform(-1.5, 2.5, size=2)
-            Hp = float(np.sum(evolve_curvature(k, d)))
-            Hm = float(np.sum(evolve_curvature(k, -d)))
+            Hp = evolve(k, d)[0]
+            Hm = evolve(k, -d)[0]
             want = float(np.sum(k * k)) - 2.0
             assert (Hp - Hm) / (2 * d) == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
 
@@ -191,8 +198,10 @@ class TestRowKernels:
         kappa0 = data.draw(hnp.arrays(
             float, data.draw(LEADING) + (data.draw(st.integers(1, 3)),), elements=KAPPAS))
         t = data.draw(st.floats(0.0, 1.0))
-        want = np.prod(np.cosh(t) - kappa0 * np.sinh(t), axis=-1)
-        assert oracle.same_bits(area_jacobian(kappa0, t), want)
+        ch, sh = np.cosh(t), np.sinh(t)
+        H, J, _, _ = _evolve(kappa0, 1.0, 0.0, t)
+        assert oracle.same_bits(J, np.prod(ch - kappa0 * sh, axis=-1))
+        assert oracle.same_bits(H, np.sum((kappa0 * ch - sh) / (ch - kappa0 * sh), axis=-1))
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -220,7 +229,8 @@ class TestRowKernels:
         # every particle active, then some of them
         for tau in (data.draw(st.floats(0.0, 0.19)), data.draw(st.floats(0.2, 1.0))):
             active = tau < active_until
-            if np.any(active) and np.min(evolve_curvature(kappa0[active], tau).sum(-1)) <= n + H_MARGIN:
+            if np.any(active) and np.min(_evolve(kappa0[active], V0[active], Vnu0[active],
+                                                 tau)[0]) <= n + H_MARGIN:
                 with pytest.raises(FlowAssumptionError):
                     _active_sums(p, active_until, tau)
             else:
