@@ -33,8 +33,8 @@ from .errors import (
     RejectedShapeError,
 )
 from .hypersurface import (
-    _perturbed_geometry,
     build_geometry,
+    gen_perturbed_sphere,
     gen_sphere,
     load_surface,
     save_surface,
@@ -101,12 +101,13 @@ def _shape_arguments(sub):
 
 def _generate(args, grid):
     """The requested surface's centred geometry, built once: a perturbed
-    surface's is the one its generator validated H on."""
+    surface's takes the fields its generator validated H on."""
     if args.shape == "sphere":
-        return build_geometry(gen_sphere(args.radius, center_offset=args.offset,
-                                         n=args.n, grid=grid))
-    return _perturbed_geometry(args.radius, args.amp, _parse_ints(args.mode, ","),
-                               args.n, grid)
+        graph = gen_sphere(args.radius, center_offset=args.offset, n=args.n, grid=grid)
+    else:
+        graph = gen_perturbed_sphere(args.radius, args.amp, _parse_ints(args.mode, ","),
+                                     n=args.n, grid=grid)
+    return build_geometry(graph)
 
 
 def _load(path):

@@ -87,6 +87,9 @@ class RadialGraph:
     n: int
     rho: np.ndarray
     meta: dict = field(default_factory=dict)
+    # (rho, fields): the base-independent geometry fields a generator
+    # validated this very rho on, for the first build_geometry to take
+    _carried: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.n = _dimension(self.n)
@@ -130,8 +133,38 @@ class RadialGraph:
         return _angle_grid(self.n, self.rho.shape)
 
     def rotated(self, steps: int) -> "RadialGraph":
-        """Same surface with the azimuth grid rolled by an integer step."""
-        return RadialGraph(self.n, np.roll(self.rho, _as_int(steps, "step"), -1), dict(self.meta))
+        """Same surface with the azimuth grid rolled by an integer step.
+
+        Geometry fields this graph carries for its first build (see
+        `gen_perturbed_sphere`) move to the rolled graph, rolled with it;
+        this graph lets them go.  The roll is exact: the stencils are
+        periodic in the azimuth and the pole ghost rows roll with the grid.
+        """
+        steps = _as_int(steps, "step")
+        fields = self._take_fields()
+        out = RadialGraph(self.n, np.roll(self.rho, steps, -1), dict(self.meta))
+        if fields is not None:
+            out._hand_off(_rolled_fields(fields, self.rho.shape, steps))
+        return out
+
+    def _hand_off(self, fields: dict) -> None:
+        """Carry `fields` to the first build; rho is read-only meanwhile, so
+        an in-place edit cannot meet stale fields."""
+        self.rho.flags.writeable = False
+        self._carried = (self.rho, fields)
+
+    def _take_fields(self) -> dict | None:
+        """The carried fields, once, or None; rho is writable again after.
+
+        Fields are dropped unread if rho was replaced or made writable
+        since the hand-off (a copied graph's rho is a writable copy)."""
+        carried, self._carried = self._carried, None
+        if carried is None:
+            return None
+        rho, fields = carried
+        intact = rho is self.rho and not rho.flags.writeable
+        rho.flags.writeable = True
+        return fields if intact else None
 
     def to_dict(self) -> dict:
         return {
@@ -155,6 +188,27 @@ class RadialGraph:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed surface record: {exc}") from exc
         return cls(n, flat.reshape(shape), dict(meta))
+
+
+# the SurfaceGeometry fields that depend on the graph alone, not on the
+# base point: what a generator hands to the first build of its surface
+_CARRIED_FIELDS = ("sinh_rho", "cosh_rho", "v", "grad", "kappa", "area_weight")
+
+
+def _rolled_fields(fields: dict, grid: tuple, steps: int) -> dict:
+    """`fields` with every array rolled `steps` nodes in azimuth, replaced
+    one at a time in the dict, which is returned: each old array is freed
+    once its rolled copy exists, not after all of them."""
+    axis = len(grid) - 1
+    for name, value in fields.items():
+        if name == "grad":
+            fields[name] = tuple(np.roll(d, steps, axis) for d in value)
+        elif name in ("kappa", "area_weight"):  # flattened row-major from the grid
+            fields[name] = np.roll(value.reshape(grid + value.shape[1:]), steps,
+                                   axis).reshape(value.shape)
+        else:
+            fields[name] = np.roll(value, steps, axis)
+    return fields
 
 
 def _rho_bytes(rho) -> bytes:
@@ -442,12 +496,22 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     that reaches the potential, V - V_nu <= 0, naming the first such node.
     Overflow and invalid-value warnings are silenced while the arrays are
     built, because those refusals catch every value they would warn about.
+
+    A graph from `gen_perturbed_sphere` (or rolled from one by `rotated`)
+    carries the base-independent fields its generator validated H on; the
+    first build takes them in place of assembling the forms again, and the
+    graph lets them go, so a second build assembles.  V, V_nu and every
+    refusal above are computed the same way on either route.
     """
     if base is not None:
         base = np.asarray(base, dtype=float)
         hypgeo.validate_point(base)
+    fields = graph._take_fields()
     with np.errstate(over="ignore", invalid="ignore"):
-        geom = _core_n2(graph, base) if graph.n == 2 else _core_n1(graph, base)
+        if fields is not None:
+            geom = SurfaceGeometry(graph, **fields, base=base)
+        else:
+            geom = _core_n2(graph, base) if graph.n == 2 else _core_n1(graph, base)
         gap = geom.V - geom.V_nu
     finite = np.isfinite(gap)
     for kappa_i in geom.kappa.T:  # column by column: all(axis=-1) is ~10x slower
@@ -736,16 +800,10 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
     with the violating node.
     H comes from build_geometry(graph), so a shape it would refuse is
     refused here the same way; positions and normals are never built.
-    That geometry is dropped: a caller that also needs it (the CLI's `gen`
-    and `convergence`) takes it from `_perturbed_geometry` instead of
-    building it a second time.
+    The graph carries that geometry's base-independent fields (sinh and
+    cosh of rho, v, grad, kappa, area_weight) to its first build_geometry,
+    also through `rotated`; until then its rho is read-only.
     """
-    return _perturbed_geometry(radius, amp, mode, n, grid).graph
-
-
-def _perturbed_geometry(radius: float, amp: float, mode, n: int,
-                        grid) -> SurfaceGeometry:
-    """The centred geometry `gen_perturbed_sphere` validates its surface on."""
     radius = _radius(radius)
     amp = _as_real(amp, "amplitude")
     if not math.isfinite(amp):
@@ -766,11 +824,13 @@ def _perturbed_geometry(radius: float, amp: float, mode, n: int,
             f"perturbation drives rho to {flat[bad[0]]:.3g}", node=int(bad[0])
         )
     meta = {"shape": "perturbed", "radius": radius, "amp": amp, "mode": list(mode)}
-    geom = build_geometry(RadialGraph(n, rho, meta))
+    graph = RadialGraph(n, rho, meta)
+    geom = build_geometry(graph)
     H = geom.mean_curvature
     worst = int(np.argmin(H))
     if H[worst] <= n + H_MARGIN:
         raise RejectedShapeError(
             f"mean curvature {H[worst]:.6g} is not above {n}", node=worst
         )
-    return geom
+    graph._hand_off({name: getattr(geom, name) for name in _CARRIED_FIELDS})
+    return graph

@@ -204,11 +204,20 @@ def _shifted_row(geom: SurfaceGeometry, moments: tuple, eps: float, k: int,
                   geom, lhs, rhs, tol, {"eps": eps, "k": k})
 
 
+def _as_list(value, name: str) -> list:
+    """The entries of a list-like `value`, as a list; a str, a scalar or None
+    is ValueError naming `name` (a string would be read char by char)."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
 def _orders(n: int, k_list) -> list:
-    """k_list (default 1..n) as Python ints, each `_as_int` and in 1..n (else ValueError)."""
+    """k_list (default 1..n) as Python ints, each `_as_int` and in 1..n (else
+    ValueError, as is a k_list that `_as_list` refuses)."""
     if k_list is None:
         return list(range(1, n + 1))
-    orders = [_as_int(k, f"order k in 1..{n}") for k in k_list]
+    orders = [_as_int(k, f"order k in 1..{n}") for k in _as_list(k_list, "k_list")]
     if not all(1 <= k <= n for k in orders):
         raise ValueError(f"order k must lie in 1..{n}, got {orders}")
     return orders
@@ -219,13 +228,14 @@ def minkowski_shifted(geom: SurfaceGeometry, eps_sweep=DEFAULT_EPS_SWEEP, k_list
     """The shifted Minkowski identities: one row per order k (default 1..n)
     and shift eps, k-major, all from one set of moments.
 
-    A k that `_orders` refuses, or an eps that `_as_real` refuses, is
-    ValueError, before any moment is computed; each row's eps is a float.
+    A k_list that `_orders` refuses, an eps_sweep that `_as_list` refuses or
+    an eps that `_as_real` refuses is ValueError, before any moment is
+    computed; each row's eps is a float.
     Each row agrees with the integrals of its shifted integrands to
     rounding: within 1e-13 of max(|lhs|, |rhs|) on the calibrated family.
     """
     k_list = _orders(geom.n, k_list)
-    eps_sweep = [_as_real(eps, "eps") for eps in eps_sweep]
+    eps_sweep = [_as_real(eps, "eps") for eps in _as_list(eps_sweep, "eps_sweep")]
     moments = _moments(geom)
     return [_shifted_row(geom, moments, eps, k, tol) for k in k_list for eps in eps_sweep]
 
@@ -360,10 +370,12 @@ def _config_hash(config: dict, rho: np.ndarray) -> str:
 
 
 def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
-    """(checks, k_list), defaults filled in, of a request that passes the
-    rules needing only the dimension n.  A check at the wrong dimension
-    (alexandrov on a curve, gauss-bonnet on a surface) is refused with
-    PreconditionError; with ValueError no checks, an unknown check,
+    """(checks, eps_sweep, k_list) as lists, defaults filled in, of a request
+    that passes the rules needing only the dimension n.  A check at the
+    wrong dimension (alexandrov on a curve, gauss-bonnet on a surface) is
+    refused with PreconditionError; with ValueError a checks, eps_sweep or
+    k_list that `_as_list` refuses (checks and k_list may be None, for
+    their defaults), no checks, an unknown check,
     minkowski-shifted with an empty eps or k list, an eps that `_as_real`
     refuses or that is not finite, a k that `_orders` refuses, a repeated
     check, eps or k, and a tol other than "auto" or a finite number >= 0
@@ -372,6 +384,8 @@ def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
     default = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
     if checks is None:
         checks = default + (["gauss-bonnet"] if n == 1 else [])
+    checks = _as_list(checks, "checks")
+    eps_sweep = _as_list(eps_sweep, "eps_sweep")
     k_list = _orders(n, k_list)
     if len(checks) == 0:
         raise ValueError("no checks requested")
@@ -396,7 +410,7 @@ def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
     if tol != "auto" and (isinstance(tol, bool) or not (
             isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0)):
         raise ValueError(f"tol must be 'auto' or a finite number >= 0, got {tol!r}")
-    return checks, k_list
+    return checks, eps_sweep, k_list
 
 
 def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEEP,
@@ -412,7 +426,7 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
     centered geometry of `graph`; one built from another graph is refused
     with ValueError.
     """
-    checks, k_list = _check_request(graph.n, checks, eps_sweep, k_list, tol)
+    checks, eps_sweep, k_list = _check_request(graph.n, checks, eps_sweep, k_list, tol)
     geom = geometry_for(graph, geom)
 
     surface = {"n": graph.n, "grid": list(graph.rho.shape), "meta": dict(graph.meta)}

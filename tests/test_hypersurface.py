@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hkverify import hypgeo
+from hkverify import hypersurface, hypgeo
 from hkverify._util import exact_sum
 from hkverify.errors import (
     DegenerateSurfaceError,
@@ -31,7 +31,6 @@ from hkverify.hypersurface import (
     RadialGraph,
     _fundamental_forms,
     _harmonic,
-    _perturbed_geometry,
     _stencil,
     _weighted_volume,
     _wrap,
@@ -43,6 +42,7 @@ from hkverify.hypersurface import (
     save_surface,
 )
 from hkverify.identities import _config_hash, minkowski_shifted, run_verification
+from hkverify.normalflow import verify_flow
 
 import hypgeo_oracle as oracle
 
@@ -243,19 +243,6 @@ class TestGenerators:
         with pytest.raises(GenerationError, match="radius must be positive and finite"):
             gen_sphere(radius, grid=(16, 32))
 
-    @pytest.mark.parametrize("n, mode, grid", [(2, (2, 0), (16, 32)), (1, 2, (64,))])
-    def test_perturbed_geometry_is_the_surface_built(self, n, mode, grid):
-        # the geometry the generator validates on is, bit for bit, the one
-        # build_geometry makes of the surface it returns
-        geom = _perturbed_geometry(1.0, 0.05, mode, n, grid)
-        graph = gen_perturbed_sphere(1.0, 0.05, mode, n=n, grid=grid)
-        assert geom.graph.to_dict() == graph.to_dict()
-        fresh = build_geometry(graph)
-        for name in ("sinh_rho", "cosh_rho", "v", "kappa", "area_weight", "V", "V_nu"):
-            assert np.array_equal(getattr(geom, name), getattr(fresh, name)), name
-        assert all(np.array_equal(a, b) for a, b in zip(geom.grad, fresh.grad))
-        assert np.array_equal(geom.base, fresh.base)
-
     def test_perturbed_rejects_h_violation(self):
         # a deep mode-2 dent flattens the curve below the horosphere bound
         with pytest.raises(RejectedShapeError) as exc:
@@ -306,6 +293,90 @@ SPELLINGS = {
     "str": (str, False),
     "True": (lambda v: True, False),
 }
+
+
+# non-axisymmetric shapes, so that a roll moves every value
+_CARRIERS = {1: (0.05, 2, (256,)), 2: (0.05, (2, 1), (32, 64))}
+
+
+def _carrier(n):
+    amp, mode, grid = _CARRIERS[n]
+    return gen_perturbed_sphere(1.0, amp, mode, n=n, grid=grid)
+
+
+def _flow_arrays(trace):
+    return {name: value for name, value in vars(trace).items() if isinstance(value, np.ndarray)}
+
+
+class TestHandOff:
+    """A generated graph carries its generator's fields to its first build."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("steps", [0, 5, -17, "T+3"])
+    def test_bit_for_bit_a_fresh_build(self, n, steps):
+        # the fields rolled through `rotated` are what the cores assemble
+        # from the rolled rho: the stencils are periodic in the azimuth
+        steps = _carrier(n).n_theta + 3 if steps == "T+3" else steps
+        graph = _carrier(n).rotated(steps)
+        plain = RadialGraph(n, graph.rho.copy(), dict(graph.meta))
+        handed, fresh = build_geometry(graph), build_geometry(plain)
+        for name in ("sinh_rho", "cosh_rho", "v", "kappa", "area_weight", "V", "V_nu",
+                     "position", "normal", "base"):
+            a, b = getattr(handed, name), getattr(fresh, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert len(handed.grad) == len(fresh.grad) == n
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(handed.grad, fresh.grad))
+
+        def report(g):
+            return [r.to_dict() for r in run_verification(g).results]
+        assert report(_carrier(n).rotated(steps)) == report(plain)
+        if n == 2:
+            # the flow takes the rolled fields for its start geometry
+            handed, fresh = (_flow_arrays(verify_flow(g))
+                             for g in (_carrier(n).rotated(steps), plain))
+            assert handed.keys() == fresh.keys() and handed
+            for name, value in handed.items():
+                assert value.tobytes() == fresh[name].tobytes(), name
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_shot(self, monkeypatch, n):
+        cores = []
+        for name in ("_core_n1", "_core_n2"):
+            core = getattr(hypersurface, name)
+            monkeypatch.setattr(hypersurface, name,
+                                lambda *args, core=core: cores.append(1) or core(*args))
+        graph = _carrier(n)
+        assert len(cores) == 1                       # the generator's own build
+        rolled = graph.rotated(7)
+        # the source lets the fields go, so no two graphs share them
+        assert graph._carried is None and graph.rho.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rolled.rho[0] = 1.0
+        run_verification(rolled)
+        assert len(cores) == 1
+        # a verified graph carries nothing: a round that keeps its graphs
+        # holds no fields, and rho is writable again
+        assert rolled._carried is None and rolled.rho.flags.writeable
+        build_geometry(rolled)
+        assert len(cores) == 2
+        build_geometry(graph)
+        assert len(cores) == 3
+
+    def test_fields_are_base_independent(self):
+        # about another base only V and V_nu change, as on a fresh build
+        base = np.array([math.cosh(0.2), 0.0, math.sinh(0.2), 0.0])
+        graph = _carrier(2).rotated(3)
+        handed = build_geometry(graph, base=base)
+        fresh = build_geometry(RadialGraph(2, graph.rho.copy()), base=base)
+        for name in ("kappa", "area_weight", "V", "V_nu"):
+            assert getattr(handed, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+    def test_replaced_rho_drops_the_fields(self):
+        # fields are taken only for the rho they were validated on
+        graph = _carrier(1)
+        graph.rho = np.full(graph.rho.shape, 2.0)
+        sphere = build_geometry(gen_sphere(2.0, n=1, grid=256))
+        assert build_geometry(graph).kappa.tobytes() == sphere.kappa.tobytes()
 
 
 def _loaded(n, grid, count):

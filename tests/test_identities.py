@@ -478,6 +478,34 @@ class TestReportMachinery:
         with pytest.raises(ValueError, match=named):
             run_verification(g, **kwargs)
 
+    @pytest.mark.parametrize("call, value", [
+        ("run_verification", {"eps_sweep": 0.5}),
+        ("run_verification", {"eps_sweep": None}),
+        ("run_verification", {"eps_sweep": "0.5"}),
+        ("run_verification", {"k_list": 1}),
+        ("run_verification", {"k_list": "1"}),
+        ("run_verification", {"checks": "hk-shifted"}),
+        ("run_verification", {"checks": math.nan}),
+        ("minkowski_shifted", {"eps_sweep": 0.5}),
+        ("minkowski_shifted", {"eps_sweep": None}),
+        ("minkowski_shifted", {"eps_sweep": np.float64(0.5)}),
+        ("minkowski_shifted", {"k_list": 1}),
+        ("minkowski_shifted", {"k_list": "12"}),
+    ])
+    def test_container_must_be_a_list(self, surface, monkeypatch, call, value):
+        # a string would be read char by char, and a scalar or a None that
+        # is no default has no entries: each is refused by name, before
+        # any geometry or moment is computed
+        (name,) = value
+        g, geom = surface("sphere", radius=1.0, grid=(32, 64))
+        monkeypatch.setattr(hypersurface, "build_geometry", None)
+        monkeypatch.setattr(identities, "_moments", None)
+        with pytest.raises(ValueError, match=f"{name} must be a list, got"):
+            if call == "run_verification":
+                run_verification(g, **value)
+            else:
+                minkowski_shifted(geom, **value)
+
     @pytest.mark.parametrize("alexandrov_k", [None, [], [2]])
     def test_alexandrov_on_a_curve_refused(self, surface, alexandrov_k):
         # the chain's order is no setting: without it a curve is refused,
@@ -638,18 +666,29 @@ def _non_round_profiles(draw):
         assume(False)
 
 
+def _regenerated(graph):
+    """`graph` generated again from its meta, carrying the generator's fields."""
+    meta = graph.meta
+    return gen_perturbed_sphere(meta["radius"], meta["amp"], meta["mode"], n=graph.n,
+                                grid=graph.rho.shape)
+
+
 class TestProperties:
     @given(_centered_profiles())
     @settings(max_examples=50, deadline=None)
     def test_classical_exact_and_roll_invariant(self, case):
         graph, steps = case
+        twin = _regenerated(graph)
         rep = run_verification(graph)
         r = _result(rep, "minkowski-classical")
         assert abs(r.rel_residual) <= 1e-13, r
         # rolling the azimuth permutes the nodes and compensated sums are
-        # exactly rounded, so every check agrees bit for bit
-        rolled = run_verification(graph.rotated(steps))
-        assert [c.to_dict() for c in rolled.results] == [c.to_dict() for c in rep.results]
+        # exactly rounded, so every check agrees bit for bit, whether the
+        # rolled geometry is assembled (graph was verified, so it carries
+        # nothing) or rolled with the generator's fields (twin)
+        expected = [c.to_dict() for c in rep.results]
+        for rolled in (graph.rotated(steps), twin.rotated(steps)):
+            assert [c.to_dict() for c in run_verification(rolled).results] == expected
 
     @given(_centered_profiles())
     @settings(max_examples=50, deadline=None)
