@@ -80,20 +80,26 @@ def _angle_grid(n: int, grid):
     return (np.arange(P) + 0.5) * (np.pi / P), np.arange(T) * (2.0 * np.pi / T)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialGraph:
-    """Radial distance samples of a closed star-shaped hypersurface."""
+    """Radial distance samples of a closed star-shaped hypersurface.
+
+    A graph is a value: it never changes, and a different surface is a new
+    graph.  `n`, `rho` and `meta` cannot be rebound, and `rho` is read-only
+    float64.  An owned float64 input is adopted (made read-only, not copied;
+    keep no view of it); any other (a list, another dtype, a view) is copied once.
+    """
 
     n: int
     rho: np.ndarray
     meta: dict = field(default_factory=dict)
-    # (rho, fields): the base-independent geometry fields a generator
-    # validated this very rho on, for the first build_geometry to take
-    _carried: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the base-independent fields a generator validated rho on, for the first build
+    _carried: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.n = _dimension(self.n)
-        self.rho = np.asarray(self.rho, dtype=float)
+        object.__setattr__(self, "n", _dimension(self.n))
+        rho = np.asarray(self.rho, dtype=float)
+        object.__setattr__(self, "rho", rho if rho.flags.owndata else rho.copy())
         if self.rho.ndim != self.n:
             raise ValueError(f"rho must be a {self.n}-D array for n = {self.n}")
         if not np.all(np.isfinite(self.rho)):
@@ -104,6 +110,10 @@ class RadialGraph:
             raise ValueError(f"grid sizes must be at least {MIN_GRID}")
         if self.n == 2 and self.rho.shape[1] % 2 != 0:
             raise ValueError("n_theta must be even (pole continuation shifts by pi)")
+        self.rho.flags.writeable = False
+
+    def __reduce__(self):
+        return RadialGraph, (self.n, self.rho, self.meta)
 
     @property
     def n_theta(self) -> int:
@@ -148,23 +158,14 @@ class RadialGraph:
         return out
 
     def _hand_off(self, fields: dict) -> None:
-        """Carry `fields` to the first build; rho is read-only meanwhile, so
-        an in-place edit cannot meet stale fields."""
-        self.rho.flags.writeable = False
-        self._carried = (self.rho, fields)
+        """Carry `fields` to the first build of this graph."""
+        object.__setattr__(self, "_carried", fields)
 
     def _take_fields(self) -> dict | None:
-        """The carried fields, once, or None; rho is writable again after.
-
-        Fields are dropped unread if rho was replaced or made writable
-        since the hand-off (a copied graph's rho is a writable copy)."""
-        carried, self._carried = self._carried, None
-        if carried is None:
-            return None
-        rho, fields = carried
-        intact = rho is self.rho and not rho.flags.writeable
-        rho.flags.writeable = True
-        return fields if intact else None
+        """The carried fields, once, or None."""
+        fields = self._carried
+        object.__setattr__(self, "_carried", None)
+        return fields
 
     def to_dict(self) -> dict:
         return {
@@ -218,7 +219,7 @@ def _rho_bytes(rho) -> bytes:
 
 
 def _rho_from_text(text, count: int) -> np.ndarray:
-    """The `count` values of a record's base64 rho, as a writable array."""
+    """The `count` values of a record's base64 rho, read-only over its bytes."""
     if isinstance(text, list):
         raise ValueError("rho is in the old text format (a list of decimals); "
                          "regenerate the surface with `hkverify gen`")
@@ -231,7 +232,7 @@ def _rho_from_text(text, count: int) -> np.ndarray:
     if len(raw) != 8 * count:
         raise ValueError(f"rho holds {len(raw)} bytes, the declared grid "
                          f"needs {8 * count}")
-    return np.frombuffer(raw, dtype="<f8").astype(float)
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def save_surface(graph: RadialGraph, path) -> None:
@@ -498,10 +499,10 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     built, because those refusals catch every value they would warn about.
 
     A graph from `gen_perturbed_sphere` (or rolled from one by `rotated`)
-    carries the base-independent fields its generator validated H on; the
-    first build takes them in place of assembling the forms again, and the
-    graph lets them go, so a second build assembles.  V, V_nu and every
-    refusal above are computed the same way on either route.
+    carries the base-independent fields its generator validated H on, and a
+    graph never changes, so they fit its rho: the first build takes them in
+    place of assembling the forms, and a second build assembles.  V, V_nu
+    and every refusal above are computed the same way on either route.
     """
     if base is not None:
         base = np.asarray(base, dtype=float)
@@ -729,7 +730,7 @@ def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,
     s = np.hypot(1.0, shd * np.sin(gamma))
     alpha = np.arcsinh(shd * np.cos(gamma) / s)
     rho = alpha + np.arccosh(np.cosh(radius) / s)
-    return RadialGraph(n, np.broadcast_to(rho, grid).copy(), {**meta, "offset": d})
+    return RadialGraph(n, np.broadcast_to(rho, grid), {**meta, "offset": d})
 
 
 def _radius(radius) -> float:
@@ -800,9 +801,8 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
     with the violating node.
     H comes from build_geometry(graph), so a shape it would refuse is
     refused here the same way; positions and normals are never built.
-    The graph carries that geometry's base-independent fields (sinh and
-    cosh of rho, v, grad, kappa, area_weight) to its first build_geometry,
-    also through `rotated`; until then its rho is read-only.
+    The graph carries that geometry's base-independent fields
+    (`_CARRIED_FIELDS`) to its first build_geometry, also through `rotated`.
     """
     radius = _radius(radius)
     amp = _as_real(amp, "amplitude")

@@ -8,8 +8,11 @@ carry real discretization error with measured orders.
 """
 
 import base64
+import copy
 import json
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -86,7 +89,7 @@ class TestRadialGraph:
         back = load_surface(path)
         assert back.n == 2
         assert np.array_equal(back.rho, rho)  # bit-exact through the base64 bytes
-        assert back.rho.flags.writeable and back.rho.dtype == np.float64
+        assert not back.rho.flags.writeable and back.rho.dtype == np.float64
         assert back.meta == {"shape": "random", "tag": 3}
 
     # the smallest subnormal, the largest finite float, 17-digit values
@@ -304,6 +307,16 @@ def _carrier(n):
     return gen_perturbed_sphere(1.0, amp, mode, n=n, grid=grid)
 
 
+def _counted_cores(monkeypatch):
+    """A list that grows by one entry per `_core_n1`/`_core_n2` run."""
+    cores = []
+    for name in ("_core_n1", "_core_n2"):
+        core = getattr(hypersurface, name)
+        monkeypatch.setattr(hypersurface, name,
+                            lambda *args, core=core: cores.append(1) or core(*args))
+    return cores
+
+
 def _flow_arrays(trace):
     return {name: value for name, value in vars(trace).items() if isinstance(value, np.ndarray)}
 
@@ -340,23 +353,19 @@ class TestHandOff:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_shot(self, monkeypatch, n):
-        cores = []
-        for name in ("_core_n1", "_core_n2"):
-            core = getattr(hypersurface, name)
-            monkeypatch.setattr(hypersurface, name,
-                                lambda *args, core=core: cores.append(1) or core(*args))
+        cores = _counted_cores(monkeypatch)
         graph = _carrier(n)
         assert len(cores) == 1                       # the generator's own build
         rolled = graph.rotated(7)
         # the source lets the fields go, so no two graphs share them
-        assert graph._carried is None and graph.rho.flags.writeable
+        assert graph._carried is None
         with pytest.raises(ValueError, match="read-only"):
             rolled.rho[0] = 1.0
         run_verification(rolled)
         assert len(cores) == 1
         # a verified graph carries nothing: a round that keeps its graphs
-        # holds no fields, and rho is writable again
-        assert rolled._carried is None and rolled.rho.flags.writeable
+        # holds no fields
+        assert rolled._carried is None
         build_geometry(rolled)
         assert len(cores) == 2
         build_geometry(graph)
@@ -371,12 +380,123 @@ class TestHandOff:
         for name in ("kappa", "area_weight", "V", "V_nu"):
             assert getattr(handed, name).tobytes() == getattr(fresh, name).tobytes(), name
 
-    def test_replaced_rho_drops_the_fields(self):
-        # fields are taken only for the rho they were validated on
+    def test_rebinding_rho_is_refused(self):
+        # the fields always meet the rho they were validated on: a graph
+        # that carries them cannot be given another
         graph = _carrier(1)
-        graph.rho = np.full(graph.rho.shape, 2.0)
-        sphere = build_geometry(gen_sphere(2.0, n=1, grid=256))
-        assert build_geometry(graph).kappa.tobytes() == sphere.kappa.tobytes()
+        with pytest.raises(FrozenInstanceError):
+            graph.rho = np.full(graph.rho.shape, 2.0)
+        fresh = build_geometry(RadialGraph(1, graph.rho.copy()))
+        assert build_geometry(graph).kappa.tobytes() == fresh.kappa.tobytes()
+
+
+def _saved_and_loaded(tmp_path):
+    path = tmp_path / "surf.json"
+    save_surface(gen_sphere(1.0, 0.3, grid=(8, 16)), path)
+    return load_surface(path)
+
+
+# every way a graph is made, each taking a scratch directory
+GRAPH_MAKERS = {
+    "owned float64": lambda tmp: RadialGraph(2, np.full((8, 16), 1.5)),
+    "list": lambda tmp: RadialGraph(1, [1.0 + 0.01 * j for j in range(16)]),
+    "float32": lambda tmp: RadialGraph(2, np.ones((8, 16), dtype=np.float32)),
+    "strided view": lambda tmp: RadialGraph(2, np.ones((8, 32))[:, ::2]),
+    "centred sphere": lambda tmp: gen_sphere(1.0, grid=(8, 16)),
+    "offset sphere n=2": lambda tmp: gen_sphere(1.0, 0.3, grid=(8, 16)),
+    "offset sphere n=1": lambda tmp: gen_sphere(1.0, 0.3, n=1, grid=16),
+    "perturbed sphere": lambda tmp: _carrier(2),
+    "rotated": lambda tmp: _carrier(1).rotated(5),
+    "loaded": _saved_and_loaded,
+}
+
+DUPLICATES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda graph: pickle.loads(pickle.dumps(graph)),
+}
+
+
+def _assert_frozen(graph):
+    assert graph.rho.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        graph.rho[(0,) * graph.n] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        graph.rho[...] = 2.0
+    for name, value in (("rho", np.full(graph.rho.shape, 2.0)), ("n", graph.n), ("meta", {})):
+        with pytest.raises(FrozenInstanceError):
+            setattr(graph, name, value)
+
+
+class TestGraphIsAValue:
+    """A graph never changes: a different surface is a new graph."""
+
+    @pytest.mark.parametrize("make", GRAPH_MAKERS.values(), ids=GRAPH_MAKERS.keys())
+    def test_frozen_on_every_path(self, tmp_path, make):
+        _assert_frozen(make(tmp_path))
+
+    @pytest.mark.parametrize("view", [
+        lambda base: base[:, ::2],
+        lambda base: base.reshape(16, 16),
+        lambda base: np.broadcast_to(base[0, :16], (8, 16)),
+    ], ids=["strided", "reshaped", "broadcast"])
+    def test_a_view_is_copied(self, view):
+        base = np.ones((8, 32))
+        graph = RadialGraph(2, view(base))
+        base[...] = 3.0
+        assert np.all(graph.rho == 1.0) and graph.rho.flags.owndata
+
+    def test_an_owned_array_is_adopted(self):
+        # the one allocation rule: an owned float64 rho is not copied, it
+        # becomes the graph's, read-only
+        rho = np.full((8, 16), 1.5)
+        graph = RadialGraph(2, rho)
+        assert np.shares_memory(graph.rho, rho) and not rho.flags.writeable
+
+    @pytest.mark.parametrize("duplicate", DUPLICATES.values(), ids=DUPLICATES.keys())
+    def test_copies_are_new_graphs(self, monkeypatch, duplicate):
+        # a copy goes through the constructor: frozen, the same bits, and
+        # no carried fields, so its first build runs a core
+        graph = _carrier(2)
+        cores = _counted_cores(monkeypatch)
+        twin = duplicate(graph)
+        assert type(twin) is RadialGraph and twin._carried is None
+        assert twin.n == graph.n and twin.meta == graph.meta
+        assert twin.rho.tobytes() == graph.rho.tobytes()
+        _assert_frozen(twin)
+        build_geometry(twin)
+        assert len(cores) == 1
+        build_geometry(graph)                 # the source keeps its fields
+        assert len(cores) == 1
+
+    def test_a_geometry_stays_with_its_graph(self):
+        # an edit in place would have paired the R = 2 sphere's surface
+        # record and config_hash with the R = 1 sphere's geometry
+        g = gen_sphere(1.0, grid=(16, 32))
+        geom = build_geometry(g)
+        with pytest.raises(ValueError, match="read-only"):
+            g.rho[...] = 2.0
+        kept = run_verification(g, geom=geom).to_dict()
+        fresh = run_verification(gen_sphere(1.0, grid=(16, 32))).to_dict()
+        for report in (kept, fresh):
+            del report["provenance"]["timestamp"]
+        assert kept == fresh
+
+    def test_a_non_positive_rho_cannot_be_written(self):
+        # such a rho would have been built without the rho > 0 refusal
+        g = gen_sphere(1.0, grid=(16, 32))
+        with pytest.raises(ValueError, match="read-only"):
+            g.rho[0, 0] = -1.0
+        assert np.all(g.rho == 1.0)
+
+    def test_a_flow_cannot_meet_a_stale_geometry(self):
+        # a different surface is a new graph, and the old geometry is refused
+        g2 = gen_sphere(1.0, n=1, grid=64)
+        stale = build_geometry(g2)
+        with pytest.raises(ValueError, match="read-only"):
+            g2.rho[...] = 1.5
+        with pytest.raises(ValueError, match="not built from this graph"):
+            verify_flow(RadialGraph(1, np.full(64, 1.5)), geom=stale)
 
 
 def _loaded(n, grid, count):
