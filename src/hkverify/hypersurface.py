@@ -31,6 +31,7 @@ The outward normal gives geodesic spheres the positive curvature coth(R).
 from __future__ import annotations
 
 import base64
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,7 +48,6 @@ __all__ = [
     "RadialGraph",
     "SurfaceGeometry",
     "build_geometry",
-    "geometry_for",
     "area_integral",
     "gen_sphere",
     "gen_perturbed_sphere",
@@ -80,7 +80,7 @@ def _angle_grid(n: int, grid):
     return (np.arange(P) + 0.5) * (np.pi / P), np.arange(T) * (2.0 * np.pi / T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RadialGraph:
     """Radial distance samples of a closed star-shaped hypersurface.
 
@@ -88,17 +88,20 @@ class RadialGraph:
     graph.  `n`, `rho` and `meta` cannot be rebound, and `rho` is read-only
     float64.  An owned float64 input is adopted (made read-only, not copied;
     keep no view of it); any other (a list, another dtype, a view) is copied once.
+    `meta` is kept as a deep copy and each read returns a fresh one, so no
+    caller, copy or reader of a graph can change its description.
     """
 
     n: int
     rho: np.ndarray
-    meta: dict = field(default_factory=dict)
+    _meta: dict
     # the base-independent fields a generator validated rho on, for the first build
-    _carried: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _carried: dict | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _dimension(self.n))
-        rho = np.asarray(self.rho, dtype=float)
+    def __init__(self, n: int, rho, meta: dict | None = None):
+        object.__setattr__(self, "n", _dimension(n))
+        object.__setattr__(self, "_meta", copy.deepcopy(dict(meta or {})))
+        rho = np.asarray(rho, dtype=float)
         object.__setattr__(self, "rho", rho if rho.flags.owndata else rho.copy())
         if self.rho.ndim != self.n:
             raise ValueError(f"rho must be a {self.n}-D array for n = {self.n}")
@@ -113,7 +116,12 @@ class RadialGraph:
         self.rho.flags.writeable = False
 
     def __reduce__(self):
-        return RadialGraph, (self.n, self.rho, self.meta)
+        return RadialGraph, (self.n, self.rho, self._meta)
+
+    @property
+    def meta(self) -> dict:
+        """The surface's description, a fresh deep copy on every read."""
+        return copy.deepcopy(self._meta)
 
     @property
     def n_theta(self) -> int:
@@ -152,7 +160,7 @@ class RadialGraph:
         """
         steps = _as_int(steps, "step")
         fields = self._take_fields()
-        out = RadialGraph(self.n, np.roll(self.rho, steps, -1), dict(self.meta))
+        out = RadialGraph(self.n, np.roll(self.rho, steps, -1), self._meta)
         if fields is not None:
             out._hand_off(_rolled_fields(fields, self.rho.shape, steps))
         return out
@@ -172,7 +180,7 @@ class RadialGraph:
             "n": self.n,
             "grid": dict(zip(_GRID_KEYS[2 - self.n:], self.rho.shape)),
             "rho": base64.b64encode(_rho_bytes(self.rho)).decode("ascii"),
-            "meta": dict(self.meta),
+            "meta": self.meta,
         }
 
     @classmethod
@@ -188,7 +196,7 @@ class RadialGraph:
             raise ValueError(f"malformed surface record: missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed surface record: {exc}") from exc
-        return cls(n, flat.reshape(shape), dict(meta))
+        return cls(n, flat.reshape(shape), meta)
 
 
 # the SurfaceGeometry fields that depend on the graph alone, not on the
@@ -472,20 +480,6 @@ def _weighted_volume(graph: RadialGraph, lam, lamp, base) -> float:
     return exact_sum(radial)
 
 
-def geometry_for(graph: RadialGraph, geom: SurfaceGeometry | None = None) -> SurfaceGeometry:
-    """The geometry of `graph`: `geom` itself, or a centered one if None.
-
-    Raises ValueError when `geom` was built from another graph (a
-    different dimension or different rho bits).
-    """
-    if geom is None:
-        return build_geometry(graph)
-    if geom.graph is not graph and (
-            geom.n != graph.n or not np.array_equal(geom.graph.rho, graph.rho)):
-        raise ValueError("the geometry was not built from this graph")
-    return geom
-
-
 def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     """Assemble the discrete first and second fundamental forms.
 
@@ -543,7 +537,8 @@ def _fundamental_forms(graph: RadialGraph):
     lamp = np.cosh(rho)
     if graph.n == 1:
         h = graph.h_theta
-        d1 = _stencil(_wrap(rho, 0), _D1, h)
+        wrap = _wrap(rho, 0)
+        d1 = _stencil(wrap, _D1, h)
         g = np.multiply(d1, d1)                 # d1^2 + lam^2
         tmp = np.multiply(lam, lam)
         g += tmp
@@ -551,7 +546,7 @@ def _fundamental_forms(graph: RadialGraph):
         v *= v
         v += 1.0
         np.sqrt(v, out=v)
-        hform = _stencil(_wrap(rho, 0), _D2, h)  # (-d2 + 2 coth d1 d1 + lam lamp) / v
+        hform = _stencil(wrap, _D2, h)  # (-d2 + 2 coth d1 d1 + lam lamp) / v
         np.negative(hform, out=hform)
         np.divide(lamp, lam, out=tmp)
         tmp *= 2.0
@@ -567,7 +562,8 @@ def _fundamental_forms(graph: RadialGraph):
     phi, _ = graph.angles()
     sp = np.sin(phi)[:, None]
     cp = np.cos(phi)[:, None]
-    rho_t = _stencil(_wrap(rho, 1), _D1, ht, 1)
+    wrap = _wrap(rho, 1)
+    rho_t = _stencil(wrap, _D1, ht, 1)
     ext = _pole_extend(rho)
     rho_p = _stencil(ext, _D1, hp)
     # the covariant Hessian of rho on the round sphere, built in h_pp,
@@ -577,7 +573,8 @@ def _fundamental_forms(graph: RadialGraph):
     h_pt = _stencil(_pole_extend(rho_t), _D1, hp)
     tmp = np.multiply(cp / sp, rho_t)
     h_pt -= tmp
-    h_tt = _stencil(_wrap(rho, 1), _D2, ht, 1)
+    h_tt = _stencil(wrap, _D2, ht, 1)
+    del wrap
     np.multiply(sp * cp, rho_p, out=tmp)
     h_tt += tmp
 

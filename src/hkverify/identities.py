@@ -54,7 +54,7 @@ from .hypersurface import (
     SurfaceGeometry,
     _rho_bytes,
     area_integral,
-    geometry_for,
+    build_geometry,
 )
 
 __all__ = [
@@ -423,13 +423,17 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
     asked for, as their constancy verdict describes the shape.  The request
     is refused by `_check_request` before any geometry is built; then each
     check runs through its public function.  `geom` defaults to the
-    centered geometry of `graph`; one built from another graph is refused
-    with ValueError.
+    centered geometry of `graph`; one built from another graph (another
+    dimension or other rho bits) is refused with ValueError.
     """
     checks, eps_sweep, k_list = _check_request(graph.n, checks, eps_sweep, k_list, tol)
-    geom = geometry_for(graph, geom)
+    if geom is None:
+        geom = build_geometry(graph)
+    elif geom.graph is not graph and (
+            geom.n != graph.n or not np.array_equal(geom.graph.rho, graph.rho)):
+        raise ValueError("the geometry was not built from this graph")
 
-    surface = {"n": graph.n, "grid": list(graph.rho.shape), "meta": dict(graph.meta)}
+    surface = {"n": graph.n, "grid": list(graph.rho.shape), "meta": graph.meta}
     config = {
         "checks": list(checks),
         "eps_sweep": [float(e) for e in eps_sweep],

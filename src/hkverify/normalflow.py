@@ -1,8 +1,9 @@
 """Lagrangian unit normal flow with closed-form particle evolution.
 
-Each surface node becomes a particle flying inward along its normal
-geodesic.  Curvatures, potentials and the area Jacobian all solve their
-evolution equations in closed form:
+verify_flow builds the geometry of the graph it is given.  Each surface
+node becomes a particle flying inward along its normal geodesic (the
+outward normal's, walked at -t).  Curvatures, potentials and the area
+Jacobian all solve their evolution equations in closed form:
 
     kappa(t) = (kappa cosh t - sinh t) / (cosh t - kappa sinh t)
     V(t)     = V0 cosh t - Vnu0 sinh t
@@ -52,7 +53,7 @@ from scipy.spatial import cKDTree
 from . import hypgeo
 from ._util import atomic_write_text
 from .errors import FlowAssumptionError, FocalTimeError
-from .hypersurface import H_MARGIN, RadialGraph, SurfaceGeometry, geometry_for
+from .hypersurface import H_MARGIN, RadialGraph, SurfaceGeometry, build_geometry
 
 __all__ = [
     "CUT_SAMPLES",
@@ -126,18 +127,16 @@ class FlowParticles:
 
     n: int
     y: np.ndarray          # (N, n+2) initial positions
-    nu0: np.ndarray        # (N, n+2) outward unit normals
+    nu0: np.ndarray        # (N, n+2) outward unit normals; the flow runs along -nu0
     kappa0: np.ndarray     # (N, n) principal curvatures, ascending
     V0: np.ndarray         # (N,)
     Vnu0: np.ndarray       # (N,)
     w0: np.ndarray         # (N,) area weights, sum = initial area
     spacing0: np.ndarray = field(init=False)    # (N,) local grid spacing w0^(1/n)
-    inward0: np.ndarray = field(init=False)     # (N, n+2) inward unit normals -nu0
     t_focal: np.ndarray = field(init=False)     # (N,)
 
     def __post_init__(self):
         self.spacing0 = self.w0 ** (1.0 / self.n)
-        self.inward0 = -self.nu0
         self.t_focal = focal_times(self.kappa0)
 
     @classmethod
@@ -156,8 +155,8 @@ class FlowParticles:
         return self.y.shape[0]
 
     def positions_at(self, t: float) -> np.ndarray:
-        """Evolved positions X(y, t) along the inward normal geodesics."""
-        return hypgeo.geodesic(self.y, self.inward0, float(t))
+        """Positions X(y, t) on the inward geodesics: the outward ones at -t."""
+        return hypgeo.geodesic(self.y, self.nu0, -float(t))
 
 
 def _candidate_pairs(ball: np.ndarray, thr: np.ndarray):
@@ -329,14 +328,12 @@ def _active_sums(particles: FlowParticles, active_until: np.ndarray, tau: float)
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Read-only aliases of SAMPLES, SAFETY, CUT_SAMPLES and EXCLUSION.
+    """Read-only aliases of CUT_SAMPLES and EXCLUSION.
 
     Nothing to set: FlowConfig() takes no arguments.  It exists only
     because perfbench/oracle.py reads FlowConfig().exclusion, .cut_samples.
     """
 
-    samples: ClassVar[int] = SAMPLES
-    safety: ClassVar[float] = SAFETY
     cut_samples: ClassVar[int] = CUT_SAMPLES
     exclusion: ClassVar[float] = EXCLUSION
 
@@ -412,7 +409,7 @@ class FlowTrace:
         }
 
 
-def verify_flow(graph: RadialGraph, *, geom: SurfaceGeometry | None = None) -> FlowTrace:
+def verify_flow(graph: RadialGraph) -> FlowTrace:
     """Run the particle flow on a surface and check its monotone laws.
 
     Q(t) must not increase between samples (up to a slack budget of
@@ -429,10 +426,10 @@ def verify_flow(graph: RadialGraph, *, geom: SurfaceGeometry | None = None) -> F
     residual carries an O(1) staggering term; it is still recorded in
     the trace for inspection but does not fail the run.
 
-    `geom` defaults to the centered geometry of `graph`; one built from
-    another graph is refused with ValueError.
+    The flow builds the centered geometry of `graph` itself, so it always
+    runs on the surface it is given.
     """
-    geom = geometry_for(graph, geom)
+    geom = build_geometry(graph)
     particles = FlowParticles.from_geometry(geom)
     H0 = geom.mean_curvature
     low = int(np.argmin(H0))

@@ -95,15 +95,15 @@ def test_criterion_04_minkowski_residual_convergence(surface):
 
 
 def test_criterion_05_flow_monotonicity(surface):
-    g, geom = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0),
-                      grid=(64, 128))
-    trace = verify_flow(g, geom=geom)
+    g, _ = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0),
+                   grid=(64, 128))
+    trace = verify_flow(g)
     assert trace.q_monotone_ok
     assert len(trace.times) >= 400
     assert trace.Q[0] > 0.0
     for R in (0.5, 1.0, 2.0):
-        gs, geos = surface("sphere", radius=R, grid=(64, 128))
-        ts = verify_flow(gs, geom=geos)
+        gs, _ = surface("sphere", radius=R, grid=(64, 128))
+        ts = verify_flow(gs)
         scale = 2 * math.pi * math.sinh(R) ** 3
         assert np.max(np.abs(ts.Q)) <= 1e-3 * scale, R
     print("criterion-05 flow functional monotone, ~0 on spheres: PASS")
@@ -111,13 +111,13 @@ def test_criterion_05_flow_monotonicity(surface):
 
 def test_criterion_06_levelset_identity(surface):
     for R in (0.5, 1.0, 2.0):
-        g, geom = surface("sphere", radius=R, grid=(64, 128))
-        trace = verify_flow(g, geom=geom)
+        g, _ = surface("sphere", radius=R, grid=(64, 128))
+        trace = verify_flow(g)
         assert trace.round_surface
         assert np.max(np.abs(trace.levelset_rel)) <= 1e-3, R
-    g, geom = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0),
-                      grid=(64, 128))
-    trace = verify_flow(g, geom=geom)
+    g, _ = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0),
+                   grid=(64, 128))
+    trace = verify_flow(g)
     worst = float(np.max(np.abs(trace.levelset_rel)))
     assert np.all(np.isfinite(trace.levelset_rel))
     print(f"criterion-06 level-set residual <= 1e-3 on spheres "

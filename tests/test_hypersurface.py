@@ -489,14 +489,40 @@ class TestGraphIsAValue:
             g.rho[0, 0] = -1.0
         assert np.all(g.rho == 1.0)
 
-    def test_a_flow_cannot_meet_a_stale_geometry(self):
-        # a different surface is a new graph, and the old geometry is refused
-        g2 = gen_sphere(1.0, n=1, grid=64)
-        stale = build_geometry(g2)
-        with pytest.raises(ValueError, match="read-only"):
-            g2.rho[...] = 1.5
-        with pytest.raises(ValueError, match="not built from this graph"):
-            verify_flow(RadialGraph(1, np.full(64, 1.5)), geom=stale)
+    def test_a_copy_cannot_rewrite_the_description(self):
+        # a shallow copy shared the meta dict, so this edit gave the next
+        # report of `g` radius 2.0 and another config_hash for the same rho
+        g = gen_sphere(1.0, grid=(16, 32))
+        want = _report_text(g)
+        t = copy.copy(g)
+        t.meta["radius"] = 2.0
+        assert g.meta["radius"] == t.meta["radius"] == 1.0
+        assert _report_text(g) == want
+
+    @pytest.mark.parametrize("edit", [
+        lambda g, given: given.update(radius=2.0),
+        lambda g, given: given["mode"].append(9),
+        lambda g, given: g.meta.update(radius=2.0),
+        lambda g, given: g.meta["mode"].append(9),
+        lambda g, given: copy.copy(g).meta["mode"].append(9),
+        lambda g, given: g.rotated(0).meta["mode"].append(9),
+    ], ids=["caller's dict", "caller's list", "reader's dict", "reader's list",
+            "copy's list", "rolled graph's list"])
+    def test_the_description_is_a_value(self, edit):
+        # nothing reaches a constructed graph's meta, its nested lists included
+        given = {"shape": "perturbed", "radius": 1.0, "amp": 0.0, "mode": [2, 0]}
+        g = RadialGraph(2, np.full((16, 32), 1.0), given)
+        meta, report, record = copy.deepcopy(given), _report_text(g), json.dumps(g.to_dict())
+        edit(g, given)
+        assert g.meta == meta and type(g.meta["mode"]) is list
+        assert _report_text(g) == report and json.dumps(g.to_dict()) == record
+
+
+def _report_text(graph) -> str:
+    """The graph's report as JSON, without its timestamp."""
+    report = run_verification(graph).to_dict()
+    del report["provenance"]["timestamp"]
+    return json.dumps(report)
 
 
 def _loaded(n, grid, count):

@@ -34,7 +34,7 @@ from hkverify.identities import (
     run_verification,
     tolerance_table,
 )
-from hkverify import hypersurface, identities, symfun
+from hkverify import identities, symfun
 from hkverify._util import exact_sum
 from hkverify.hypersurface import area_integral
 
@@ -474,7 +474,7 @@ class TestReportMachinery:
         # a report is never empty, no check judges a NaN shift or tolerance,
         # and the request is refused whole, before any geometry is built
         g, _ = surface("sphere", radius=1.0, grid=(32, 64))
-        monkeypatch.setattr(hypersurface, "build_geometry", None)
+        monkeypatch.setattr(identities, "build_geometry", None)
         with pytest.raises(ValueError, match=named):
             run_verification(g, **kwargs)
 
@@ -498,7 +498,7 @@ class TestReportMachinery:
         # any geometry or moment is computed
         (name,) = value
         g, geom = surface("sphere", radius=1.0, grid=(32, 64))
-        monkeypatch.setattr(hypersurface, "build_geometry", None)
+        monkeypatch.setattr(identities, "build_geometry", None)
         monkeypatch.setattr(identities, "_moments", None)
         with pytest.raises(ValueError, match=f"{name} must be a list, got"):
             if call == "run_verification":
@@ -520,7 +520,7 @@ class TestReportMachinery:
 
     def test_gauss_bonnet_on_a_surface_refused(self, monkeypatch):
         # refused from the graph alone, before any geometry is built
-        monkeypatch.setattr(hypersurface, "build_geometry", None)
+        monkeypatch.setattr(identities, "build_geometry", None)
         with pytest.raises(PreconditionError, match="gauss-bonnet applies to curves only"):
             run_verification(gen_sphere(1.0, grid=(16, 32)), checks=["hk-brendle", "gauss-bonnet"])
 
@@ -755,7 +755,7 @@ class TestRequests:
 
         # a huge finite shift overflows; the verdict rule refuses the result
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
-            mp.setattr(hypersurface, "build_geometry", counting)
+            mp.setattr(identities, "build_geometry", counting)
             try:
                 rep = run_verification(graph, **kwargs)
             except (ValueError, PreconditionError) as exc:

@@ -265,6 +265,20 @@ class TestFocalTimes:
         assert list(t) == [two, two, math.inf]
 
 
+class TestFrozenFlow:
+    def test_frozen_value_on_the_hit_path(self):
+        # the 24x48 (2,0) amp 0.2 lobe's scan cuts its window: the scan, the
+        # windows, the per-time sums and the assembly, pinned bit for bit
+        trace = verify_flow(gen_perturbed_sphere(1.0, 0.2, (2, 0), grid=(24, 48)))
+        assert trace.cut_estimate == 0.7489787760910761
+        assert trace.cut_pair == {"i": 528, "j": 532, "d_init": 0.5251224720850772,
+                                  "d_hit": 0.07833720218833443,
+                                  "threshold": 0.08187249541080913}
+        assert (trace.Q[0], trace.Q[-1]) == (3.4594821767097024, 1.0519792048883727)
+        assert trace.coarea_volume == 7.144979145875593
+        assert (trace.t_max, trace.dt) == (0.7489787760910761, 0.0016830983732383732)
+
+
 class TestParticles:
     def test_from_geometry(self, surface):
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
@@ -281,6 +295,15 @@ class TestParticles:
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
         p = FlowParticles.from_geometry(geom)
         assert np.all(p.spacing0 == np.sqrt(p.w0))
+
+    def test_positions_walk_the_outward_normal_back(self, surface):
+        # one normal array: the outward geodesic at -t is the inward one at t
+        _, geom = surface("perturbed", radius=1.0, amp=0.2, mode=(2, 0), grid=(24, 48))
+        p = FlowParticles.from_geometry(geom)
+        assert not hasattr(p, "inward0")
+        for t in (0.0, 1e-3, 0.3, 0.75):
+            inward = hypgeo.geodesic(p.y, -p.nu0, t)
+            assert oracle.same_bits(p.positions_at(t), inward), t
 
 
 def antipodal_pair(R=1.0, s0=0.05):
@@ -530,8 +553,8 @@ class TestQFunctional:
     def test_sphere_is_stationary(self, surface):
         # closed forms cancel exactly; only the trapezoid tail error is left
         R = 1.0
-        g, geom = surface("sphere", radius=R, grid=(32, 64))
-        trace = verify_flow(g, geom=geom)
+        g, _ = surface("sphere", radius=R, grid=(32, 64))
+        trace = verify_flow(g)
         scale = 2 * math.pi * math.sinh(R) ** 3
         assert trace.times[0] == 0.0 and trace.times[-1] >= 0.6
         assert np.max(np.abs(trace.Q)) <= 1e-4 * scale
@@ -556,13 +579,13 @@ def array_bits(geom):
 
 class TestFlowConfig:
     def test_scan_parameters_are_fixed(self):
-        # a read-only view of the module constants with nothing to set
+        # a read-only view of the two scan constants, with nothing to set
         assert dataclasses.fields(FlowConfig) == ()
         config = FlowConfig()
-        assert (config.samples, config.safety, config.cut_samples, config.exclusion) == (
-            normalflow.SAMPLES, normalflow.SAFETY, normalflow.CUT_SAMPLES,
-            normalflow.EXCLUSION) == (400, 0.9, 96, 3.0)
-        for name in ("samples", "safety", "cut_samples", "exclusion"):
+        assert (config.cut_samples, config.exclusion) == (
+            normalflow.CUT_SAMPLES, normalflow.EXCLUSION) == (96, 3.0)
+        assert not hasattr(config, "samples") and not hasattr(config, "safety")
+        for name in ("cut_samples", "exclusion"):
             with pytest.raises(TypeError):
                 FlowConfig(**{name: 1})
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -572,24 +595,36 @@ class TestFlowConfig:
 
 
 class TestVerifyFlow:
-    def test_leaves_the_geometry_unchanged(self):
+    def test_leaves_the_geometry_unchanged(self, monkeypatch):
         # the particles share the geometry's arrays instead of copying them
-        g = gen_perturbed_sphere(1.0, 0.2, (2, 0), grid=(24, 48))
-        geom = build_geometry(g)
-        assert geom.position.shape == geom.normal.shape     # built before the snapshot
-        before = array_bits(geom)
+        built = []
+
+        def build(graph):
+            geom = build_geometry(graph)
+            assert geom.position.shape == geom.normal.shape     # built before the snapshot
+            built.append((geom, array_bits(geom)))
+            return geom
+
+        monkeypatch.setattr(normalflow, "build_geometry", build)
+        trace = verify_flow(gen_perturbed_sphere(1.0, 0.2, (2, 0), grid=(24, 48)))
+        assert trace.window_truncated       # the scan's hit path ran as well
+        ((geom, before),) = built           # the flow built its geometry once
         assert {"position", "normal", "kappa", "V", "V_nu", "area_weight"} <= {
             key[0] for key in before}
-        trace = verify_flow(g, geom=geom)
-        assert trace.window_truncated       # the scan's hit path ran as well
         assert array_bits(geom) == before
+
+    def test_takes_the_graph_alone(self):
+        # no geometry can be handed in, so none can belong to another surface
+        g = gen_sphere(1.0, n=1, grid=(16,))
+        with pytest.raises(TypeError):
+            verify_flow(g, geom=build_geometry(g))
 
     @pytest.mark.parametrize("kw", [{"n": 1, "grid": 128}, {"grid": (32, 64)}],
                              ids=["circle", "sphere"])
     def test_sampling_is_the_calibrated_one(self, surface, kw):
         # the tolerances' dt^2 terms hold at the sampling they were fitted at
         g, geom = surface("sphere", radius=1.0, **kw)
-        trace = verify_flow(g, geom=geom)
+        trace = verify_flow(g)
         h, dt = geom.resolution, trace.dt
         assert trace.t_safe == normalflow.SAFETY * trace.focal_min
         assert dt <= trace.t_safe / normalflow.SAMPLES
@@ -602,7 +637,7 @@ class TestVerifyFlow:
     def test_sphere_trace(self, surface):
         R = 1.0
         g, geom = surface("sphere", radius=R, grid=(64, 128))
-        trace = verify_flow(g, geom=geom)
+        trace = verify_flow(g)
         assert trace.passed()
         assert trace.round_surface is True
         assert trace.window_truncated is False
@@ -620,9 +655,9 @@ class TestVerifyFlow:
         assert abs(trace.Q[0]) <= trace.q_slack
 
     def test_perturbed_trace(self, surface):
-        g, geom = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0),
-                          grid=(48, 96))
-        trace = verify_flow(g, geom=geom)
+        g, _ = surface("perturbed", radius=1.0, amp=0.05, mode=(2, 0),
+                       grid=(48, 96))
+        trace = verify_flow(g)
         assert trace.passed()
         assert trace.round_surface is False
         assert trace.Q[0] > 0.0
@@ -635,7 +670,7 @@ class TestVerifyFlow:
         # apart and so just past the exclusion radius
         g, geom = surface("perturbed", radius=1.0, amp=0.2, mode=(2, 0),
                           grid=(48, 96))
-        trace = verify_flow(g, geom=geom)
+        trace = verify_flow(g)
         assert trace.window_truncated is True
         assert trace.cut_estimate < trace.focal_min
         pair = trace.cut_pair
@@ -648,19 +683,13 @@ class TestVerifyFlow:
         assert trace.passed()
 
     def test_circle_and_ellipse(self, surface):
-        g, geom = surface("sphere", radius=1.0, n=1, grid=256)
-        trace = verify_flow(g, geom=geom)
+        g, _ = surface("sphere", radius=1.0, n=1, grid=256)
+        trace = verify_flow(g)
         assert trace.passed() and trace.round_surface
-        ge, geome = surface("perturbed", radius=1.0, amp=0.1, mode=2, n=1,
-                            grid=256)
-        te = verify_flow(ge, geom=geome)
+        ge, _ = surface("perturbed", radius=1.0, amp=0.1, mode=2, n=1, grid=256)
+        te = verify_flow(ge)
         assert te.passed() and not te.round_surface
         assert te.Q[0] > 0.0
-
-    def test_foreign_geometry_refused(self, surface):
-        g, geom = surface("sphere", radius=1.0, grid=(32, 64))
-        with pytest.raises(ValueError, match="not built from this graph"):
-            verify_flow(RadialGraph(2, np.full((32, 64), 1.1)), geom=geom)
 
     def test_rejects_flat_start(self):
         theta = np.arange(128) * (2 * np.pi / 128)
@@ -669,8 +698,8 @@ class TestVerifyFlow:
             verify_flow(g)
 
     def test_csv_and_summary(self, surface, tmp_path):
-        g, geom = surface("sphere", radius=1.0, n=1, grid=128)
-        trace = verify_flow(g, geom=geom)
+        g, _ = surface("sphere", radius=1.0, n=1, grid=128)
+        trace = verify_flow(g)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         with open(path) as fh:
