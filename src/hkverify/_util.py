@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 # Bounds of the vectorised path in exact_sum; outside them it falls back
-# to math.fsum.  One level's terms are integers times 2^(e-29) of size at
+# to fsum.  One level's terms are integers times 2^(e-29) of size at
 # most 2^29, so np.sum adds up to 2^24 of them exactly: 2^22 keeps a margin.
 _EXACT_TERMS = 1 << 22
 # C = 1.5 * 2^(e+23) and r + C stay finite while max|r| < 2^999.
@@ -40,8 +40,16 @@ def _as_real(value, name: str) -> float:
         raise ValueError(f"{name} {value!r} is past the float range") from None
 
 
+def fsum(terms) -> float:
+    """math.fsum, or NaN where it raises (a partial sum past the float range, or inf - inf)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def exact_sum(values) -> float:
-    """Correctly rounded sum of a float array, the same value as math.fsum.
+    """Correctly rounded sum of a float array, the same value as `fsum`.
 
     Error-free extraction in levels (Rump, Ogita and Oishi, "Accurate
     floating-point summation", SISC 2008; Demmel and Nguyen, "Fast
@@ -51,9 +59,9 @@ def exact_sum(values) -> float:
     is exact.  The remainder r - hi is at most 2^(e-30); levels repeat until
     it is all zero, and math.fsum over the level totals rounds their exact
     sum once.  So the result does not depend on the order of the terms,
-    and it is bit for bit math.fsum over the terms.
+    and it is bit for bit `fsum` over the terms.
 
-    Falls back to math.fsum over the terms for non-finite input, for more
+    Falls back to `fsum` over the terms for non-finite input, for more
     than 2^22 terms, when max|r| >= 2^999 (C would overflow; fsum then
     overflows or cancels on its own terms), and at the subnormal floor
     e < -1045, where C would be subnormal and the grid 2^(e-29) finer than
@@ -80,7 +88,7 @@ def exact_sum(values) -> float:
             levels.append(float(hi.sum()))
             # the first level leaves the caller's array alone
             r = r - hi if r is arr else np.subtract(r, hi, out=r)
-    return math.fsum(arr.tolist())
+    return fsum(arr.tolist())
 
 
 def atomic_write_text(path, text: str) -> None:

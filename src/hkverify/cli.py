@@ -213,8 +213,7 @@ def cmd_convergence(args) -> int:
     for name in names:
         if name not in _SERIES:
             raise ValueError(f"check {name!r} has no convergence series")
-    if len(set(names)) != len(names):
-        raise ValueError(f"an entry of {names} is requested twice")
+    identities._once(names)
     eps_sweep = _parse_floats(args.eps)
     checks = [name for name in names if name != "umbilic-spread"]
     if checks:
@@ -231,7 +230,7 @@ def cmd_convergence(args) -> int:
     log_h = np.log(np.asarray(hs))
     anomalies = []
     fitted: dict[str, float] = {}
-    rows = []
+    lines = ["check,n_phi,h,rel_residual,pairwise_order,fitted_order"]
     for name, values in series.items():
         vals = np.asarray(values)
         floored = np.maximum(vals, 1e-15)
@@ -245,32 +244,22 @@ def cmd_convergence(args) -> int:
             if vals[i] >= vals[i - 1] and vals[i] > 1e-13:
                 anomalies.append(f"{name}: residual grew from level {levels[i-1]} "
                                  f"to {levels[i]}")
-        for i, n_phi in enumerate(levels):
-            rows.append((name, n_phi, hs[i], vals[i], pairwise[i], fitted[name]))
-
-    lines = ["check,n_phi,h,rel_residual,pairwise_order,fitted_order"]
-    for name, n_phi, h, resid, pair, fit in rows:
-        pair_s = "" if np.isnan(pair) else repr(pair)
-        lines.append(f"{name},{n_phi},{repr(h)},{repr(float(resid))},{pair_s},{repr(fit)}")
+        for n_phi, h, resid, pair in zip(levels, hs, vals, pairwise):
+            pair_s = "" if np.isnan(pair) else repr(pair)
+            lines.append(f"{name},{n_phi},{h!r},{float(resid)!r},{pair_s},{fitted[name]!r}")
     if args.out:
         atomic_write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
 
-    status = EXIT_OK
     for name in sorted(series):
         print(f"{name}: fitted order {fitted[name]:.3f}")
-    for msg in anomalies:
-        print(f"anomaly: {msg}", file=sys.stderr)
-        status = EXIT_CONVERGENCE
     # the umbilicity spread is a shape descriptor with no order to gate, but
     # like any series it is an anomaly when it grows: non-round shapes exit 5
-    low = [n for n in series if n != "umbilic-spread"
-           and fitted[n] < ORDER_GATE and series[n][-1] > 1e-13]
-    for name in low:
-        print(f"anomaly: {name} fitted order {fitted[name]:.3f} < {ORDER_GATE}",
-              file=sys.stderr)
-        status = EXIT_CONVERGENCE
-    return status
+    anomalies += [f"{n} fitted order {fitted[n]:.3f} < {ORDER_GATE}" for n in series
+                  if n != "umbilic-spread" and fitted[n] < ORDER_GATE and series[n][-1] > 1e-13]
+    for msg in anomalies:
+        print(f"anomaly: {msg}", file=sys.stderr)
+    return EXIT_CONVERGENCE if anomalies else EXIT_OK
 
 
 def build_parser() -> _Parser:

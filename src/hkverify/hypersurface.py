@@ -80,7 +80,7 @@ def _angle_grid(n: int, grid):
     return (np.arange(P) + 0.5) * (np.pi / P), np.arange(T) * (2.0 * np.pi / T)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class RadialGraph:
     """Radial distance samples of a closed star-shaped hypersurface.
 
@@ -89,14 +89,15 @@ class RadialGraph:
     float64.  An owned float64 input is adopted (made read-only, not copied;
     keep no view of it); any other (a list, another dtype, a view) is copied once.
     `meta` is kept as a deep copy and each read returns a fresh one, so no
-    caller, copy or reader of a graph can change its description.
+    caller, copy or reader of a graph can change its description.  A graph
+    compares and hashes by identity; compare surfaces by n, rho bits and meta.
     """
 
     n: int
     rho: np.ndarray
     _meta: dict
     # the base-independent fields a generator validated rho on, for the first build
-    _carried: dict | None = field(default=None, repr=False, compare=False)
+    _carried: dict | None = field(default=None, repr=False)
 
     def __init__(self, n: int, rho, meta: dict | None = None):
         object.__setattr__(self, "n", _dimension(n))
@@ -414,10 +415,7 @@ def area_integral(geom: SurfaceGeometry, values) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape != geom.area_weight.shape:
         raise ValueError("integrand shape does not match the node count")
-    try:
-        return exact_sum(values * geom.area_weight)
-    except OverflowError:
-        return math.nan
+    return exact_sum(values * geom.area_weight)
 
 
 def _sigma_weights(graph: RadialGraph) -> np.ndarray:
@@ -485,10 +483,11 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
 
     `base` is the base point of the static potential (defaults to the
     graph's own center); V and the support function V_nu are computed
-    against it, so off-center potentials vary over the surface.  Refuses
-    a metric that is not positive definite, non-finite curvatures or
-    V - V_nu (sinh(rho)^2 overflows past rho ~ 355), and a support function
-    that reaches the potential, V - V_nu <= 0, naming the first such node.
+    against it, so off-center potentials vary over the surface.  Refuses a
+    base not of shape (n + 2,) before any array is built, a metric that is
+    not positive definite, non-finite curvatures or V - V_nu (sinh(rho)^2
+    overflows past rho ~ 355), and a support function that reaches the
+    potential, V - V_nu <= 0, naming the first such node.
     Overflow and invalid-value warnings are silenced while the arrays are
     built, because those refusals catch every value they would warn about.
 
@@ -500,6 +499,8 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     """
     if base is not None:
         base = np.asarray(base, dtype=float)
+        if base.shape != (graph.n + 2,):
+            raise ValueError(f"base must be one point of shape ({graph.n + 2},), got {base.shape}")
         hypgeo.validate_point(base)
     fields = graph._take_fields()
     with np.errstate(over="ignore", invalid="ignore"):

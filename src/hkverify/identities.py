@@ -46,7 +46,7 @@ import numpy as np
 import scipy
 
 from . import __version__, symfun
-from ._util import _as_int, _as_real, atomic_write_text, exact_sum
+from ._util import _as_int, _as_real, atomic_write_text, exact_sum, fsum
 from .errors import PreconditionError
 from .hypersurface import (
     H_MARGIN,
@@ -116,9 +116,17 @@ def tolerance_table() -> dict:
         return json.load(fh)
 
 
+def _tolerance(tol):
+    """tol, if "auto" or a finite real >= 0 that is not a bool; else ValueError."""
+    if tol != "auto" and (isinstance(tol, bool) or not (
+            isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0)):
+        raise ValueError(f"tol must be 'auto' or a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def resolve_tolerance(check: str, geom: SurfaceGeometry, scale: float, tol) -> float:
     """Absolute tolerance for a check: an explicit number, or "auto" for C * h^2 * scale."""
-    if tol != "auto":
+    if _tolerance(tol) != "auto":
         return float(tol)
     table = tolerance_table()
     coeff = table["checks"].get(check)
@@ -169,15 +177,6 @@ def _moments(geom: SurfaceGeometry) -> tuple:
     return M, N
 
 
-def _fsum_or_nan(terms) -> float:
-    """math.fsum, or NaN where a partial sum leaves the float range (an
-    overflow, or inf - inf)."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        return math.nan
-
-
 def _shifted_row(geom: SurfaceGeometry, moments: tuple, eps: float, k: int,
                  tol) -> CheckResult:
     """The minkowski-shifted row at (eps, k), assembled from `_moments`.
@@ -187,19 +186,19 @@ def _shifted_row(geom: SurfaceGeometry, moments: tuple, eps: float, k: int,
         lhs = sum_{j<k}  C(k-1, j) d^(k-1-j) (M_j - eps N_j),
         rhs = sum_{j<=k} C(k, j)   d^(k-j) N_j,
 
-    each side rounded once by math.fsum over its terms.  The powers of d
-    are repeated products, which overflow to inf where `**` would raise;
-    a side that leaves the float range comes out inf or NaN, and the
-    verdict rule refuses the row.
+    each side rounded once by `fsum` over its terms.  The powers of d are
+    repeated products, which overflow to inf where `**` would raise; a side
+    past the float range comes out inf or NaN, and the verdict rule refuses
+    the row.
     """
     M, N = moments
     power = [1.0]
     for _ in range(k):
         power.append(power[-1] * (1.0 - eps))
-    lhs = _fsum_or_nan([term for j in range(k) for term in (
+    lhs = fsum([term for j in range(k) for term in (
         math.comb(k - 1, j) * power[k - 1 - j] * M[j],
         -eps * math.comb(k - 1, j) * power[k - 1 - j] * N[j])])
-    rhs = _fsum_or_nan([math.comb(k, j) * power[k - j] * N[j] for j in range(k + 1)])
+    rhs = fsum([math.comb(k, j) * power[k - j] * N[j] for j in range(k + 1)])
     return _judge("identity", f"minkowski-shifted[eps={eps:g},k={k}]", "minkowski-shifted",
                   geom, lhs, rhs, tol, {"eps": eps, "k": k})
 
@@ -212,36 +211,61 @@ def _as_list(value, name: str) -> list:
     return list(value)
 
 
-def _orders(n: int, k_list) -> list:
-    """k_list (default 1..n) as Python ints, each `_as_int` and in 1..n (else
-    ValueError, as is a k_list that `_as_list` refuses)."""
-    if k_list is None:
-        return list(range(1, n + 1))
-    orders = [_as_int(k, f"order k in 1..{n}") for k in _as_list(k_list, "k_list")]
-    if not all(1 <= k <= n for k in orders):
-        raise ValueError(f"order k must lie in 1..{n}, got {orders}")
-    return orders
+_DIMENSION = {"alexandrov": (2, "surfaces"), "gauss-bonnet": (1, "curves")}
+
+
+def _check_dimension(check: str, n: int) -> None:
+    """PreconditionError if `check` applies at one dimension only and n is not it."""
+    if check in _DIMENSION and n != _DIMENSION[check][0]:
+        raise PreconditionError(f"{check} applies to {_DIMENSION[check][1]} only", check=check)
+
+
+def _once(items) -> None:
+    """ValueError if an entry of `items` (checks, eps :g names, orders or series) repeats."""
+    if len(set(items)) != len(items):
+        raise ValueError(f"an entry of {list(items)} is requested twice")
+
+
+def _shifts_and_orders(n: int, eps_sweep, k_list, shifted: bool) -> tuple:
+    """(eps_sweep, k_list) as lists of finite floats and of ints in 1..n
+    (k_list None is 1..n), neither repeating (`_once`; an eps counts by its
+    :g name, as its row does) nor, if `shifted`, empty; ValueError otherwise."""
+    entries = _as_list(eps_sweep, "eps_sweep")
+    k_list = list(range(1, n + 1)) if k_list is None else [
+        _as_int(k, f"order k in 1..{n}") for k in _as_list(k_list, "k_list")]
+    if not all(1 <= k <= n for k in k_list):
+        raise ValueError(f"order k must lie in 1..{n}, got {k_list}")
+    if shifted and not (entries and k_list):
+        raise ValueError("check 'minkowski-shifted' would add no result: its eps or k list "
+                         "is empty")
+    try:
+        eps_sweep = [_as_real(e, "eps") for e in entries]
+    except ValueError:
+        eps_sweep = None
+    if eps_sweep is None or not all(map(math.isfinite, eps_sweep)):
+        raise ValueError(f"eps must be finite numbers, got {entries}")
+    _once([f"{e:g}" for e in eps_sweep])
+    _once(k_list)
+    return eps_sweep, k_list
 
 
 def minkowski_shifted(geom: SurfaceGeometry, eps_sweep=DEFAULT_EPS_SWEEP, k_list=None,
                       tol="auto") -> list[CheckResult]:
     """The shifted Minkowski identities: one row per order k (default 1..n)
-    and shift eps, k-major, all from one set of moments.
-
-    A k_list that `_orders` refuses, an eps_sweep that `_as_list` refuses or
-    an eps that `_as_real` refuses is ValueError, before any moment is
-    computed; each row's eps is a float.
-    Each row agrees with the integrals of its shifted integrands to
-    rounding: within 1e-13 of max(|lhs|, |rhs|) on the calibrated family.
+    and shift eps, k-major, all from one set of moments, once the lists and
+    tol pass `_shifts_and_orders` and `_tolerance`.  Each row, its eps a
+    float, agrees with the integrals of its shifted integrands within 1e-13
+    of max(|lhs|, |rhs|) on the calibrated family.
     """
-    k_list = _orders(geom.n, k_list)
-    eps_sweep = [_as_real(eps, "eps") for eps in _as_list(eps_sweep, "eps_sweep")]
+    eps_sweep, k_list = _shifts_and_orders(geom.n, eps_sweep, k_list, shifted=True)
+    _tolerance(tol)
     moments = _moments(geom)
     return [_shifted_row(geom, moments, eps, k, tol) for k in k_list for eps in eps_sweep]
 
 
 def minkowski_classical(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Support-function integral against (n+1) times the weighted volume."""
+    _tolerance(tol)
     lhs = area_integral(geom, geom.V_nu)
     rhs = (geom.n + 1) * geom.weighted_volume
     return _judge("identity", "minkowski-classical", "minkowski-classical",
@@ -254,6 +278,7 @@ def _hk(geom: SurfaceGeometry, eps: float, name: str, refusal: str, tol) -> Chec
     A node with H <= n eps + H_MARGIN is refused with the message
     "mean curvature <H> <refusal>".
     """
+    _tolerance(tol)
     H = geom.mean_curvature
     worst = int(np.argmin(H))
     if H[worst] <= geom.n * eps + H_MARGIN:
@@ -284,8 +309,8 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult
     (c) an umbilicity spread report (max - min of all principal
         curvatures), informational.
     """
-    if geom.n != 2:
-        raise PreconditionError("alexandrov applies to surfaces only", check="alexandrov")
+    _check_dimension("alexandrov", geom.n)
+    _tolerance(tol)
     shifted = geom.kappa_shifted
     e1, e2 = symfun.e_m_values(shifted, 1), symfun.e_m_values(shifted, 2)
     for i, sig in ((1, 2 * e1), (2, e2)):
@@ -322,8 +347,8 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult
 
 def gauss_bonnet(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Curve check: total geodesic curvature minus enclosed area is 2 pi."""
-    if geom.n != 1:
-        raise PreconditionError("gauss-bonnet applies to curves only", check="gauss-bonnet")
+    _check_dimension("gauss-bonnet", geom.n)
+    _tolerance(tol)
     lhs = area_integral(geom, geom.kappa[:, 0]) - geom.enclosed_volume
     rhs = 2.0 * np.pi
     return _judge("identity", "gauss-bonnet", "gauss-bonnet", geom, lhs, rhs, tol, {},
@@ -370,46 +395,22 @@ def _config_hash(config: dict, rho: np.ndarray) -> str:
 
 
 def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
-    """(checks, eps_sweep, k_list) as lists, defaults filled in, of a request
-    that passes the rules needing only the dimension n.  A check at the
-    wrong dimension (alexandrov on a curve, gauss-bonnet on a surface) is
-    refused with PreconditionError; with ValueError a checks, eps_sweep or
-    k_list that `_as_list` refuses (checks and k_list may be None, for
-    their defaults), no checks, an unknown check,
-    minkowski-shifted with an empty eps or k list, an eps that `_as_real`
-    refuses or that is not finite, a k that `_orders` refuses, a repeated
-    check, eps or k, and a tol other than "auto" or a finite number >= 0
-    that is not a bool.
-    """
+    """(checks, eps_sweep, k_list) as lists, defaults filled in, of a request that
+    passes every rule needing only n: no checks or an unknown one is ValueError,
+    then `_check_dimension`, `_once`, `_shifts_and_orders` and `_tolerance`."""
     default = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
     if checks is None:
         checks = default + (["gauss-bonnet"] if n == 1 else [])
     checks = _as_list(checks, "checks")
-    eps_sweep = _as_list(eps_sweep, "eps_sweep")
-    k_list = _orders(n, k_list)
     if len(checks) == 0:
         raise ValueError("no checks requested")
-    only = {"alexandrov": (2, "surfaces"), "gauss-bonnet": (1, "curves")}
     for check in checks:
-        if check not in default and check not in only:
+        if check not in default and check not in _DIMENSION:
             raise ValueError(f"unknown check {check!r}")
-        if check in only and n != only[check][0]:
-            raise PreconditionError(f"{check} applies to {only[check][1]} only", check=check)
-        if check == "minkowski-shifted" and (len(eps_sweep) == 0 or len(k_list) == 0):
-            raise ValueError(f"check {check!r} would add no result: its eps or k list is empty")
-    try:
-        finite = all(math.isfinite(_as_real(e, "eps")) for e in eps_sweep)
-    except ValueError:
-        finite = False
-    if not finite:
-        raise ValueError(f"eps must be finite numbers, got {list(eps_sweep)}")
-    # a result is named by its check, eps (formatted :g) and k, so none may repeat
-    for items in (checks, [f"{e:g}" for e in eps_sweep], k_list):
-        if len(set(items)) != len(items):
-            raise ValueError(f"an entry of {list(items)} is requested twice")
-    if tol != "auto" and (isinstance(tol, bool) or not (
-            isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0)):
-        raise ValueError(f"tol must be 'auto' or a finite number >= 0, got {tol!r}")
+        _check_dimension(check, n)
+    _once(checks)
+    eps_sweep, k_list = _shifts_and_orders(n, eps_sweep, k_list, "minkowski-shifted" in checks)
+    _tolerance(tol)
     return checks, eps_sweep, k_list
 
 
@@ -436,7 +437,7 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
     surface = {"n": graph.n, "grid": list(graph.rho.shape), "meta": graph.meta}
     config = {
         "checks": list(checks),
-        "eps_sweep": [float(e) for e in eps_sweep],
+        "eps_sweep": eps_sweep,
         "k_list": k_list,
         # the chain's order is fixed at 2; the key stays so every config_hash is unchanged
         "alexandrov_k": [2] if graph.n == 2 else [],

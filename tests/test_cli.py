@@ -431,6 +431,20 @@ class TestConvergence:
         err = capsys.readouterr().err
         assert "anomaly" in err and "residual grew" in err
 
+    def test_low_fitted_order_exits_5(self, monkeypatch, capsys):
+        # residuals that shrink, but slower than h^1.7: no level grows, so
+        # the only anomaly is the order gate's, and the table is still written
+        series = {16: (0.1, {"minkowski-classical": 1e-3}),
+                  24: (0.07, {"minkowski-classical": 8e-4}),
+                  32: (0.05, {"minkowski-classical": 7e-4})}
+        monkeypatch.setattr(cli, "_convergence_residuals",
+                            lambda args, names, checks, eps, n_phi: series[n_phi])
+        rc = main(["convergence", "--levels", "16,24,32", "--checks", "minkowski-classical"])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.out == "minkowski-classical: fitted order 0.516\n"
+        assert captured.err == "anomaly: minkowski-classical fitted order 0.516 < 1.7\n"
+
     def test_too_few_levels_exits_64(self, capsys):
         rc = main(["convergence", "--n", "1", "--levels", "64,128",
                    "--checks", "minkowski-classical"])

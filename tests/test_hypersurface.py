@@ -12,6 +12,7 @@ import copy
 import json
 import math
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -445,6 +446,15 @@ class TestGraphIsAValue:
         graph = RadialGraph(2, view(base))
         base[...] = 3.0
         assert np.all(graph.rho == 1.0) and graph.rho.flags.owndata
+
+    def test_compares_and_hashes_by_identity(self):
+        # a graph holds an array, so `==` compares identity rather than
+        # raising on the array's truth value; equal surfaces are told by
+        # their rho bits and meta
+        a, b = gen_sphere(1.0, grid=(8, 16)), gen_sphere(1.0, grid=(8, 16))
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+        assert a.rho.tobytes() == b.rho.tobytes() and a.meta == b.meta
 
     def test_an_owned_array_is_adopted(self):
         # the one allocation rule: an owned float64 rho is not copied, it
@@ -989,6 +999,25 @@ class TestDegeneracy:
         g = gen_sphere(1.0, grid=(16, 32))
         with pytest.raises(ValueError):
             build_geometry(g, base=np.array([0.2, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("n, grid, base", [
+        # a stack of points, one per node, each on the sheet
+        (2, (8, 16), np.tile(hypgeo.origin(2), (128, 1))),
+        # a point of H^3 for a curve, of H^2 for a surface
+        (1, (16,), hypgeo.origin(2)),
+        (2, (8, 16), hypgeo.origin(1)),
+    ], ids=["stack", "n1-length-4", "n2-length-3"])
+    def test_base_is_one_point(self, monkeypatch, n, grid, base):
+        # refused by its shape before any array is built, so a generated
+        # graph keeps the fields its first build takes
+        g = gen_sphere(1.0, n=n, grid=grid) if n == 2 else gen_perturbed_sphere(
+            1.0, 0.05, 2, n=1, grid=grid)
+        carried = g._carried
+        cores = _counted_cores(monkeypatch)
+        want = f"base must be one point of shape ({n + 2},), got {base.shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            build_geometry(g, base=base)
+        assert cores == [] and g._carried is carried
 
 
 def rolled_stencil(f, taps, h, axis):

@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 
 import hkverify
 from hkverify.errors import PreconditionError, RejectedShapeError
-from hkverify.hypersurface import RadialGraph, build_geometry, gen_perturbed_sphere, gen_sphere
+from hkverify.hypersurface import (
+    RadialGraph,
+    SurfaceGeometry,
+    build_geometry,
+    gen_perturbed_sphere,
+    gen_sphere,
+)
 from hkverify.identities import (
     DEFAULT_EPS_SWEEP,
     alexandrov_diagnostic,
@@ -552,6 +558,191 @@ class TestReportMachinery:
         data = json.loads(path.read_text())
         assert data["surface"]["n"] == 1
         assert all("pass" in c for c in data["checks"])
+
+
+# Three reports pinned bit for bit: each report's config_hash and every row's
+# (lhs, rhs, residual, tolerance).  The report counterpart of
+# tests/test_normalflow.py::TestFrozenFlow.
+_FROZEN_REPORTS = {
+    "lobe": ("7d9ea5287c0e908954f1bed21d8a6549bcabd1c0df501dfb02ec8c1af941a7f0", {
+        "minkowski-classical":
+            (20.440536299144938, 20.440536299144938, 0.0,
+             0.39402345120833526),
+        "minkowski-shifted[eps=0,k=1]":
+            (26.845793299277318, 26.845779949761603, 1.3349515715077587e-05,
+             0.5174948431587552),
+        "minkowski-shifted[eps=0.5,k=1]":
+            (16.62552514970485, 16.625511800189134, 1.3349515715077587e-05,
+             0.32048311755458747),
+        "minkowski-shifted[eps=1,k=1]":
+            (6.40525700013238, 6.405243650616666, 1.3349515714189408e-05,
+             0.12347139195041984),
+        "minkowski-shifted[eps=0,k=2]":
+            (35.25360665714555, 35.25364873321386, -4.2076068304197634e-05,
+             0.6795694661948941),
+        "minkowski-shifted[eps=0.5,k=2]":
+            (13.517954107412331, 13.518002858238487, -4.8750826156407356e-05,
+             0.2605807431711115),
+        "minkowski-shifted[eps=1,k=2]":
+            (2.002569707251573, 2.0026251328355866, -5.542558401350206e-05,
+             0.03860374575149661),
+        "hk-brendle":
+            (10.228257908626118, 10.220268149572469, 0.007989759053648626,
+             0.019716574076260422),
+        "hk-shifted":
+            (10.365959927899988, 10.220268149572469, 0.14569177832751912,
+             0.1998201635271829),
+        "alexandrov-ratio[k=2]":
+            (21.045701081853643, 20.440536299144938, 0.6051647827087052,
+             0.405688953166941),
+        "alexandrov-nm-slack[k=2]":
+            (0.3137812260536669, 0.0, 0.3137812260536669,
+             0.405688953166941),
+        "alexandrov-umbilic[k=2]":
+            (0.21624195358312548, 0.0, 0.21624195358312548,
+             0.21821112491301883),
+    }),
+    "curve": ("db661d0a48ae00df81de0c43b51dabde55963249c315d5bf11f91478bb55e523", {
+        "minkowski-classical":
+            (8.796182365007873, 8.796182365007873, 0.0,
+             0.04239005868284487),
+        "minkowski-shifted[eps=0,k=1]":
+            (11.590539522550243, 11.590539809615379, -2.870651361064347e-07,
+             0.05585646616991277),
+        "minkowski-shifted[eps=0.5,k=1]":
+            (7.192448340046306, 7.1924486271114425, -2.870651361064347e-07,
+             0.034661436828490336),
+        "minkowski-shifted[eps=1,k=1]":
+            (2.79435715754237, 2.7943574446075057, -2.870651356623455e-07,
+             0.013466407487067896),
+        "hk-brendle":
+            (8.971680466952764, 8.796182365007873, 0.1754981019448909,
+             0.004323580909267794),
+        "hk-shifted":
+            (23.509588933517655, 8.796182365007873, 14.713406568509782,
+             0.11329606562795289),
+        "gauss-bonnet":
+            (6.283173941321472, 6.283185307179586, -1.1365858114231742e-05,
+             0.03027956707060529),
+    }),
+    "offset_base": ("dd1b49678ed3ceb893f459e83769391fd5d2980697764f95a47e91a627fb072d", {
+        "minkowski-classical":
+            (21.355087441387763, 21.35508744138776, 3.552713678800501e-15,
+             0.4116528613225952),
+        "minkowski-shifted[eps=0,k=1]":
+            (28.039983335465763, 28.03998333546577, -7.105427357601002e-15,
+             0.5405147322933305),
+        "minkowski-shifted[eps=0.5,k=1]":
+            (17.36243961477188, 17.362439614771887, -7.105427357601002e-15,
+             0.3346883016320329),
+        "minkowski-shifted[eps=1,k=1]":
+            (6.684895894078, 6.684895894078005, -5.329070518200751e-15,
+             0.1288618709707353),
+        "minkowski-shifted[eps=0,k=2]":
+            (36.817487524279784, 36.81748752427979, -7.105427357601002e-15,
+             0.7097149158333679),
+        "minkowski-shifted[eps=0.5,k=2]":
+            (14.116276049160959, 14.116276049160962, -3.552713678800501e-15,
+             0.2721133988706862),
+        "minkowski-shifted[eps=1,k=2]":
+            (2.0926082947360154, 2.0926082947360167, -1.3322676295501878e-15,
+             0.04033831256930212),
+        "hk-brendle":
+            (10.67754372069388, 10.67754372069388, 0.0,
+             0.020582643066129756),
+        "hk-shifted":
+            (10.677543720693873, 10.67754372069388, -7.105427357601002e-15,
+             0.20582643066129758),
+    }),
+}
+
+
+class TestFrozenReports:
+    @pytest.mark.parametrize("case", list(_FROZEN_REPORTS))
+    def test_frozen_values(self, case):
+        if case == "lobe":
+            graph = gen_perturbed_sphere(1.0, 0.01, (3, 1), grid=(16, 32)).rotated(5)
+            rep = run_verification(graph, ["minkowski-classical", "minkowski-shifted",
+                                           "hk-brendle", "hk-shifted", "alexandrov"])
+        elif case == "curve":
+            rep = run_verification(gen_perturbed_sphere(1.0, 0.1, 2, n=1, grid=64))
+        else:
+            graph = gen_sphere(1.0, grid=(16, 32))
+            rep = run_verification(graph, geom=build_geometry(graph, base=_base_at(0.3, axis=3)))
+        config_hash, rows = _FROZEN_REPORTS[case]
+        assert rep.provenance["config_hash"] == config_hash
+        assert {r.name: (r.lhs, r.rhs, r.residual, r.tolerance) for r in rep.results} == rows
+        assert [r.name for r in rep.results] == list(rows)
+
+
+_EMPTY = "check 'minkowski-shifted' would add no result: its eps or k list is empty"
+_SURFACE = gen_sphere(1.0, grid=(8, 16))
+_CURVE = gen_sphere(1.0, n=1, grid=16)
+_ENTRY_POINTS = ["minkowski_classical", "minkowski_shifted", "hk_brendle", "hk_shifted",
+                 "alexandrov_diagnostic", "gauss_bonnet", "resolve_tolerance"]
+
+
+def _refusal(call):
+    """(class, message) of the exception `call()` raises, with every geometry,
+    moment, integral and curvature read made an error, so a refusal counts
+    only when it comes before any of them."""
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the request was judged")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("build_geometry", "_moments", "area_integral", "tolerance_table"):
+            mp.setattr(identities, name, computed)
+        mp.setattr(symfun, "e_m_values", computed)
+        mp.setattr(SurfaceGeometry, "mean_curvature", property(computed))
+        with pytest.raises(Exception) as exc:
+            call()
+    assert not isinstance(exc.value, AssertionError), exc.value
+    return type(exc.value), str(exc.value)
+
+
+class TestOneHomePerRule:
+    # each request rule has one home, so every entry point that takes the
+    # request refuses it with the same class and message, before computing
+
+    @pytest.mark.parametrize("tol", [-1.0, True, math.nan, math.inf, "0.1", "AUTO"],
+                             ids=repr)
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_tolerance(self, entry, tol):
+        graph = _CURVE if entry == "gauss_bonnet" else _SURFACE
+        geom = build_geometry(graph)
+        if entry == "resolve_tolerance":
+            got = _refusal(lambda: resolve_tolerance("hk-brendle", geom, 1.0, tol))
+        else:
+            got = _refusal(lambda: getattr(identities, entry)(geom, tol=tol))
+        want = _refusal(lambda: run_verification(graph, tol=tol))
+        assert got == want == (ValueError, f"tol must be 'auto' or a finite number >= 0, "
+                                            f"got {tol!r}")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eps_sweep": [0.5, 0.5]}, "an entry of ['0.5', '0.5'] is requested twice"),
+        # rows are named by eps :g, so these two shifts would share a name
+        ({"eps_sweep": [0.5, 0.5000001]}, "an entry of ['0.5', '0.5'] is requested twice"),
+        ({"eps_sweep": [math.inf]}, "eps must be finite numbers, got [inf]"),
+        ({"eps_sweep": [math.nan]}, "eps must be finite numbers, got [nan]"),
+        ({"eps_sweep": []}, _EMPTY),
+        ({"k_list": [1, 1]}, "an entry of [1, 1] is requested twice"),
+        ({"k_list": []}, _EMPTY),
+    ], ids=["repeat", "same-name", "inf", "nan", "no-eps", "repeat-k", "no-k"])
+    @pytest.mark.parametrize("graph", [_SURFACE, _CURVE], ids=["surface", "curve"])
+    def test_shifts_and_orders(self, graph, kwargs, message):
+        geom = build_geometry(graph)
+        got = _refusal(lambda: minkowski_shifted(geom, **kwargs))
+        want = _refusal(lambda: run_verification(graph, **kwargs))
+        assert got == want == (ValueError, message)
+
+    @pytest.mark.parametrize("check, graph", [("alexandrov", _CURVE),
+                                              ("gauss-bonnet", _SURFACE)])
+    def test_dimension(self, check, graph):
+        geom = build_geometry(graph)
+        function = {"alexandrov": alexandrov_diagnostic, "gauss-bonnet": gauss_bonnet}[check]
+        got = _refusal(lambda: function(geom))
+        assert got == _refusal(lambda: run_verification(graph, checks=[check]))
+        assert got[0] is PreconditionError
 
 
 class TestCalibratedFamily:

@@ -1,4 +1,5 @@
-"""exact_sum against math.fsum: bit for bit, sign of zero and errors included."""
+"""exact_sum against math.fsum: bit for bit, sign of zero included, and NaN
+wherever math.fsum raises."""
 
 import math
 import struct
@@ -8,31 +9,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from hkverify._util import exact_sum
+from hkverify._util import exact_sum, fsum
 
 DBL_MAX = np.finfo(float).max
 
 
 def fsum_outcome(x):
+    """math.fsum's bits, or NaN where it raises (an overflow, or inf - inf)."""
     try:
         return struct.pack("<d", math.fsum(np.asarray(x, dtype=float).ravel().tolist()))
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def exact_outcome(x):
-    try:
-        return struct.pack("<d", exact_sum(x))
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
+    except (OverflowError, ValueError):
+        return struct.pack("<d", math.nan)
 
 
 def assert_same_as_fsum(x):
     x = np.asarray(x, dtype=float)
     before = x.copy()
-    got, want = exact_outcome(x), fsum_outcome(x)
-    if isinstance(want, bytes) and math.isnan(struct.unpack("<d", want)[0]):
-        assert isinstance(got, bytes) and math.isnan(struct.unpack("<d", got)[0])
+    got, want = struct.pack("<d", exact_sum(x)), fsum_outcome(x)
+    if math.isnan(struct.unpack("<d", want)[0]):
+        assert math.isnan(struct.unpack("<d", got)[0])
     else:
         assert got == want
     assert np.array_equal(x, before, equal_nan=True)  # the input is left alone
@@ -67,7 +62,8 @@ class TestExactSum:
     @given(st.lists(st.one_of(huge, wide), min_size=1, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_near_dbl_max(self, values):
-        # fsum rounds these or raises OverflowError; the fallback does the same
+        # fsum rounds these or raises OverflowError; the fallback rounds them
+        # the same way or returns NaN
         assert_same_as_fsum(values)
 
     @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
@@ -94,3 +90,20 @@ class TestExactSum:
         x = (1.0 - rng.random(size) * 2.0 ** -20) * rng.choice([-1.0, 1.0], size)
         x[: size // 2] = 1.0 - 2.0 ** -53
         assert_same_as_fsum(x)
+
+
+class TestOverflowRule:
+    @pytest.mark.parametrize("values", [[DBL_MAX, DBL_MAX], [-DBL_MAX, -DBL_MAX, 1.0],
+                                        [np.inf, -np.inf], [np.inf, 1.0, -np.inf]])
+    def test_nan_where_fsum_raises(self, values):
+        # one rule for every sum: a partial sum past the float range, or
+        # inf - inf, is NaN from fsum and from exact_sum, never an exception
+        with pytest.raises((OverflowError, ValueError)):
+            math.fsum(values)
+        assert math.isnan(fsum(values)) and math.isnan(exact_sum(np.array(values)))
+
+    @pytest.mark.parametrize("values", [[], [-0.0], [1e308, -1e308, 1.0], [np.inf, 1.0],
+                                        [np.nan, 1.0], [0.1] * 10])
+    def test_fsum_is_math_fsum_elsewhere(self, values):
+        assert struct.pack("<d", fsum(values)) == struct.pack("<d", math.fsum(values)) or (
+            math.isnan(fsum(values)) and math.isnan(math.fsum(values)))
