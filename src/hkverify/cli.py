@@ -56,9 +56,9 @@ _EPS_DEFAULT = ",".join(f"{e:g}" for e in identities.DEFAULT_EPS_SWEEP)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage exit code moved off 2, which means
-    generation failure here, and with every negative number taken as a
-    value."""
+    """argparse with every negative number taken as a value.  Its usage
+    errors exit 2, which means generation failure here; `main` maps them
+    to 64."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -67,11 +67,6 @@ class _Parser(argparse.ArgumentParser):
         # (-1, -.5) leaves `--amp -1e-3`, `--radius -inf` and `--eps -0.5,1`
         # to fail as unknown flags; no option here is spelt like a number
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _parse_floats(text: str):
@@ -198,7 +193,7 @@ def _convergence_residuals(args, names, checks, eps_sweep, n_phi: int):
         else:
             # a minkowski-shifted row is named minkowski-shifted[eps=...,k=...]
             out.update((r.name, abs(r.rel_residual)) for r in results
-                       if r.name.partition("[")[0] == name)
+                       if identities._table_key(r.name) == name)
     return geom.resolution, out
 
 

@@ -301,8 +301,8 @@ class SurfaceGeometry:
     Grid-shaped fields: sinh(rho), cosh(rho), the normal's stretch v and
     the angular derivatives of rho (`grad`: (rho_theta,) for n = 1,
     (rho_phi, rho_theta) for n = 2).  The induced metric and second
-    fundamental form are not kept: the builder turns them into kappa and
-    area_weight in place (`_fundamental_forms` assembles them).
+    fundamental form are not kept: the cores turn them into kappa and
+    area_weight (`_fundamental_forms` assembles them).
 
     Flattened row-major: kappa, the principal curvatures sorted ascending
     per node, and area_weight, which already contains the full quadrature
@@ -491,11 +491,14 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     Overflow and invalid-value warnings are silenced while the arrays are
     built, because those refusals catch every value they would warn about.
 
-    A graph from `gen_perturbed_sphere` (or rolled from one by `rotated`)
-    carries the base-independent fields its generator validated H on, and a
-    graph never changes, so they fit its rho: the first build takes them in
-    place of assembling the forms, and a second build assembles.  V, V_nu
-    and every refusal above are computed the same way on either route.
+    The six base-independent fields (`_CARRIED_FIELDS`) come from a core,
+    `_core_n1` or `_core_n2`, or are carried: a graph from
+    `gen_perturbed_sphere` (or rolled from one by `rotated`) carries the
+    fields its generator validated H on, and a graph never changes, so they
+    fit its rho.  The first build takes them in place of running a core,
+    and a second build runs one.  Either way this is the one place a
+    SurfaceGeometry is made, so V, V_nu and every refusal above are
+    computed the same way on both routes.
     """
     if base is not None:
         base = np.asarray(base, dtype=float)
@@ -504,10 +507,9 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
         hypgeo.validate_point(base)
     fields = graph._take_fields()
     with np.errstate(over="ignore", invalid="ignore"):
-        if fields is not None:
-            geom = SurfaceGeometry(graph, **fields, base=base)
-        else:
-            geom = _core_n2(graph, base) if graph.n == 2 else _core_n1(graph, base)
+        if fields is None:
+            fields = _core_n2(graph) if graph.n == 2 else _core_n1(graph)
+        geom = SurfaceGeometry(graph, **fields, base=base)
         gap = geom.V - geom.V_nu
     finite = np.isfinite(gap)
     for kappa_i in geom.kappa.T:  # column by column: all(axis=-1) is ~10x slower
@@ -530,8 +532,10 @@ def _fundamental_forms(graph: RadialGraph):
 
     metric and second_form are (g,) and (h,) for n = 1 and the pp, pt, tt
     components for n = 2, all grid-shaped; the cores turn them into kappa
-    and area_weight in place.  Every array is a fresh buffer, summed in
-    the order of the closed forms in the module docstring.
+    and area_weight.  Every array is a fresh buffer, summed in the order of
+    the closed forms in the module docstring: plain expressions for a
+    curve, in-place arithmetic on a few reused buffers for a surface,
+    whose grids are large enough for the allocations to cost time.
     """
     rho = graph.rho
     lam = np.sinh(rho)
@@ -540,23 +544,10 @@ def _fundamental_forms(graph: RadialGraph):
         h = graph.h_theta
         wrap = _wrap(rho, 0)
         d1 = _stencil(wrap, _D1, h)
-        g = np.multiply(d1, d1)                 # d1^2 + lam^2
-        tmp = np.multiply(lam, lam)
-        g += tmp
-        v = np.divide(d1, lam)                  # sqrt(1 + (d1 / lam)^2)
-        v *= v
-        v += 1.0
-        np.sqrt(v, out=v)
-        hform = _stencil(wrap, _D2, h)  # (-d2 + 2 coth d1 d1 + lam lamp) / v
-        np.negative(hform, out=hform)
-        np.divide(lamp, lam, out=tmp)
-        tmp *= 2.0
-        tmp *= d1
-        tmp *= d1
-        hform += tmp
-        np.multiply(lam, lamp, out=tmp)
-        hform += tmp
-        hform /= v
+        g = d1 * d1 + lam * lam
+        slope = d1 / lam
+        v = np.sqrt(slope * slope + 1.0)
+        hform = (-_stencil(wrap, _D2, h) + 2.0 * (lamp / lam) * d1 * d1 + lam * lamp) / v
         return lam, lamp, v, (d1,), (g,), (hform,)
 
     hp, ht = graph.h_phi, graph.h_theta
@@ -622,19 +613,22 @@ def _fundamental_forms(graph: RadialGraph):
     return lam, lamp, v, (rho_p, rho_t), (g_pp, g_pt, g_tt), (h_pp, h_pt, h_tt)
 
 
-def _core_n1(graph: RadialGraph, base) -> SurfaceGeometry:
+def _core_n1(graph: RadialGraph) -> dict:
+    """The `_CARRIED_FIELDS` of a curve, by name; DegenerateSurfaceError at
+    the first node whose metric g is not positive."""
     lam, lamp, v, grad, (g,), (hform,) = _fundamental_forms(graph)
     bad = np.nonzero(g <= 0.0)[0]
     if bad.size:
         raise DegenerateSurfaceError("induced metric is not positive", node=int(bad[0]))
-    hform /= g
-    kappa = hform[:, None]
-    np.sqrt(g, out=g)
-    g *= graph.h_theta
-    return SurfaceGeometry(graph, lam, lamp, v, grad, kappa, g, base)
+    return dict(zip(_CARRIED_FIELDS, (lam, lamp, v, grad, (hform / g)[:, None],
+                                      np.sqrt(g) * graph.h_theta)))
 
 
-def _core_n2(graph: RadialGraph, base) -> SurfaceGeometry:
+def _core_n2(graph: RadialGraph) -> dict:
+    """The `_CARRIED_FIELDS` of a surface, by name; DegenerateSurfaceError at
+    the first node whose metric is not positive definite.  The forms'
+    buffers are reused in place, each product written over an entry that
+    is no longer needed."""
     lam, lamp, v, grad, (g_pp, g_pt, g_tt), (h_pp, h_pt, h_tt) = _fundamental_forms(graph)
     detg = np.multiply(g_pp, g_tt)
     tmp = np.multiply(g_pt, g_pt)
@@ -680,9 +674,6 @@ def _core_n2(graph: RadialGraph, base) -> SurfaceGeometry:
     np.multiply(scratch, 0.5, out=kappa[..., 0])
     np.add(tr, disc, out=scratch)
     np.multiply(scratch, 0.5, out=kappa[..., 1])
-    # free the forms' buffers before the geometry allocates V_nu
-    del g_pp, g_pt, g_tt, h_pp, h_pt, h_tt, gi_pp, gi_pt, gi_tt, detg, tmp
-    del w_pp, w_pt, w_tp, w_tt, tr, disc
 
     phi, _ = graph.angles()
     weight = np.multiply(lam, lam, out=scratch)    # lam^2 v sin(phi) h_phi h_theta
@@ -690,8 +681,8 @@ def _core_n2(graph: RadialGraph, base) -> SurfaceGeometry:
     weight *= np.sin(phi)[:, None]
     weight *= graph.h_phi
     weight *= graph.h_theta
-    return SurfaceGeometry(graph, lam, lamp, v, grad, kappa.reshape(-1, 2),
-                           weight.ravel(), base)
+    return dict(zip(_CARRIED_FIELDS, (lam, lamp, v, grad, kappa.reshape(-1, 2),
+                                      weight.ravel())))
 
 
 def gen_sphere(radius: float, center_offset: float = 0.0, n: int = 2,

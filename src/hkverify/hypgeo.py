@@ -79,8 +79,14 @@ def sheet_normalize(p) -> np.ndarray:
 
 
 def validate_point(p) -> None:
-    """Check the hyperboloid constraints to SHEET_TOL, scaled by the point size."""
+    """Check the hyperboloid constraints to SHEET_TOL, scaled by the point
+    size, after refusing a point with a coordinate that is not finite
+    (the constraints' comparisons are false on NaN and inf)."""
     p = np.asarray(p, dtype=float)
+    finite = np.isfinite(p).all(axis=-1)
+    if not np.all(finite):
+        bad = np.reshape(p, (-1, p.shape[-1]))[~finite.ravel()][0]
+        raise ValueError(f"point {bad.tolist()} has a coordinate that is not finite")
     resid = np.abs(minkowski_inner(p, p) + 1.0)
     scale = np.maximum(1.0, p[..., 0] ** 2)
     if np.any(resid > SHEET_TOL * scale):

@@ -117,9 +117,13 @@ def tolerance_table() -> dict:
 
 
 def _tolerance(tol):
-    """tol, if "auto" or a finite real >= 0 that is not a bool; else ValueError."""
-    if tol != "auto" and (isinstance(tol, bool) or not (
-            isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0)):
+    """tol, if "auto" or a finite real >= 0 that is not a bool; else ValueError.
+    A str is compared with "auto" and nothing else is (an array would
+    compare element by element)."""
+    if isinstance(tol, str) and tol == "auto":
+        return tol
+    if isinstance(tol, bool) or not (
+            isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be 'auto' or a finite number >= 0, got {tol!r}")
     return tol
 
@@ -136,23 +140,31 @@ def resolve_tolerance(check: str, geom: SurfaceGeometry, scale: float, tol) -> f
     return scale * max(coeff * h * h, table["floor_rel"])
 
 
-def _judge(kind: str, name: str, key: str, geom: SurfaceGeometry, lhs: float, rhs: float,
+def _table_key(name: str) -> str:
+    """The tolerance table entry of a row, which is also its series: the
+    row's name up to any bracketed parameters."""
+    return name.partition("[")[0]
+
+
+def _judge(kind: str, name: str, geom: SurfaceGeometry, lhs: float, rhs: float,
            tol, meta: dict, scale: float | None = None) -> CheckResult:
     """The verdict rule every check shares.
 
     The residual lhs - rhs (PreconditionError if an overflow at a huge shift
     leaves it not finite) is made relative to max(|lhs|, |rhs|, 1e-300), the
-    tolerance scale unless `scale` is given; `key` names the tolerance table
-    entry.  `kind` is "identity", "inequality" or "report", and heads the
-    metadata, then `within_tol` (|residual| <= tolerance) for an inequality,
-    then n and grid, then the check's `meta`.
+    tolerance scale unless `scale` is given, which is floored at 1e-300
+    too; `_table_key(name)` names the tolerance table entry.  `kind` is
+    "identity", "inequality" or "report", and heads the metadata, then
+    `within_tol` (|residual| <= tolerance) for an inequality, then n and
+    grid, then the check's `meta`.
     """
     residual = lhs - rhs
     if not math.isfinite(residual):
         raise PreconditionError(f"residual of lhs {lhs:.6g} and rhs {rhs:.6g} is not finite",
                                 check=name)
     size = max(abs(lhs), abs(rhs), 1e-300)
-    tol_abs = resolve_tolerance(key, geom, size if scale is None else scale, tol)
+    tol_abs = resolve_tolerance(_table_key(name), geom,
+                                size if scale is None else max(scale, 1e-300), tol)
     within = abs(residual) <= tol_abs
     head = {"kind": kind, "within_tol": bool(within)} if kind == "inequality" else {"kind": kind}
     passed = {"identity": within, "inequality": residual >= -tol_abs, "report": True}[kind]
@@ -199,8 +211,8 @@ def _shifted_row(geom: SurfaceGeometry, moments: tuple, eps: float, k: int,
         math.comb(k - 1, j) * power[k - 1 - j] * M[j],
         -eps * math.comb(k - 1, j) * power[k - 1 - j] * N[j])])
     rhs = fsum([math.comb(k, j) * power[k - j] * N[j] for j in range(k + 1)])
-    return _judge("identity", f"minkowski-shifted[eps={eps:g},k={k}]", "minkowski-shifted",
-                  geom, lhs, rhs, tol, {"eps": eps, "k": k})
+    return _judge("identity", f"minkowski-shifted[eps={eps:g},k={k}]", geom, lhs, rhs, tol,
+                  {"eps": eps, "k": k})
 
 
 def _as_list(value, name: str) -> list:
@@ -268,8 +280,7 @@ def minkowski_classical(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     _tolerance(tol)
     lhs = area_integral(geom, geom.V_nu)
     rhs = (geom.n + 1) * geom.weighted_volume
-    return _judge("identity", "minkowski-classical", "minkowski-classical",
-                  geom, lhs, rhs, tol, {})
+    return _judge("identity", "minkowski-classical", geom, lhs, rhs, tol, {})
 
 
 def _hk(geom: SurfaceGeometry, eps: float, name: str, refusal: str, tol) -> CheckResult:
@@ -286,7 +297,7 @@ def _hk(geom: SurfaceGeometry, eps: float, name: str, refusal: str, tol) -> Chec
                                 check=name, node=worst)
     lhs = area_integral(geom, (geom.V - eps * geom.V_nu) / (H - geom.n * eps))
     rhs = (geom.n + 1) / geom.n * geom.weighted_volume
-    return _judge("inequality", name, name, geom, lhs, rhs, tol, {"H_min": float(H[worst])})
+    return _judge("inequality", name, geom, lhs, rhs, tol, {"H_min": float(H[worst])})
 
 
 def hk_brendle(geom: SurfaceGeometry, tol="auto") -> CheckResult:
@@ -328,19 +339,17 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult
     lhs_ratio = area_integral(geom, weight * e1 / e2)
     rhs_ratio = area_integral(geom, geom.V_nu)
     ratio = _judge("identity" if e2_constant else "inequality", "alexandrov-ratio[k=2]",
-                   "alexandrov-ratio", geom, lhs_ratio, rhs_ratio, tol,
+                   geom, lhs_ratio, rhs_ratio, tol,
                    {"k": 2, "ek_constant": e2_constant, "ek_spread": e2_spread,
                     "ek_mean": e2_mean})
 
     lhs_slack = area_integral(geom, weight * (e1 / e2 - 1.0 / e1))
-    slack = _judge("inequality", "alexandrov-nm-slack[k=2]", "alexandrov-nm-slack",
-                   geom, lhs_slack, 0.0, tol, {"k": 2},
-                   scale=max(abs(lhs_slack), max(abs(lhs_ratio), abs(rhs_ratio), 1e-300)))
+    slack = _judge("inequality", "alexandrov-nm-slack[k=2]", geom, lhs_slack, 0.0, tol,
+                   {"k": 2}, scale=max(abs(lhs_slack), abs(lhs_ratio), abs(rhs_ratio)))
 
     spread = geom.umbilicity_spread
-    umb = _judge("report", "alexandrov-umbilic[k=2]", "alexandrov-umbilic", geom,
-                 spread, 0.0, tol, {"k": 2},
-                 scale=max(float(np.max(np.abs(geom.kappa))), 1e-300))
+    umb = _judge("report", "alexandrov-umbilic[k=2]", geom, spread, 0.0, tol, {"k": 2},
+                 scale=float(np.max(np.abs(geom.kappa))))
     umb.metadata["umbilic_within_tol"] = bool(spread <= umb.tolerance)
     return [ratio, slack, umb]
 
@@ -351,8 +360,7 @@ def gauss_bonnet(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     _tolerance(tol)
     lhs = area_integral(geom, geom.kappa[:, 0]) - geom.enclosed_volume
     rhs = 2.0 * np.pi
-    return _judge("identity", "gauss-bonnet", "gauss-bonnet", geom, lhs, rhs, tol, {},
-                  scale=rhs)
+    return _judge("identity", "gauss-bonnet", geom, lhs, rhs, tol, {}, scale=rhs)
 
 
 @dataclass

@@ -418,7 +418,9 @@ def verify_flow(graph: RadialGraph) -> FlowTrace:
     hold to a relative tolerance of the same form.  Sampling covers
     [0, t_safe = SAFETY * shortest window] in steps of at most t_safe /
     SAMPLES, as calibrated; the tail integrals always run to the longest
-    window so the enclosed volume is not silently truncated.
+    window so the enclosed volume is not silently truncated.  The sums at
+    every time step fill one array, and the trace keeps one prefix slice
+    of it: the steps up to t_safe, which are the ones judged.
 
     The level-set residual is asserted only when the initial surface is
     round (umbilicity spread within ROUND_C * h^2).  Off a round surface
@@ -454,27 +456,21 @@ def verify_flow(graph: RadialGraph) -> FlowTrace:
     taus = np.linspace(0.0, t_max, segments + 1)
     dt = t_max / segments
 
-    S_vol = np.empty(segments + 1)
-    S_nu = np.empty(segments + 1)
-    area = np.empty(segments + 1)
-    term1 = np.empty(segments + 1)
-    n_active = np.empty(segments + 1, dtype=int)
-    H_min = np.empty(segments + 1)
-    H_max = np.empty(segments + 1)
-    for k, tau in enumerate(taus):
-        S_vol[k], S_nu[k], area[k], term1[k], n_active[k], H_min[k], H_max[k] = \
-            _active_sums(particles, active_until, tau)
+    # one row per series of `_active_sums`, one column per time in taus
+    samples = np.array([_active_sums(particles, active_until, tau) for tau in taus]).T.copy()
 
-    # tail[k] = integral of S_vol from taus[k] to t_max, composite trapezoid
-    seg = 0.5 * dt * (S_vol[1:] + S_vol[:-1])
+    # tail[k] = integral of S_vol (row 0) from taus[k] to t_max, composite trapezoid
+    seg = 0.5 * dt * (samples[0, 1:] + samples[0, :-1])
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
 
-    keep = taus <= t_safe * (1.0 + 1e-12)
-    times = taus[keep]
+    # taus increase, so the judged times, those up to t_safe, are a prefix
+    keep = int(np.count_nonzero(taus <= t_safe * (1.0 + 1e-12)))
+    times, tail = taus[:keep], tail[:keep]
+    _, S_nu, area, term1, n_active, H_min, H_max = samples[:, :keep]
     n = particles.n
-    Q = np.exp((n + 1) * times) * (term1[keep] - (n + 1) / n * tail[keep])
-    levelset = S_nu[keep] - (n + 1) * tail[keep]
-    levelset_rel = levelset / np.maximum(np.abs(S_nu[keep]), 1e-300)
+    Q = np.exp((n + 1) * times) * (term1 - (n + 1) / n * tail)
+    levelset = S_nu - (n + 1) * tail
+    levelset_rel = levelset / np.maximum(np.abs(S_nu), 1e-300)
 
     h = geom.resolution
     scale = max(term1[0], 1e-300)
@@ -482,8 +478,8 @@ def verify_flow(graph: RadialGraph) -> FlowTrace:
     ls_tol = LEVELSET_C_GRID * h * h + LEVELSET_C_TIME * dt * dt
 
     q_monotone_ok = bool(np.all(np.diff(Q) <= q_slack))
-    area_decreasing_ok = bool(np.all(np.diff(area[keep]) < 0.0))
-    h_above_n_ok = bool(np.all(H_min[keep] > n + H_MARGIN))
+    area_decreasing_ok = bool(np.all(np.diff(area) < 0.0))
+    h_above_n_ok = bool(np.all(H_min > n + H_MARGIN))
 
     round_surface = geom.umbilicity_spread <= ROUND_C * h * h * float(
         np.max(np.abs(particles.kappa0)))
@@ -495,12 +491,12 @@ def verify_flow(graph: RadialGraph) -> FlowTrace:
     return FlowTrace(
         times=times,
         Q=Q,
-        H_min=H_min[keep],
-        H_max=H_max[keep],
-        area=area[keep],
+        H_min=H_min,
+        H_max=H_max,
+        area=area,
         levelset_residual=levelset,
         levelset_rel=levelset_rel,
-        n_active=n_active[keep],
+        n_active=n_active.astype(int),
         t_safe=t_safe,
         t_max=t_max,
         dt=dt,

@@ -627,6 +627,18 @@ class TestUsage:
     def test_no_command_exits_64(self):
         assert main([]) == 64
 
+    def test_usage_error_text(self, monkeypatch, capsys):
+        # argparse's own usage and message on stderr, nothing on stdout; the
+        # width is fixed because argparse wraps the usage to the terminal
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["flow", "--trace", "t.csv"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("usage: hkverify flow [-h] --surface SURFACE [--trace TRACE]\n"
+                       "                     [--summary SUMMARY]\n"
+                       "hkverify flow: error: the following arguments are required: "
+                       "--surface\n")
+
     def test_unknown_flag_exits_64(self, tmp_path):
         assert main(["gen", "--nope", "--out", "x.json"]) == 64
         # the Alexandrov chain's order is fixed at k = 2, not a flag

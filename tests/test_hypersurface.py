@@ -1019,6 +1019,19 @@ class TestDegeneracy:
             build_geometry(g, base=base)
         assert cores == [] and g._carried is carried
 
+    @pytest.mark.parametrize("base", [[math.nan, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0],
+                                      [math.inf, math.inf, 0.0, 0.0]], ids=repr)
+    def test_base_must_be_finite(self, monkeypatch, base):
+        # the sheet tests compare false on NaN and inf; the point is named,
+        # refused before any array is built, not blamed on the surface
+        g = gen_perturbed_sphere(1.0, 0.05, (2, 0), grid=(8, 16))
+        carried = g._carried
+        cores = _counted_cores(monkeypatch)
+        want = f"point {base} has a coordinate that is not finite"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            build_geometry(g, base=np.array(base))
+        assert cores == [] and g._carried is carried
+
 
 def rolled_stencil(f, taps, h, axis):
     """The written 5-point formulas on periodic f; f[j + s] is np.roll(f, -s)."""

@@ -1,6 +1,7 @@
 """Hyperboloid kernel tests: distances, geodesics, potentials, ball charts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ class TestPointsAndDistance:
             hypgeo.sheet_normalize(np.array([-2.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             hypgeo.sheet_normalize(np.array([1.0, 3.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("point", [[math.nan, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0],
+                                       [math.inf, math.inf, 0.0, 0.0]], ids=repr)
+    def test_validate_rejects_non_finite(self, point):
+        # in a stack the first row that is not finite is named
+        stack = np.array([hypgeo.origin(2), point, [math.nan] * 4])
+        for p in (np.array(point), stack):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"point {point} has a coordinate that is not finite")):
+                hypgeo.validate_point(p)
 
     def test_sheet_normalize_scales_back(self, rng):
         p = random_point(rng)

@@ -704,8 +704,9 @@ class TestOneHomePerRule:
     # each request rule has one home, so every entry point that takes the
     # request refuses it with the same class and message, before computing
 
-    @pytest.mark.parametrize("tol", [-1.0, True, math.nan, math.inf, "0.1", "AUTO"],
-                             ids=repr)
+    # an array is refused by the rule, not by numpy's truth-value error
+    @pytest.mark.parametrize("tol", [-1.0, True, math.nan, math.inf, "0.1", "AUTO",
+                                     np.array([0.1, 0.2])], ids=repr)
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     def test_tolerance(self, entry, tol):
         graph = _CURVE if entry == "gauss_bonnet" else _SURFACE

@@ -278,6 +278,16 @@ class TestFrozenFlow:
         assert trace.coarea_volume == 7.144979145875593
         assert (trace.t_max, trace.dt) == (0.7489787760910761, 0.0016830983732383732)
 
+    def test_frozen_value_on_a_curve(self):
+        # the 1024-point mode-2 amp 0.1 curve never cuts: the plain curve
+        # assembly and the judged prefix of the samples, pinned bit for bit
+        trace = verify_flow(gen_perturbed_sphere(1.0, 0.1, 2, n=1, grid=1024))
+        assert len(trace.times) == 401
+        assert trace.n_active.dtype == np.dtype(int)
+        assert (trace.Q[0], trace.Q[-1]) == (14.036951791501673, 11.743510242940124)
+        assert trace.coarea_volume == 4.732877216391711
+        assert (trace.t_max, trace.dt) == (2.4039097885445337, 0.0018591723035920602)
+
 
 class TestParticles:
     def test_from_geometry(self, surface):
