@@ -85,9 +85,8 @@ class RadialGraph:
     """Radial distance samples of a closed star-shaped hypersurface.
 
     A graph is a value: it never changes, and a different surface is a new
-    graph.  `n`, `rho` and `meta` cannot be rebound, and `rho` is read-only
-    float64.  An owned float64 input is adopted (made read-only, not copied;
-    keep no view of it); any other (a list, another dtype, a view) is copied once.
+    graph.  `n`, `rho` and `meta` cannot be rebound, and `rho` is a read-only
+    float64 copy of the input, taken once whatever the input is.
     `meta` is kept as a deep copy and each read returns a fresh one, so no
     caller, copy or reader of a graph can change its description.  A graph
     compares and hashes by identity; compare surfaces by n, rho bits and meta.
@@ -102,8 +101,7 @@ class RadialGraph:
     def __init__(self, n: int, rho, meta: dict | None = None):
         object.__setattr__(self, "n", _dimension(n))
         object.__setattr__(self, "_meta", copy.deepcopy(dict(meta or {})))
-        rho = np.asarray(rho, dtype=float)
-        object.__setattr__(self, "rho", rho if rho.flags.owndata else rho.copy())
+        object.__setattr__(self, "rho", np.array(rho, dtype=float))
         if self.rho.ndim != self.n:
             raise ValueError(f"rho must be a {self.n}-D array for n = {self.n}")
         if not np.all(np.isfinite(self.rho)):

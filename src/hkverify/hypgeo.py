@@ -68,12 +68,12 @@ def origin(n: int) -> np.ndarray:
 
 
 def sheet_normalize(p) -> np.ndarray:
-    """Rescale time-like vectors back onto the upper hyperboloid sheet."""
+    """Rescale time-like vectors back onto the upper sheet (NaN fails both tests)."""
     p = np.asarray(p, dtype=float)
     q = minkowski_inner(p, p)
-    if np.any(q >= 0.0):
+    if not np.all(q < 0.0):
         raise ValueError("vector is not time-like, cannot lie on the hyperboloid")
-    if np.any(p[..., 0] <= 0.0):
+    if not np.all(p[..., 0] > 0.0):
         raise ValueError("vector is on the lower sheet")
     return p / np.sqrt(-q)[..., None]
 
@@ -99,9 +99,9 @@ _DIST_REFUSAL = "inner product below 1, inputs are not hyperboloid points"
 
 
 def dist(p, q) -> np.ndarray | float:
-    """Geodesic distance arccosh(-<p, q>)."""
+    """Geodesic distance arccosh(-<p, q>); a NaN inner product is refused."""
     c = -minkowski_inner(p, q)
-    if np.any(c < 1.0 - 1e-12):
+    if not np.all(c >= 1.0 - 1e-12):
         raise ValueError(_DIST_REFUSAL)
     return np.arccosh(np.maximum(c, 1.0))
 
@@ -126,7 +126,7 @@ def _pair_dist(p, i, j) -> np.ndarray:
     x *= cols[0][j]
     s -= x
     np.negative(s, out=s)
-    if np.any(s < 1.0 - 1e-12):
+    if not np.all(s >= 1.0 - 1e-12):
         raise ValueError(_DIST_REFUSAL)
     np.maximum(s, 1.0, out=s)
     return np.arccosh(s, out=s)

@@ -38,14 +38,13 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 import scipy
 
-from . import __version__, symfun
+from . import __version__, hypgeo, symfun
 from ._util import _as_int, _as_real, atomic_write_text, exact_sum, fsum
 from .errors import PreconditionError
 from .hypersurface import (
@@ -117,21 +116,25 @@ def tolerance_table() -> dict:
 
 
 def _tolerance(tol):
-    """tol, if "auto" or a finite real >= 0 that is not a bool; else ValueError.
-    A str is compared with "auto" and nothing else is (an array would
-    compare element by element)."""
+    """tol if "auto", else the float of a real (`_as_real`) that is finite and
+    >= 0; anything else is ValueError.  A str is compared with "auto" and
+    nothing else is (an array would compare element by element)."""
     if isinstance(tol, str) and tol == "auto":
         return tol
-    if isinstance(tol, bool) or not (
-            isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    try:
+        value = _as_real(tol, "tol")
+    except ValueError:
+        value = math.nan  # refused below, with this rule's message
+    if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"tol must be 'auto' or a finite number >= 0, got {tol!r}")
-    return tol
+    return value
 
 
 def resolve_tolerance(check: str, geom: SurfaceGeometry, scale: float, tol) -> float:
     """Absolute tolerance for a check: an explicit number, or "auto" for C * h^2 * scale."""
-    if _tolerance(tol) != "auto":
-        return float(tol)
+    tol = _tolerance(tol)
+    if tol != "auto":
+        return tol
     table = tolerance_table()
     coeff = table["checks"].get(check)
     if coeff is None:
@@ -369,12 +372,7 @@ class VerificationReport:
 
     surface: dict
     provenance: dict
-    results: list = field(default_factory=list)
-
-    def add(self, result: CheckResult) -> None:
-        if any(r.name == result.name for r in self.results):
-            raise ValueError(f"duplicate check name {result.name!r}")
-        self.results.append(result)
+    results: list
 
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
@@ -403,8 +401,8 @@ def _config_hash(config: dict, rho: np.ndarray) -> str:
 
 
 def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
-    """(checks, eps_sweep, k_list) as lists, defaults filled in, of a request that
-    passes every rule needing only n: no checks or an unknown one is ValueError,
+    """(checks, eps_sweep, k_list, tol) as read, defaults filled in, of a request
+    that passes every rule needing only n: no checks or an unknown one is ValueError,
     then `_check_dimension`, `_once`, `_shifts_and_orders` and `_tolerance`."""
     default = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted"]
     if checks is None:
@@ -418,8 +416,7 @@ def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
         _check_dimension(check, n)
     _once(checks)
     eps_sweep, k_list = _shifts_and_orders(n, eps_sweep, k_list, "minkowski-shifted" in checks)
-    _tolerance(tol)
-    return checks, eps_sweep, k_list
+    return checks, eps_sweep, k_list, _tolerance(tol)
 
 
 def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEEP,
@@ -431,11 +428,12 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
     surface's dimension; the Alexandrov diagnostics (k = 2) run only when
     asked for, as their constancy verdict describes the shape.  The request
     is refused by `_check_request` before any geometry is built; then each
-    check runs through its public function.  `geom` defaults to the
-    centered geometry of `graph`; one built from another graph (another
-    dimension or other rho bits) is refused with ValueError.
+    check runs through its public function, and the report is made whole
+    from their rows.  `geom` defaults to the centered geometry of `graph`;
+    one built from another graph (another dimension or other rho bits) is
+    refused with ValueError, and an off-centre one's base is hashed.
     """
-    checks, eps_sweep, k_list = _check_request(graph.n, checks, eps_sweep, k_list, tol)
+    checks, eps_sweep, k_list, tol = _check_request(graph.n, checks, eps_sweep, k_list, tol)
     if geom is None:
         geom = build_geometry(graph)
     elif geom.graph is not graph and (
@@ -449,29 +447,27 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
         "k_list": k_list,
         # the chain's order is fixed at 2; the key stays so every config_hash is unchanged
         "alexandrov_k": [2] if graph.n == 2 else [],
-        "tol": tol if isinstance(tol, str) else float(tol),
+        "tol": tol,
         "surface": surface,
     }
-    report = VerificationReport(
-        surface=surface,
-        provenance={
-            "config_hash": _config_hash(config, graph.rho),
-            "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-            "tolerance_table_version": tolerance_table()["version"],
-            "hkverify_version": __version__,
-            "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
-        },
-    )
+    if not np.array_equal(geom.base, hypgeo.origin(graph.n)):
+        config["base"] = geom.base.tolist()
+    provenance = {
+        "config_hash": _config_hash(config, graph.rho),
+        "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "tolerance_table_version": tolerance_table()["version"],
+        "hkverify_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+    }
     single = {"minkowski-classical": minkowski_classical, "hk-brendle": hk_brendle,
               "hk-shifted": hk_shifted, "gauss-bonnet": gauss_bonnet}
+    results = []
     for check in checks:
         if check in single:
-            results = [single[check](geom, tol)]
+            results.append(single[check](geom, tol))
         elif check == "minkowski-shifted":
-            results = minkowski_shifted(geom, eps_sweep, k_list, tol)
+            results += minkowski_shifted(geom, eps_sweep, k_list, tol)
         else:
-            results = alexandrov_diagnostic(geom, tol)
-        for result in results:
-            report.add(result)
-    return report
+            results += alexandrov_diagnostic(geom, tol)
+    return VerificationReport(surface, provenance, results)

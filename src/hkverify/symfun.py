@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from ._util import _as_int
+
 __all__ = ["e_m_values"]
 
 
@@ -38,10 +40,11 @@ def _sigma(columns, m: int, one):
 def e_m_values(values, m: int) -> np.ndarray:
     """E_m along the last axis of a stacked eigenvalue array.
 
-    `values` has shape (..., n); the result has shape (...).  This is the
-    vectorized path the surface integrals use, so it avoids per-node Python
-    work beyond the O(n * m) recursion.
+    `values` has shape (..., n); the result has shape (...); m is an integer
+    (`_as_int`).  This vectorized path avoids per-node Python work beyond
+    the O(n * m) recursion.
     """
+    m = _as_int(m, "order m")
     lam = np.asarray(values, dtype=float)
     if lam.ndim == 0:
         raise ValueError("expected at least one eigenvalue axis")

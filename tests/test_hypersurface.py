@@ -456,12 +456,16 @@ class TestGraphIsAValue:
         assert len({a, b, a}) == 2 and hash(a) == hash(a)
         assert a.rho.tobytes() == b.rho.tobytes() and a.meta == b.meta
 
-    def test_an_owned_array_is_adopted(self):
-        # the one allocation rule: an owned float64 rho is not copied, it
-        # becomes the graph's, read-only
+    def test_an_owned_array_is_copied(self):
+        # one construction path: even an owned float64 rho is copied, so
+        # neither it nor a view taken before construction reaches the graph
         rho = np.full((8, 16), 1.5)
+        view = rho[:]
         graph = RadialGraph(2, rho)
-        assert np.shares_memory(graph.rho, rho) and not rho.flags.writeable
+        view[0, 0] = -1.0
+        assert not np.shares_memory(graph.rho, rho) and rho.flags.writeable
+        assert np.all(graph.rho == 1.5)
+        assert np.all(build_geometry(graph).mean_curvature > 0.0)
 
     @pytest.mark.parametrize("duplicate", DUPLICATES.values(), ids=DUPLICATES.keys())
     def test_copies_are_new_graphs(self, monkeypatch, duplicate):

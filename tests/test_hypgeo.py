@@ -67,6 +67,17 @@ class TestPointsAndDistance:
                     f"point {point} has a coordinate that is not finite")):
                 hypgeo.validate_point(p)
 
+    def test_nan_is_refused(self):
+        # each refusal is a test NaN fails, so no kernel returns NaN for it
+        o, u = hypgeo.origin(2), np.array([0.0, 1.0, 0.0, 0.0])
+        nan = np.array([math.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="not time-like"):
+            hypgeo.sheet_normalize(nan)
+        with pytest.raises(ValueError, match="inner product below 1"):
+            hypgeo.dist(o, nan)
+        with pytest.raises(ValueError, match="not time-like"):
+            hypgeo.geodesic(o, u, math.nan)
+
     def test_sheet_normalize_scales_back(self, rng):
         p = random_point(rng)
         q = hypgeo.sheet_normalize(3.7 * p)
@@ -275,6 +286,12 @@ class TestPairDist:
         assert hypgeo._pair_dist(p, i, j)[2] == pytest.approx(1.5, abs=1e-12)
         with pytest.raises(ValueError, match="inner product below 1"):
             hypgeo._pair_dist(p, np.array([0, 1]), np.array([1, 2]))
+
+    def test_nan_row_refused(self):
+        o = hypgeo.origin(2)
+        p = np.stack([o, [math.nan, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="inner product below 1"):
+            hypgeo._pair_dist(p, np.array([0, 0]), np.array([0, 1]))
 
 
 class TestBallChart:

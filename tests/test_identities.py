@@ -12,6 +12,7 @@ precondition guards.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from hkverify.identities import (
     run_verification,
     tolerance_table,
 )
-from hkverify import identities, symfun
+from hkverify import hypgeo, identities, symfun
 from hkverify._util import exact_sum
 from hkverify.hypersurface import area_integral
 
@@ -441,12 +442,6 @@ class TestReportMachinery:
         assert lobe["alexandrov-ratio[k=2]"].metadata["kind"] == "inequality"
         assert list(lobe["alexandrov-ratio[k=2]"].metadata) == ["kind", "within_tol"] + head + ek
 
-    def test_duplicate_check_name_rejected(self, surface):
-        g, geom = surface("sphere", radius=1.0, grid=(32, 64))
-        rep = run_verification(g, geom=geom, checks=["hk-brendle"])
-        with pytest.raises(ValueError):
-            rep.add(rep.results[0])
-
     def test_unknown_check_rejected(self, surface):
         g, _ = surface("sphere", radius=1.0, grid=(32, 64))
         with pytest.raises(ValueError):
@@ -543,6 +538,19 @@ class TestReportMachinery:
         d = run_verification(RadialGraph(2, rho, meta=dict(g.meta)))
         assert a.provenance["config_hash"] != d.provenance["config_hash"]
 
+    def test_config_names_an_off_centre_base(self):
+        # two bases give two results, so two hashes; the origin passed as
+        # a base reads as centred, byte for byte
+        g = gen_perturbed_sphere(1.0, 0.05, (2, 0), grid=(32, 64))
+        reports = [run_verification(g, geom=build_geometry(g, base=base)).to_dict()
+                   for base in (None, hypgeo.origin(2), _base_at(0.3, axis=3))]
+        for report in reports:
+            del report["provenance"]["timestamp"]
+        centred, origin, off = reports
+        assert json.dumps(origin) == json.dumps(centred)
+        assert off["provenance"]["config_hash"] != centred["provenance"]["config_hash"]
+        assert off["checks"] != centred["checks"]
+
     def test_provenance_names_the_software(self, surface):
         g, geom = surface("sphere", radius=1.0, grid=(32, 64))
         prov = run_verification(g, geom=geom).provenance
@@ -625,7 +633,8 @@ _FROZEN_REPORTS = {
             (6.283173941321472, 6.283185307179586, -1.1365858114231742e-05,
              0.03027956707060529),
     }),
-    "offset_base": ("dd1b49678ed3ceb893f459e83769391fd5d2980697764f95a47e91a627fb072d", {
+    # its config names the off-centre base, so its hash covers the base
+    "offset_base": ("f45dcd73daf6b3593fbb03012f8467b66f97c04de87bc5b596530a34487b558a", {
         "minkowski-classical":
             (21.355087441387763, 21.35508744138776, 3.552713678800501e-15,
              0.4116528613225952),
@@ -706,7 +715,8 @@ class TestOneHomePerRule:
 
     # an array is refused by the rule, not by numpy's truth-value error
     @pytest.mark.parametrize("tol", [-1.0, True, math.nan, math.inf, "0.1", "AUTO",
-                                     np.array([0.1, 0.2])], ids=repr)
+                                     np.array([0.1, 0.2]), pytest.param(10**400, id="10**400"),
+                                     Fraction(1, 10)], ids=repr)
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     def test_tolerance(self, entry, tol):
         graph = _CURVE if entry == "gauss_bonnet" else _SURFACE

@@ -155,6 +155,15 @@ class TestEm:
         with pytest.raises(ValueError):
             symfun.e_m_values(1.0, 1)
 
+    @pytest.mark.parametrize("m", [2.0, "1", True, None], ids=repr)
+    def test_order_follows_the_integer_rule(self, m):
+        with pytest.raises(ValueError, match=f"order m must be an integer, got {m!r}"):
+            symfun.e_m_values(np.ones((5, 2)), m)
+
+    def test_numpy_integer_order(self):
+        lam = np.array([[1.0, 2.0, 3.0]])
+        assert symfun.e_m_values(lam, np.int64(2)) == symfun.e_m_values(lam, 2)
+
 
 class TestMatrixRoutes:
     def test_frozen_values(self):
