@@ -11,14 +11,16 @@ from pathlib import Path
 import numpy as np
 
 # Bounds of the vectorised path in exact_sum; outside them it falls back
-# to fsum.  One level's terms are integers times 2^(e-29) of size at
-# most 2^29, so np.sum adds up to 2^24 of them exactly: 2^22 keeps a margin.
+# to fsum.  A level of N terms takes bits = min(51, 53 - ceil(log2 N)), the
+# most with N * 2^bits <= 2^53: its terms are integers times 2^(e-bits) of
+# size at most 2^bits, so np.sum adds them exactly.  Up to 2^22 terms a
+# level still takes 31 bits.
 _EXACT_TERMS = 1 << 22
-# C = 1.5 * 2^(e+23) and r + C stay finite while max|r| < 2^999.
+# C = 1.5 * 2^(e+52-bits) and r + C stay finite while max|r| < 2^999.
 _EXACT_TOP = 2.0 ** (1023 - 24)
-# C is normal, and the grid 2^(e-29) no finer than the subnormal step,
-# only while e >= -1045.
-_EXACT_FLOOR = -1022 - 23
+# C is normal, and the grid 2^(e-bits) no finer than the subnormal step,
+# only while e - bits >= -1074.
+_EXACT_FLOOR = -1074
 
 
 def _as_int(value, name: str) -> int:
@@ -53,41 +55,45 @@ def exact_sum(values) -> float:
 
     Error-free extraction in levels (Rump, Ogita and Oishi, "Accurate
     floating-point summation", SISC 2008; Demmel and Nguyen, "Fast
-    reproducible floating-point summation", ARITH 2013): with
-    max|r| < 2^e and C = 1.5 * 2^(e+23), hi = (r + C) - C rounds every
-    term to a multiple of 2^(e-29) without error in r - hi, and np.sum(hi)
-    is exact.  The remainder r - hi is at most 2^(e-30); levels repeat until
-    it is all zero, and math.fsum over the level totals rounds their exact
-    sum once.  So the result does not depend on the order of the terms,
-    and it is bit for bit `fsum` over the terms.
+    reproducible floating-point summation", ARITH 2013).  Each level of the
+    N terms takes bits = min(51, 53 - ceil(log2 N)) bits: with max|r| < 2^e
+    and C = 1.5 * 2^(e+52-bits), hi = (r + C) - C rounds every term to a
+    multiple of 2^(e-bits) without error in r - hi, and np.sum(hi), at most
+    N * 2^bits <= 2^53 of that grid, is exact.  The bound e comes from
+    max|r| once; the remainder r - hi is at most 2^(e-bits-1), so the next
+    level takes e - bits.  Levels repeat until the remainder is all zero,
+    and math.fsum over the level totals rounds their exact sum once.  So the
+    result does not depend on the order of the terms or on how the levels
+    split them, and it is bit for bit `fsum` over the terms.
 
     Falls back to `fsum` over the terms for non-finite input, for more
     than 2^22 terms, when max|r| >= 2^999 (C would overflow; fsum then
     overflows or cancels on its own terms), and at the subnormal floor
-    e < -1045, where C would be subnormal and the grid 2^(e-29) finer than
-    the subnormal step.
+    e - bits < -1074, where C would be subnormal and the grid 2^(e-bits)
+    finer than the subnormal step.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size <= _EXACT_TERMS:
-        levels = []
-        r = arr
-        hi = np.empty_like(arr)
-        while True:
-            # a nan propagates through max and min and fails the bound
-            top = max(r.max(), -r.min()) if r.size else 0.0
-            if top == 0.0:
-                return math.fsum(levels)
-            if not top < _EXACT_TOP:
-                break
+        # a nan propagates through max and min and fails the bound
+        top = max(arr.max(), -arr.min()) if arr.size else 0.0
+        if top == 0.0:
+            return 0.0
+        if top < _EXACT_TOP:
+            bits = min(51, 53 - (arr.size - 1).bit_length())
             e = math.frexp(top)[1]
-            if e < _EXACT_FLOOR:
-                break
-            c = math.ldexp(1.5, e + 23)
-            np.add(r, c, out=hi)
-            hi -= c
-            levels.append(float(hi.sum()))
-            # the first level leaves the caller's array alone
-            r = r - hi if r is arr else np.subtract(r, hi, out=r)
+            levels = []
+            r = arr
+            hi = np.empty_like(arr)
+            while e - bits >= _EXACT_FLOOR:
+                c = math.ldexp(1.5, e + 52 - bits)
+                np.add(r, c, out=hi)
+                hi -= c
+                levels.append(float(hi.sum()))
+                # the first level leaves the caller's array alone
+                r = r - hi if r is arr else np.subtract(r, hi, out=r)
+                if not r.any():
+                    return math.fsum(levels)
+                e -= bits
     return fsum(arr.tolist())
 
 

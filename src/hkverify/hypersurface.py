@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import hypgeo
+from . import hypgeo, symfun
 from ._util import _as_int, _as_real, atomic_write_text, exact_sum
 from .errors import DegenerateSurfaceError, GenerationError, RejectedShapeError
 
@@ -292,7 +292,7 @@ def _pole_extend(f: np.ndarray) -> np.ndarray:
     return np.vstack([ghosts[:2], f, ghosts[2:]])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SurfaceGeometry:
     """Pointwise discrete geometry of a radial graph.
 
@@ -309,7 +309,15 @@ class SurfaceGeometry:
 
     Lazy, built on first read: the (N, n+2) hyperboloid `position` and
     outward unit `normal` of each node, and the volumes.  About the centre
-    no check reads them, since there V = cosh(rho) and V_nu = sinh(rho) / v.
+    no check reads position or normal, since there V = cosh(rho) and
+    V_nu = sinh(rho) / v.  Also lazy, and kept so that every check reads one
+    value: the mean curvature H, the E_1..E_n of the shifted curvatures
+    kappa - 1 and the support integral int V_nu.
+
+    A geometry is a value, like its graph: no field can be rebound and
+    every array it keeps is read-only, so no write can leave it judging
+    another surface than it was built from, or leave a kept value stale.
+    A geometry compares and hashes by identity.
     """
 
     graph: RadialGraph
@@ -324,21 +332,26 @@ class SurfaceGeometry:
     V_nu: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        for array in (self.sinh_rho, self.cosh_rho, self.v, *self.grad, self.kappa,
+                      self.area_weight):
+            _read_only(array)
         if self.base is None:
             # -<position, o> and -<normal, o> about the origin o, bit for bit
-            self.base = hypgeo.origin(self.n)
-            self.V = self.cosh_rho.ravel()
-            self.V_nu = (self.sinh_rho / self.v).ravel()
+            object.__setattr__(self, "base", hypgeo.origin(self.n))
+            V, V_nu = self.cosh_rho.ravel(), (self.sinh_rho / self.v).ravel()
         else:
-            self.V = hypgeo.potential(self.position, self.base)
-            self.V_nu = hypgeo.potential(self.normal, self.base)
+            V = hypgeo.potential(self.position, self.base)
+            V_nu = hypgeo.potential(self.normal, self.base)
+        object.__setattr__(self, "V", _read_only(V))
+        object.__setattr__(self, "V_nu", _read_only(V_nu))
+        _read_only(self.base)
 
     @cached_property
     def position(self) -> np.ndarray:
         """Hyperboloid point (cosh rho, sinh rho w) of each node."""
         lam, lamp = self.sinh_rho[..., None], self.cosh_rho[..., None]
         position = np.concatenate([lamp, lam * _directions(self.graph)], axis=-1)
-        return position.reshape(-1, self.n + 2)
+        return _read_only(position.reshape(-1, self.n + 2))
 
     @cached_property
     def normal(self) -> np.ndarray:
@@ -367,12 +380,18 @@ class SurfaceGeometry:
             slope = tangential / lam[..., None]
         nu_space = (lamp[..., None] * _directions(self.graph) - slope) / v[..., None]
         normal = np.concatenate([(lam / v)[..., None], nu_space], axis=-1)
-        return normal.reshape(-1, self.n + 2)
+        return _read_only(normal.reshape(-1, self.n + 2))
 
     @property
     def kappa_shifted(self) -> np.ndarray:
-        """kappa - 1, the hyperbolic-convexity eigenvalues."""
+        """kappa - 1, the hyperbolic-convexity eigenvalues, a fresh array."""
         return self.kappa - 1.0
+
+    @cached_property
+    def shifted_e(self) -> tuple:
+        """(E_1, ..., E_n) of the shifted curvatures kappa - 1 at each node."""
+        shifted = self.kappa_shifted
+        return tuple(_read_only(symfun.e_m_values(shifted, j)) for j in range(1, self.n + 1))
 
     @property
     def n(self) -> int:
@@ -386,14 +405,20 @@ class SurfaceGeometry:
     def resolution(self) -> float:
         return self.graph.resolution
 
-    @property
+    @cached_property
     def mean_curvature(self) -> np.ndarray:
-        return hypgeo._row_fold(np.add, self.kappa)
+        """H = kappa_1 + ... + kappa_n at each node."""
+        return _read_only(hypgeo._row_fold(np.add, self.kappa))
 
     @property
     def umbilicity_spread(self) -> float:
         """max kappa - min kappa over every node and direction; 0 on a sphere."""
         return float(np.max(self.kappa) - np.min(self.kappa))
+
+    @cached_property
+    def support_integral(self) -> float:
+        """Surface integral of the support function V_nu, about `base`."""
+        return area_integral(self, self.V_nu)
 
     @cached_property
     def weighted_volume(self) -> float:
@@ -406,6 +431,12 @@ class SurfaceGeometry:
         radial = _sinh_power_integral(self.n, self.graph.rho, self.sinh_rho, self.cosh_rho)
         radial *= _sigma_weights(self.graph)
         return exact_sum(radial)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, marked read-only."""
+    array.flags.writeable = False
+    return array
 
 
 def area_integral(geom: SurfaceGeometry, values) -> float:
@@ -480,12 +511,12 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     """Assemble the discrete first and second fundamental forms.
 
     `base` is the base point of the static potential (defaults to the
-    graph's own center); V and the support function V_nu are computed
-    against it, so off-center potentials vary over the surface.  Refuses a
-    base not of shape (n + 2,) before any array is built, a metric that is
-    not positive definite, non-finite curvatures or V - V_nu (sinh(rho)^2
-    overflows past rho ~ 355), and a support function that reaches the
-    potential, V - V_nu <= 0, naming the first such node.
+    graph's own center), taken as a copy; V and the support function V_nu
+    are computed against it, so off-center potentials vary over the
+    surface.  Refuses a base not of shape (n + 2,) before any array is
+    built, a metric that is not positive definite, non-finite curvatures or
+    V - V_nu (sinh(rho)^2 overflows past rho ~ 355), and a support function
+    that reaches the potential, V - V_nu <= 0, naming the first such node.
     Overflow and invalid-value warnings are silenced while the arrays are
     built, because those refusals catch every value they would warn about.
 
@@ -499,7 +530,7 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     computed the same way on both routes.
     """
     if base is not None:
-        base = np.asarray(base, dtype=float)
+        base = np.array(base, dtype=float)
         if base.shape != (graph.n + 2,):
             raise ValueError(f"base must be one point of shape ({graph.n + 2},), got {base.shape}")
         hypgeo.validate_point(base)

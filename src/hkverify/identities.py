@@ -44,7 +44,7 @@ from importlib import resources
 import numpy as np
 import scipy
 
-from . import __version__, hypgeo, symfun
+from . import __version__, hypgeo
 from ._util import _as_int, _as_real, atomic_write_text, exact_sum, fsum
 from .errors import PreconditionError
 from .hypersurface import (
@@ -178,15 +178,15 @@ def _judge(kind: str, name: str, geom: SurfaceGeometry, lhs: float, rhs: float,
 def _moments(geom: SurfaceGeometry) -> tuple:
     """(M, N): M_j = int V E_j(kappa - 1) and N_j = int V_nu E_j(kappa - 1), j = 0..n.
 
-    n kernel calls and 2(n+1) exact sums fix every minkowski-shifted row
+    The geometry's E_j (`SurfaceGeometry.shifted_e`) and 2(n+1) exact sums,
+    one of them its kept N_0 = int V_nu, fix every minkowski-shifted row
     (`_shifted_row`); E_0 = 1 needs no kernel call.  The moments are of the
     shifted curvatures kappa - 1 rather than of kappa, so at the paper's
     shift eps = 1 no two moments cancel: about kappa, the eps = 1, k = 2
     row of a radius-2 sphere lost 1.3e-13 of its scale that way.
     """
-    M, N = [area_integral(geom, geom.V)], [area_integral(geom, geom.V_nu)]
-    for j in range(1, geom.n + 1):
-        e_j = symfun.e_m_values(geom.kappa_shifted, j)
+    M, N = [area_integral(geom, geom.V)], [geom.support_integral]
+    for e_j in geom.shifted_e:
         M.append(area_integral(geom, geom.V * e_j))
         N.append(area_integral(geom, geom.V_nu * e_j))
     return M, N
@@ -281,7 +281,7 @@ def minkowski_shifted(geom: SurfaceGeometry, eps_sweep=DEFAULT_EPS_SWEEP, k_list
 def minkowski_classical(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Support-function integral against (n+1) times the weighted volume."""
     _tolerance(tol)
-    lhs = area_integral(geom, geom.V_nu)
+    lhs = geom.support_integral
     rhs = (geom.n + 1) * geom.weighted_volume
     return _judge("identity", "minkowski-classical", geom, lhs, rhs, tol, {})
 
@@ -325,8 +325,7 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult
     """
     _check_dimension("alexandrov", geom.n)
     _tolerance(tol)
-    shifted = geom.kappa_shifted
-    e1, e2 = symfun.e_m_values(shifted, 1), symfun.e_m_values(shifted, 2)
+    e1, e2 = geom.shifted_e
     for i, sig in ((1, 2 * e1), (2, e2)):
         worst = int(np.argmin(sig))
         if sig[worst] <= 0.0:
@@ -340,7 +339,7 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult
 
     weight = geom.V - geom.V_nu
     lhs_ratio = area_integral(geom, weight * e1 / e2)
-    rhs_ratio = area_integral(geom, geom.V_nu)
+    rhs_ratio = geom.support_integral
     ratio = _judge("identity" if e2_constant else "inequality", "alexandrov-ratio[k=2]",
                    geom, lhs_ratio, rhs_ratio, tol,
                    {"k": 2, "ek_constant": e2_constant, "ek_spread": e2_spread,

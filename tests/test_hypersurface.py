@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hkverify import hypersurface, hypgeo
+from hkverify import hypersurface, hypgeo, symfun
 from hkverify._util import exact_sum
 from hkverify.errors import (
     DegenerateSurfaceError,
@@ -530,6 +530,74 @@ class TestGraphIsAValue:
         edit(g, given)
         assert g.meta == meta and type(g.meta["mode"]) is list
         assert _report_text(g) == report and json.dumps(g.to_dict()) == record
+
+
+# one geometry per route: centred, about another base, from carried fields, a curve
+GEOMETRY_MAKERS = {
+    "centred sphere": lambda: build_geometry(gen_sphere(1.0, grid=(16, 32))),
+    "off-centre base": lambda: build_geometry(
+        gen_sphere(1.0, grid=(16, 32)), base=[math.cosh(0.2), 0.0, 0.0, math.sinh(0.2)]),
+    "carried fields": lambda: build_geometry(_carrier(2).rotated(3)),
+    "curve": lambda: build_geometry(_carrier(1)),
+}
+
+
+def _kept_arrays(geom):
+    """Every array the geometry keeps, its lazy values read first, by name."""
+    for name in ("position", "normal", "mean_curvature", "shifted_e"):
+        getattr(geom, name)
+    return {(name, k): a for name, value in vars(geom).items()
+            for k, a in enumerate(value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)}
+
+
+class TestGeometryIsAValue:
+    """A geometry never changes: every array it keeps is read-only."""
+
+    @pytest.mark.parametrize("make", GEOMETRY_MAKERS.values(), ids=GEOMETRY_MAKERS.keys())
+    def test_every_kept_array_is_read_only(self, make):
+        arrays = _kept_arrays(make())
+        assert {"sinh_rho", "cosh_rho", "v", "grad", "kappa", "area_weight", "base", "V",
+                "V_nu", "position", "normal", "mean_curvature", "shifted_e"} == {
+            name for name, _ in arrays}
+        for key, array in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+            assert not array.flags.writeable, key
+
+    def test_the_potential_cannot_be_zeroed(self):
+        # V is a view of cosh(rho): zeroing it judged a surface with
+        # V - V_nu <= 0, without the build's refusal
+        g = gen_sphere(1.0, grid=(16, 32))
+        geom = build_geometry(g)
+        with pytest.raises(ValueError, match="read-only"):
+            geom.V[:] = 0.0
+        assert run_verification(g, geom=geom).all_passed()
+
+    @pytest.mark.parametrize("name", ["V", "V_nu", "kappa", "area_weight", "base", "graph"])
+    def test_no_field_can_be_rebound(self, name):
+        # a rebound V_nu met the kept int V_nu in one report: minkowski-classical
+        # judged the built surface and minkowski-shifted the rebound one
+        geom = build_geometry(gen_sphere(1.0, grid=(16, 32)))
+        with pytest.raises(FrozenInstanceError):
+            setattr(geom, name, None)
+
+    def test_kept_values_are_the_computed_ones(self):
+        geom = build_geometry(_carrier(2))
+        assert geom.mean_curvature is geom.mean_curvature
+        assert oracle.same_bits(geom.mean_curvature, geom.kappa[:, 0] + geom.kappa[:, 1])
+        assert len(geom.shifted_e) == 2
+        for j, e_j in enumerate(geom.shifted_e, 1):
+            assert oracle.same_bits(e_j, symfun.e_m_values(geom.kappa - 1.0, j))
+        assert geom.support_integral == area_integral(geom, geom.V_nu)
+
+    def test_the_base_is_copied(self):
+        # a base the caller keeps writing to no longer moves the geometry's
+        base = np.array([math.cosh(0.2), 0.0, 0.0, math.sinh(0.2)])
+        geom = build_geometry(gen_sphere(1.0, grid=(16, 32)), base=base)
+        want = geom.base.tobytes()
+        base[...] = hypgeo.origin(2)
+        assert geom.base.tobytes() == want and base.flags.writeable
 
 
 def _report_text(graph) -> str:

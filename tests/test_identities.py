@@ -41,7 +41,7 @@ from hkverify.identities import (
     run_verification,
     tolerance_table,
 )
-from hkverify import hypgeo, identities, symfun
+from hkverify import hypersurface, hypgeo, identities, symfun
 from hkverify._util import exact_sum
 from hkverify.hypersurface import area_integral
 
@@ -266,8 +266,18 @@ class TestShiftedMoments:
 
 
 class TestShiftedSweepCost:
-    # the moments are computed once per report, so kernel calls and exact
-    # sums in minkowski-shifted do not grow with the eps sweep
+    # the geometry keeps E_1..E_n of kappa - 1 and int V_nu, so kernel calls
+    # and exact sums do not grow with the eps sweep, and a second report on
+    # the same geometry calls the kernel not at all
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Kernel calls and exact sums, by every module name they are called through."""
+        calls = {"kernel": 0, "sums": 0}
+        monkeypatch.setattr(symfun, "e_m_values", _counting(calls, "kernel", symfun.e_m_values))
+        for module in (hypersurface, identities):
+            monkeypatch.setattr(module, "exact_sum", _counting(calls, "sums", exact_sum))
+        return calls
 
     @pytest.mark.parametrize("n, grid", [(1, 64), (2, (16, 32))])
     @pytest.mark.parametrize("eps_sweep", [DEFAULT_EPS_SWEEP, (-2.0, -1.0, 0.0, 0.25, 0.5,
@@ -275,27 +285,27 @@ class TestShiftedSweepCost:
     def test_kernel_calls_and_sums(self, monkeypatch, n, grid, eps_sweep):
         graph = gen_sphere(1.0, n=n, grid=grid)
         geom = build_geometry(graph)
-        calls = {"kernel": 0, "sums": 0}
-        kernel, integral = symfun.e_m_values, identities.area_integral
-
-        def counting_kernel(*args, **kw):
-            calls["kernel"] += 1
-            return kernel(*args, **kw)
-
-        def counting_integral(*args, **kw):
-            calls["sums"] += 1
-            return integral(*args, **kw)
-
-        monkeypatch.setattr(symfun, "e_m_values", counting_kernel)
-        monkeypatch.setattr(identities, "area_integral", counting_integral)
+        calls = self._count(monkeypatch)
         rep = run_verification(graph, checks=["minkowski-shifted"], eps_sweep=eps_sweep,
                                geom=geom)
         assert len(rep.results) == n * len(eps_sweep)
         assert calls == {"kernel": n, "sums": 2 * (n + 1)}
-        # no other default check calls the kernel
+        # the second report reads the kept E_j
         calls.update(kernel=0)
         run_verification(graph, eps_sweep=eps_sweep, geom=geom)
-        assert calls["kernel"] == n
+        assert calls["kernel"] == 0
+
+    def test_report_cost(self, monkeypatch):
+        # a default+alexandrov report on a fresh geometry: n kernel calls,
+        # and one exact sum per integral, int V_nu and the volume read once
+        # (minkowski-classical 2, minkowski-shifted 5, the two HK checks 1
+        # each, alexandrov 3)
+        graph = gen_sphere(1.0, grid=(16, 32))
+        calls = self._count(monkeypatch)
+        checks = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted",
+                  "alexandrov"]
+        assert run_verification(graph, checks=checks).all_passed()
+        assert calls == {"kernel": graph.n, "sums": 12}
 
 
 def _counting(calls, name, fn):
@@ -702,7 +712,8 @@ def _refusal(call):
         for name in ("build_geometry", "_moments", "area_integral", "tolerance_table"):
             mp.setattr(identities, name, computed)
         mp.setattr(symfun, "e_m_values", computed)
-        mp.setattr(SurfaceGeometry, "mean_curvature", property(computed))
+        for name in ("mean_curvature", "shifted_e", "support_integral"):
+            mp.setattr(SurfaceGeometry, name, property(computed))
         with pytest.raises(Exception) as exc:
             call()
     assert not isinstance(exc.value, AssertionError), exc.value

@@ -7,7 +7,6 @@ to closed forms in R - t, which pins the Jacobian, the potentials and
 the functional Q simultaneously.
 """
 
-import copy
 import csv
 import dataclasses
 import functools
@@ -207,10 +206,11 @@ class TestRowKernels:
     @settings(max_examples=100, deadline=None)
     def test_mean_curvature_matches_np_sum(self, surface, data):
         for n, grid in ((1, (8,)), (2, (8, 16))):
-            geom = copy.copy(surface("sphere", radius=1.0, n=n, grid=grid)[1])
-            geom.kappa = data.draw(hnp.arrays(
-                float, (geom.area_weight.size, n), elements=st.one_of(
-                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e300, 1e300))))
+            sphere = surface("sphere", radius=1.0, n=n, grid=grid)[1]
+            # a geometry is frozen: the drawn curvatures go into a new one
+            geom = dataclasses.replace(sphere, kappa=data.draw(hnp.arrays(
+                float, (sphere.area_weight.size, n), elements=st.one_of(
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e300, 1e300)))))
             assert oracle.same_bits(geom.mean_curvature, np.sum(geom.kappa, axis=-1))
 
     @given(st.data())
@@ -611,7 +611,9 @@ class TestVerifyFlow:
 
         def build(graph):
             geom = build_geometry(graph)
-            assert geom.position.shape == geom.normal.shape     # built before the snapshot
+            # the lazy arrays the flow reads, built and kept before the snapshot
+            assert geom.position.shape == geom.normal.shape
+            assert geom.mean_curvature.shape == geom.V.shape
             built.append((geom, array_bits(geom)))
             return geom
 
@@ -619,8 +621,8 @@ class TestVerifyFlow:
         trace = verify_flow(gen_perturbed_sphere(1.0, 0.2, (2, 0), grid=(24, 48)))
         assert trace.window_truncated       # the scan's hit path ran as well
         ((geom, before),) = built           # the flow built its geometry once
-        assert {"position", "normal", "kappa", "V", "V_nu", "area_weight"} <= {
-            key[0] for key in before}
+        assert {"position", "normal", "kappa", "V", "V_nu", "area_weight",
+                "mean_curvature"} <= {key[0] for key in before}
         assert array_bits(geom) == before
 
     def test_takes_the_graph_alone(self):

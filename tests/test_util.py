@@ -82,6 +82,19 @@ class TestExactSum:
     def test_edge_cases(self, values):
         assert_same_as_fsum(values)
 
+    @pytest.mark.parametrize("k", [1, 7, 17, 22])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_level_boundaries(self, k, offset):
+        # N terms take the most bits per level with N * 2^bits <= 2^53, which
+        # changes at powers of two.  Terms just below 1 with odd low bits
+        # bring each level sum as near 2^53 grid steps as the count allows,
+        # so a level taking one bit more than that would round its sum.
+        size = (1 << k) + offset
+        rng = np.random.default_rng(size)
+        x = 1.0 - rng.integers(1, 1 << 30, size) * 2.0 ** -53
+        assert_same_as_fsum(x)
+        assert_same_as_fsum(-x)
+
     @pytest.mark.parametrize("size", [1 << 22, (1 << 22) + 1])
     def test_size_limit(self, size):
         # the last size the extraction handles, with the largest level sums
