@@ -198,24 +198,22 @@ class RadialGraph:
         return cls(n, flat.reshape(shape), meta)
 
 
-# the SurfaceGeometry fields that depend on the graph alone, not on the
-# base point: what a generator hands to the first build of its surface
-_CARRIED_FIELDS = ("sinh_rho", "cosh_rho", "v", "grad", "kappa", "area_weight")
+# the SurfaceGeometry fields that depend on the graph alone, not on the base
+# point, which a generator hands to the first build of its surface; a core
+# assembles all but H, which build_geometry folds from kappa
+_CARRIED_FIELDS = ("sinh_rho", "cosh_rho", "v", "grad", "kappa", "area_weight", "mean_curvature")
 
 
 def _rolled_fields(fields: dict, grid: tuple, steps: int) -> dict:
     """`fields` with every array rolled `steps` nodes in azimuth, replaced
     one at a time in the dict, which is returned: each old array is freed
-    once its rolled copy exists, not after all of them."""
-    axis = len(grid) - 1
+    once its rolled copy exists, not after all of them.  Each array, grid-shaped
+    or flattened from the grid, rolls as its grid + (-1,) view."""
+    def roll(array):
+        return np.roll(array.reshape(grid + (-1,)), steps, len(grid) - 1).reshape(array.shape)
+
     for name, value in fields.items():
-        if name == "grad":
-            fields[name] = tuple(np.roll(d, steps, axis) for d in value)
-        elif name in ("kappa", "area_weight"):  # flattened row-major from the grid
-            fields[name] = np.roll(value.reshape(grid + value.shape[1:]), steps,
-                                   axis).reshape(value.shape)
-        else:
-            fields[name] = np.roll(value, steps, axis)
+        fields[name] = tuple(map(roll, value)) if name == "grad" else roll(value)
     return fields
 
 
@@ -303,16 +301,17 @@ class SurfaceGeometry:
     area_weight (`_fundamental_forms` assembles them).
 
     Flattened row-major: kappa, the principal curvatures sorted ascending
-    per node, and area_weight, which already contains the full quadrature
-    weight, so surface integrals are plain weighted sums.  V and V_nu are
-    taken about `base` (the graph's centre when None is passed).
+    per node, their sum H (`mean_curvature`), and area_weight, which already
+    contains the full quadrature weight, so surface integrals are plain
+    weighted sums.  V, V_nu and `support_gap` = V - V_nu are taken about
+    `base` (the graph's centre when None is passed).
 
     Lazy, built on first read: the (N, n+2) hyperboloid `position` and
     outward unit `normal` of each node, and the volumes.  About the centre
     no check reads position or normal, since there V = cosh(rho) and
     V_nu = sinh(rho) / v.  Also lazy, and kept so that every check reads one
-    value: the mean curvature H, the E_1..E_n of the shifted curvatures
-    kappa - 1 and the support integral int V_nu.
+    value: the E_1..E_n of the shifted curvatures kappa - 1 and the support
+    integral int V_nu.
 
     A geometry is a value, like its graph: no field can be rebound and
     every array it keeps is read-only, so no write can leave it judging
@@ -327,14 +326,13 @@ class SurfaceGeometry:
     grad: tuple
     kappa: np.ndarray
     area_weight: np.ndarray
+    mean_curvature: np.ndarray
     base: np.ndarray | None = None
     V: np.ndarray = field(init=False)
     V_nu: np.ndarray = field(init=False)
+    support_gap: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for array in (self.sinh_rho, self.cosh_rho, self.v, *self.grad, self.kappa,
-                      self.area_weight):
-            _read_only(array)
         if self.base is None:
             # -<position, o> and -<normal, o> about the origin o, bit for bit
             object.__setattr__(self, "base", hypgeo.origin(self.n))
@@ -342,9 +340,13 @@ class SurfaceGeometry:
         else:
             V = hypgeo.potential(self.position, self.base)
             V_nu = hypgeo.potential(self.normal, self.base)
-        object.__setattr__(self, "V", _read_only(V))
-        object.__setattr__(self, "V_nu", _read_only(V_nu))
-        _read_only(self.base)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "V_nu", V_nu)
+        object.__setattr__(self, "support_gap", V - V_nu)
+        for value in vars(self).values():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    _read_only(array)
 
     @cached_property
     def position(self) -> np.ndarray:
@@ -404,11 +406,6 @@ class SurfaceGeometry:
     @property
     def resolution(self) -> float:
         return self.graph.resolution
-
-    @cached_property
-    def mean_curvature(self) -> np.ndarray:
-        """H = kappa_1 + ... + kappa_n at each node."""
-        return _read_only(hypgeo._row_fold(np.add, self.kappa))
 
     @property
     def umbilicity_spread(self) -> float:
@@ -520,14 +517,14 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     Overflow and invalid-value warnings are silenced while the arrays are
     built, because those refusals catch every value they would warn about.
 
-    The six base-independent fields (`_CARRIED_FIELDS`) come from a core,
-    `_core_n1` or `_core_n2`, or are carried: a graph from
-    `gen_perturbed_sphere` (or rolled from one by `rotated`) carries the
-    fields its generator validated H on, and a graph never changes, so they
-    fit its rho.  The first build takes them in place of running a core,
-    and a second build runs one.  Either way this is the one place a
-    SurfaceGeometry is made, so V, V_nu and every refusal above are
-    computed the same way on both routes.
+    The seven base-independent fields (`_CARRIED_FIELDS`) come from a core,
+    `_core_n1` or `_core_n2`, with H folded from its kappa here, or are
+    carried: a graph from `gen_perturbed_sphere` (or rolled from one by
+    `rotated`) carries the fields its generator validated H on, and a graph
+    never changes, so they fit its rho.  The first build takes them in
+    place of running a core, and a second build runs one.  Either way this
+    is the one place a SurfaceGeometry is made, so V, V_nu, V - V_nu and
+    every refusal above are computed the same way on both routes.
     """
     if base is not None:
         base = np.array(base, dtype=float)
@@ -538,9 +535,9 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
     with np.errstate(over="ignore", invalid="ignore"):
         if fields is None:
             fields = _core_n2(graph) if graph.n == 2 else _core_n1(graph)
+            fields["mean_curvature"] = hypgeo._row_fold(np.add, fields["kappa"])
         geom = SurfaceGeometry(graph, **fields, base=base)
-        gap = geom.V - geom.V_nu
-    finite = np.isfinite(gap)
+    finite = np.isfinite(geom.support_gap)
     for kappa_i in geom.kappa.T:  # column by column: all(axis=-1) is ~10x slower
         finite &= np.isfinite(kappa_i)
     bad = np.nonzero(~finite)[0]
@@ -548,7 +545,7 @@ def build_geometry(graph: RadialGraph, base=None) -> SurfaceGeometry:
         raise DegenerateSurfaceError(
             "curvatures or V - V_nu are not finite", node=int(bad[0])
         )
-    bad = np.nonzero(gap <= 0.0)[0]
+    bad = np.nonzero(geom.support_gap <= 0.0)[0]
     if bad.size:
         raise DegenerateSurfaceError(
             "support function reached the potential, V - V_nu <= 0", node=int(bad[0])
@@ -643,7 +640,7 @@ def _fundamental_forms(graph: RadialGraph):
 
 
 def _core_n1(graph: RadialGraph) -> dict:
-    """The `_CARRIED_FIELDS` of a curve, by name; DegenerateSurfaceError at
+    """The `_CARRIED_FIELDS` of a curve but H, by name; DegenerateSurfaceError at
     the first node whose metric g is not positive."""
     lam, lamp, v, grad, (g,), (hform,) = _fundamental_forms(graph)
     bad = np.nonzero(g <= 0.0)[0]
@@ -654,7 +651,7 @@ def _core_n1(graph: RadialGraph) -> dict:
 
 
 def _core_n2(graph: RadialGraph) -> dict:
-    """The `_CARRIED_FIELDS` of a surface, by name; DegenerateSurfaceError at
+    """The `_CARRIED_FIELDS` of a surface but H, by name; DegenerateSurfaceError at
     the first node whose metric is not positive definite.  The forms'
     buffers are reused in place, each product written over an entry that
     is no longer needed."""
@@ -819,8 +816,8 @@ def gen_perturbed_sphere(radius: float, amp: float, mode, n: int = 2,
     with the violating node.
     H comes from build_geometry(graph), so a shape it would refuse is
     refused here the same way; positions and normals are never built.
-    The graph carries that geometry's base-independent fields
-    (`_CARRIED_FIELDS`) to its first build_geometry, also through `rotated`.
+    The graph carries that geometry's base-independent fields, H among them
+    (`_CARRIED_FIELDS`), to its first build_geometry, also through `rotated`.
     """
     radius = _radius(radius)
     amp = _as_real(amp, "amplitude")

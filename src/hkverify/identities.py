@@ -286,8 +286,9 @@ def minkowski_classical(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     return _judge("identity", "minkowski-classical", geom, lhs, rhs, tol, {})
 
 
-def _hk(geom: SurfaceGeometry, eps: float, name: str, refusal: str, tol) -> CheckResult:
-    """int (V - eps V_nu)/(H - n eps) >= (n+1)/n int V, needs H > n eps.
+def _hk(geom: SurfaceGeometry, eps: float, numerator, name: str, refusal: str, tol) -> CheckResult:
+    """int numerator/(H - n eps) >= (n+1)/n int V, needs H > n eps, where
+    the numerator is the geometry's kept V - eps V_nu (V or support_gap).
 
     A node with H <= n eps + H_MARGIN is refused with the message
     "mean curvature <H> <refusal>".
@@ -298,19 +299,19 @@ def _hk(geom: SurfaceGeometry, eps: float, name: str, refusal: str, tol) -> Chec
     if H[worst] <= geom.n * eps + H_MARGIN:
         raise PreconditionError(f"mean curvature {H[worst]:.6g} {refusal}",
                                 check=name, node=worst)
-    lhs = area_integral(geom, (geom.V - eps * geom.V_nu) / (H - geom.n * eps))
+    lhs = area_integral(geom, numerator / (H - geom.n * eps))
     rhs = (geom.n + 1) / geom.n * geom.weighted_volume
     return _judge("inequality", name, geom, lhs, rhs, tol, {"H_min": float(H[worst])})
 
 
 def hk_brendle(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Heintze-Karcher inequality int V/H >= (n+1)/n int V, needs H > 0."""
-    return _hk(geom, 0.0, "hk-brendle", "is not positive", tol)
+    return _hk(geom, 0.0, geom.V, "hk-brendle", "is not positive", tol)
 
 
 def hk_shifted(geom: SurfaceGeometry, tol="auto") -> CheckResult:
     """Shifted inequality int (V - V_nu)/(H - n) >= (n+1)/n int V, needs H > n."""
-    return _hk(geom, 1.0, "hk-shifted", f"is not above n = {geom.n}", tol)
+    return _hk(geom, 1.0, geom.support_gap, "hk-shifted", f"is not above n = {geom.n}", tol)
 
 
 def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult]:
@@ -337,15 +338,14 @@ def alexandrov_diagnostic(geom: SurfaceGeometry, tol="auto") -> list[CheckResult
     e2_constant = e2_spread <= resolve_tolerance("ek-constancy", geom,
                                                  max(abs(e2_mean), 1e-300), "auto")
 
-    weight = geom.V - geom.V_nu
-    lhs_ratio = area_integral(geom, weight * e1 / e2)
+    lhs_ratio = area_integral(geom, geom.support_gap * e1 / e2)
     rhs_ratio = geom.support_integral
     ratio = _judge("identity" if e2_constant else "inequality", "alexandrov-ratio[k=2]",
                    geom, lhs_ratio, rhs_ratio, tol,
                    {"k": 2, "ek_constant": e2_constant, "ek_spread": e2_spread,
                     "ek_mean": e2_mean})
 
-    lhs_slack = area_integral(geom, weight * (e1 / e2 - 1.0 / e1))
+    lhs_slack = area_integral(geom, geom.support_gap * (e1 / e2 - 1.0 / e1))
     slack = _judge("inequality", "alexandrov-nm-slack[k=2]", geom, lhs_slack, 0.0, tol,
                    {"k": 2}, scale=max(abs(lhs_slack), abs(lhs_ratio), abs(rhs_ratio)))
 
@@ -399,6 +399,17 @@ def _config_hash(config: dict, rho: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def _surface_record(graph: RadialGraph) -> dict:
+    """The surface a report or flow summary names, and hashes with its config."""
+    return {"n": graph.n, "grid": list(graph.rho.shape), "meta": graph.meta}
+
+
+def _software() -> dict:
+    """The versions a report or flow summary names in its provenance."""
+    return {"hkverify_version": __version__, "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__}
+
+
 def _check_request(n: int, checks, eps_sweep, k_list, tol) -> tuple:
     """(checks, eps_sweep, k_list, tol) as read, defaults filled in, of a request
     that passes every rule needing only n: no checks or an unknown one is ValueError,
@@ -439,7 +450,7 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
             geom.n != graph.n or not np.array_equal(geom.graph.rho, graph.rho)):
         raise ValueError("the geometry was not built from this graph")
 
-    surface = {"n": graph.n, "grid": list(graph.rho.shape), "meta": graph.meta}
+    surface = _surface_record(graph)
     config = {
         "checks": list(checks),
         "eps_sweep": eps_sweep,
@@ -455,9 +466,7 @@ def run_verification(graph: RadialGraph, checks=None, eps_sweep=DEFAULT_EPS_SWEE
         "config_hash": _config_hash(config, graph.rho),
         "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "tolerance_table_version": tolerance_table()["version"],
-        "hkverify_version": __version__,
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        **_software(),
     }
     single = {"minkowski-classical": minkowski_classical, "hk-brendle": hk_brendle,
               "hk-shifted": hk_shifted, "gauss-bonnet": gauss_bonnet}

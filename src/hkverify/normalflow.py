@@ -54,6 +54,7 @@ from . import hypgeo
 from ._util import atomic_write_text
 from .errors import FlowAssumptionError, FocalTimeError
 from .hypersurface import H_MARGIN, RadialGraph, SurfaceGeometry, build_geometry
+from .identities import _config_hash, _software, _surface_record
 
 __all__ = [
     "CUT_SAMPLES",
@@ -366,6 +367,7 @@ class FlowTrace:
     round_surface: bool
     window_truncated: bool
     cut_pair: dict | None   # colliding pair behind cut_estimate, None when cut = inf
+    provenance: dict        # config_hash and software versions, as a report's
 
     def passed(self) -> bool:
         return (self.q_monotone_ok and self.area_decreasing_ok
@@ -406,6 +408,7 @@ class FlowTrace:
             "window_truncated": self.window_truncated,
             "cut_pair": self.cut_pair,
             "pass": self.passed(),
+            "provenance": self.provenance,
         }
 
 
@@ -429,7 +432,10 @@ def verify_flow(graph: RadialGraph) -> FlowTrace:
     the trace for inspection but does not fail the run.
 
     The flow builds the centered geometry of `graph` itself, so it always
-    runs on the surface it is given.
+    runs on the surface it is given.  Its provenance hashes the flow's fixed
+    constants and the surface record, then rho's bytes (`_config_hash`, as a
+    report does), and names the software; it holds no timestamp, so a
+    summary is deterministic.
     """
     geom = build_geometry(graph)
     particles = FlowParticles.from_geometry(geom)
@@ -513,4 +519,8 @@ def verify_flow(graph: RadialGraph) -> FlowTrace:
         round_surface=round_surface,
         window_truncated=bool(cut < focal_min),
         cut_pair=cut_pair,
+        provenance={"config_hash": _config_hash(
+            {"samples": SAMPLES, "safety": SAFETY, "cut_samples": CUT_SAMPLES,
+             "exclusion": EXCLUSION, "surface": _surface_record(graph)}, graph.rho),
+            **_software()},
     )

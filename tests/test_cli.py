@@ -380,6 +380,10 @@ class TestFlow:
         s = json.loads(summary.read_text(), parse_constant=pytest.fail)
         assert s["pass"] is True and s["round_surface"] is True
         assert s["cut_estimate"] is None and s["cut_pair"] is None
+        # the summary names what ran, with no timestamp
+        assert set(s["provenance"]) == {"config_hash", "hkverify_version", "numpy_version",
+                                        "scipy_version"}
+        assert re.fullmatch("[0-9a-f]{64}", s["provenance"]["config_hash"])
         out = capsys.readouterr().out
         assert "q_monotone_ok: True" in out
 

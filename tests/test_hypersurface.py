@@ -334,8 +334,8 @@ class TestHandOff:
         graph = _carrier(n).rotated(steps)
         plain = RadialGraph(n, graph.rho.copy(), dict(graph.meta))
         handed, fresh = build_geometry(graph), build_geometry(plain)
-        for name in ("sinh_rho", "cosh_rho", "v", "kappa", "area_weight", "V", "V_nu",
-                     "position", "normal", "base"):
+        for name in ("sinh_rho", "cosh_rho", "v", "kappa", "area_weight", "mean_curvature",
+                     "V", "V_nu", "support_gap", "position", "normal", "base"):
             a, b = getattr(handed, name), getattr(fresh, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert len(handed.grad) == len(fresh.grad) == n
@@ -371,6 +371,25 @@ class TestHandOff:
         assert len(cores) == 2
         build_geometry(graph)
         assert len(cores) == 3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("steps", [None, 5], ids=["generated", "rolled"])
+    def test_mean_curvature_is_folded_once(self, monkeypatch, n, steps):
+        # the generator's H is the one the first build keeps: no second fold
+        folds = []
+        fold = hypgeo._row_fold
+        monkeypatch.setattr(hypgeo, "_row_fold",
+                            lambda *args: folds.append(1) or fold(*args))
+        graph = _carrier(n) if steps is None else _carrier(n).rotated(steps)
+        assert len(folds) == 1
+        carried = graph._carried["mean_curvature"]
+        geom = build_geometry(graph)
+        assert geom.mean_curvature is carried and len(folds) == 1
+        run_verification(graph, geom=geom)
+        assert len(folds) == 1
+        fresh = build_geometry(RadialGraph(n, graph.rho.copy())).mean_curvature
+        assert len(folds) == 2
+        assert oracle.same_bits(carried, fresh)
 
     def test_fields_are_base_independent(self):
         # about another base only V and V_nu change, as on a fresh build
@@ -544,7 +563,7 @@ GEOMETRY_MAKERS = {
 
 def _kept_arrays(geom):
     """Every array the geometry keeps, its lazy values read first, by name."""
-    for name in ("position", "normal", "mean_curvature", "shifted_e"):
+    for name in ("position", "normal", "shifted_e"):
         getattr(geom, name)
     return {(name, k): a for name, value in vars(geom).items()
             for k, a in enumerate(value if isinstance(value, tuple) else (value,))
@@ -557,8 +576,8 @@ class TestGeometryIsAValue:
     @pytest.mark.parametrize("make", GEOMETRY_MAKERS.values(), ids=GEOMETRY_MAKERS.keys())
     def test_every_kept_array_is_read_only(self, make):
         arrays = _kept_arrays(make())
-        assert {"sinh_rho", "cosh_rho", "v", "grad", "kappa", "area_weight", "base", "V",
-                "V_nu", "position", "normal", "mean_curvature", "shifted_e"} == {
+        assert {"sinh_rho", "cosh_rho", "v", "grad", "kappa", "area_weight", "mean_curvature",
+                "base", "V", "V_nu", "support_gap", "position", "normal", "shifted_e"} == {
             name for name, _ in arrays}
         for key, array in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
@@ -586,6 +605,7 @@ class TestGeometryIsAValue:
         geom = build_geometry(_carrier(2))
         assert geom.mean_curvature is geom.mean_curvature
         assert oracle.same_bits(geom.mean_curvature, geom.kappa[:, 0] + geom.kappa[:, 1])
+        assert oracle.same_bits(geom.support_gap, geom.V - geom.V_nu)
         assert len(geom.shifted_e) == 2
         for j, e_j in enumerate(geom.shifted_e, 1):
             assert oracle.same_bits(e_j, symfun.e_m_values(geom.kappa - 1.0, j))

@@ -712,8 +712,9 @@ def _refusal(call):
         for name in ("build_geometry", "_moments", "area_integral", "tolerance_table"):
             mp.setattr(identities, name, computed)
         mp.setattr(symfun, "e_m_values", computed)
+        # H is a kept field, not a class attribute: its property shadows it
         for name in ("mean_curvature", "shifted_e", "support_integral"):
-            mp.setattr(SurfaceGeometry, name, property(computed))
+            mp.setattr(SurfaceGeometry, name, property(computed), raising=False)
         with pytest.raises(Exception) as exc:
             call()
     assert not isinstance(exc.value, AssertionError), exc.value
@@ -784,6 +785,63 @@ class TestCalibratedFamily:
         g, geom = surface(kind, **kw)
         rep = run_verification(g, geom=geom)
         assert rep.all_passed(), [repr(r) for r in rep.results if not r.passed]
+
+
+_CHAIN = ["minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted", "alexandrov"]
+
+
+def _table_family(P):
+    """(name, graph, checks) of each shape of the tolerance table's stated
+    family at h = pi/P; the Alexandrov chain runs wherever the shifted
+    curvatures lie in its cone."""
+    for R in (0.5, 1.0, 2.0):
+        yield f"sphere R={R}", gen_sphere(R, grid=(P, 2 * P)), _CHAIN
+        yield f"sphere R={R} offset 0.3R", gen_sphere(R, 0.3 * R, grid=(P, 2 * P)), _CHAIN
+        yield f"circle R={R} offset 0.3R", gen_sphere(R, 0.3 * R, n=1, grid=2 * P), None
+    for amp, mode in ((0.05, (2, 0)), (0.2, (2, 0)), (0.01, (3, 1)), (0.01, (3, 2))):
+        yield (f"lobe {mode} amp {amp}", gen_perturbed_sphere(1.0, amp, mode, grid=(P, 2 * P)),
+               None if amp == 0.2 else _CHAIN)
+    yield "curve mode 2 amp 0.1", gen_perturbed_sphere(1.0, 0.1, 2, n=1, grid=2 * P), None
+
+
+def _table_fractions() -> dict:
+    """|rel_residual| / (C h^2) of every row the table's claim covers, by
+    (shape, row, P), at h = pi/P for P = 32, 64, 128: the identity rows, and
+    the hk-* rows on spheres and circles, where they are equalities too."""
+    coeff = tolerance_table()["checks"]
+    out = {}
+    for P in (32, 64, 128):
+        for shape, graph, checks in _table_family(P):
+            h = graph.resolution
+            for r in run_verification(graph, checks).results:
+                key = identities._table_key(r.name)
+                if r.metadata["kind"] == "identity" or (
+                        key.startswith("hk-") and shape.startswith(("sphere", "circle"))):
+                    out[shape, r.name, P] = abs(r.rel_residual) / (coeff[key] * h * h)
+    return out
+
+
+class TestToleranceClaim:
+    # data/tolerances.json states its worst observed constants; the sweep
+    # of its stated family, as far as pi/128, reproduces that statement
+
+    def test_worst_constants_are_the_stated_ones(self):
+        fractions = _table_fractions()
+        worst = ("lobe (2, 0) amp 0.2", "minkowski-shifted[eps=1,k=2]")
+        assert max(fractions.values()) <= 1 / 4
+        assert max(fractions, key=fractions.get)[:2] == worst
+        others = {key: f for key, f in fractions.items() if key[:2] != worst}
+        assert max(others.values()) <= 1 / 6, max(others, key=others.get)
+        # every shape and every judged series took part
+        assert len({key[0] for key in fractions}) == 14
+        assert {identities._table_key(key[1]) for key in fractions} == {
+            "minkowski-classical", "minkowski-shifted", "hk-brendle", "hk-shifted",
+            "alexandrov-ratio", "gauss-bonnet"}
+
+    def test_the_table_says_so(self):
+        comment = tolerance_table()["comment"]
+        assert "below C/4" in comment and "below C/6 for every other row" in comment
+        assert "C/5" not in comment
 
 
 class TestBasePoint:

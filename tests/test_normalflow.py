@@ -16,10 +16,12 @@ import threading
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hkverify import hypgeo, normalflow
+import hkverify
+from hkverify import hypersurface, hypgeo, identities, normalflow
 from hkverify._util import exact_sum
 from hkverify.errors import FlowAssumptionError, FocalTimeError
 from hkverify.hypersurface import (
@@ -204,14 +206,19 @@ class TestRowKernels:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_mean_curvature_matches_np_sum(self, surface, data):
+    def test_mean_curvature_matches_np_sum(self, data):
         for n, grid in ((1, (8,)), (2, (8, 16))):
-            sphere = surface("sphere", radius=1.0, n=n, grid=grid)[1]
-            # a geometry is frozen: the drawn curvatures go into a new one
-            geom = dataclasses.replace(sphere, kappa=data.draw(hnp.arrays(
-                float, (sphere.area_weight.size, n), elements=st.one_of(
-                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e300, 1e300)))))
-            assert oracle.same_bits(geom.mean_curvature, np.sum(geom.kappa, axis=-1))
+            kappa = data.draw(hnp.arrays(float, (math.prod(grid), n), elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e300, 1e300))))
+            # build_geometry folds H from the core's kappa: the drawn
+            # curvatures stand in for a sphere's
+            name = f"_core_n{n}"
+            core = getattr(hypersurface, name)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hypersurface, name, lambda graph: {**core(graph), "kappa": kappa})
+                geom = build_geometry(gen_sphere(1.0, n=n, grid=grid))
+            assert geom.kappa is kappa
+            assert oracle.same_bits(geom.mean_curvature, np.sum(kappa, axis=-1))
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -726,6 +733,35 @@ class TestVerifyFlow:
                     "samples", "Q0", "Q_final", "q_slack", "levelset_tol_rel",
                     "max_levelset_rel", "q_monotone_ok", "area_decreasing_ok",
                     "h_above_n_ok", "levelset_ok", "round_surface",
-                    "window_truncated", "cut_pair", "pass"):
+                    "window_truncated", "cut_pair", "pass", "provenance"):
             assert key in s
         assert s["pass"] is True
+
+
+class TestFlowProvenance:
+    # a flow summary names what ran, as a report does, with no timestamp
+
+    def test_names_the_constants_the_surface_and_the_software(self):
+        g = gen_sphere(1.0, n=1, grid=64)
+        provenance = verify_flow(g).summary()["provenance"]
+        config = {"samples": normalflow.SAMPLES, "safety": normalflow.SAFETY,
+                  "cut_samples": normalflow.CUT_SAMPLES, "exclusion": normalflow.EXCLUSION,
+                  "surface": {"n": 1, "grid": [64], "meta": g.meta}}
+        assert provenance == {"config_hash": identities._config_hash(config, g.rho),
+                              "hkverify_version": hkverify.__version__,
+                              "numpy_version": np.__version__,
+                              "scipy_version": scipy.__version__}
+
+    def test_one_graph_one_hash(self):
+        g = gen_perturbed_sphere(1.0, 0.1, 2, n=1, grid=64)
+        copy = RadialGraph(1, g.rho.copy(), g.meta)
+        first, again, other = (verify_flow(x).summary()["provenance"] for x in (g, g, copy))
+        assert first == again == other
+
+    def test_one_ulp_of_rho_changes_the_hash(self):
+        g = gen_sphere(1.0, n=1, grid=64)
+        rho = g.rho.copy()
+        rho[5] = np.nextafter(rho[5], math.inf)
+        bumped = RadialGraph(1, rho, g.meta)
+        assert (verify_flow(bumped).summary()["provenance"]["config_hash"]
+                != verify_flow(g).summary()["provenance"]["config_hash"])
