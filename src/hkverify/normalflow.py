@@ -21,9 +21,16 @@ spacings at t = 0; estimate_cut_time returns the cut and the pair behind
 it, and verify_flow derives every particle's window from them.  The scan
 takes candidate pairs from KD-trees on Poincare ball coordinates and
 runs its steps on a thread pool with one worker per available CPU, with
-the serial scan's result whatever the worker count (estimate_cut_time
-says how).  The per-time sums below stay in the calling thread.  The
-flow functional
+the serial scan's result whatever the worker count.  Its first step lists
+the far pairs within a skin of their reach, in a frame of the ball
+coordinates centred at their mean and scaled by their RMS spread.  A
+later step fits its frame to that one by a linear map A; when A's
+smallest singular value, the fit's residuals and the particles' reaches
+prove that no unlisted pair can come within reach, the list answers the
+step and its KD-tree query is skipped.  That proof is exact, up to a
+relative rounding margin, so either path gives the same hits
+(estimate_cut_time says how).  A round sphere's steps all take the list.
+The per-time sums below stay in the calling thread.  The flow functional
 
     Q(t) = e^{(n+1)t} [ sum_active (V-Vnu)/(H-n) J w0
                         - (n+1)/n * int_t^{t_max} sum_active V J w0 dtau ]
@@ -77,6 +84,14 @@ BUCKET_RATIO = 2.0
 # smallest focal time, and its same-sheet exclusion radius in spacings.
 CUT_SAMPLES = 96
 EXCLUSION = 3.0
+# The scan's far-pair list: the first grid time lists the far pairs within
+# (1 + SKIN) times their reach, a later step is answered from the list when
+# its measured drift provably stays inside that skin, with a relative
+# margin CERT_MARGIN for rounding, and the exclusion rule filters the
+# listed pairs FAR_CHUNK at a time.
+SKIN = 0.5
+CERT_MARGIN = 1e-9
+FAR_CHUNK = 1 << 16
 # Tolerance coefficients of verify_flow, calibrated at its fixed sampling
 # SAMPLES, SAFETY: the Q slack and the level-set tolerance are C_GRID h^2 +
 # C_TIME dt^2, and a surface is round when its spread is within ROUND_C h^2.
@@ -160,31 +175,115 @@ class FlowParticles:
         return hypgeo.geodesic(self.y, self.nu0, -float(t))
 
 
-def _candidate_pairs(ball: np.ndarray, thr: np.ndarray):
-    """Index pairs (i, j) that may satisfy d_hyp < min(thr_i, thr_j).
-
-    The bucketed query of estimate_cut_time; particles with a zero
-    threshold cannot collide and are left out.
+def _octaves(thr):
+    """The particles with a positive threshold in buckets of thresholds
+    within a factor BUCKET_RATIO of each other, counted down from the
+    largest: (members, heads), bucket b being members[heads[b]:heads[b + 1]].
     """
     live = np.flatnonzero(thr > 0.0)
     level = np.floor(np.log(np.max(thr) / thr[live]) / math.log(BUCKET_RATIO))
     order = np.argsort(level, kind="stable")
-    starts = np.flatnonzero(np.diff(level[order])) + 1
-    buckets = []
-    for idx in np.split(live[order], starts):
-        tree = cKDTree(ball[idx], balanced_tree=False, compact_nodes=False)
-        buckets.append((idx, tree, float(np.max(thr[idx]))))
-    firsts, seconds = [], []
-    for a, (idx_a, tree_a, top_a) in enumerate(buckets):
-        pairs = tree_a.query_pairs(top_a / 2.0, output_type="ndarray")
-        firsts.append(idx_a[pairs[:, 0]])
-        seconds.append(idx_a[pairs[:, 1]])
-        for idx_b, tree_b, top_b in buckets[a + 1:]:
-            cross = tree_a.sparse_distance_matrix(
-                tree_b, min(top_a, top_b) / 2.0, output_type="ndarray")
-            firsts.append(idx_a[cross["i"]])
-            seconds.append(idx_b[cross["j"]])
-    return np.concatenate(firsts), np.concatenate(seconds)
+    return live[order], np.flatnonzero(np.diff(level[order], prepend=-1.0))
+
+
+def _bucket_pairs(points, members, heads, radius):
+    """Yield the index pairs (i, j) of `points` within radius[a, b] of
+    each other, one bucket pair a <= b at a time, from one KD-tree per
+    bucket."""
+    buckets = [(idx, cKDTree(points[idx], balanced_tree=False, compact_nodes=False))
+               for idx in np.split(members, heads[1:])]
+    for a, (idx_a, tree_a) in enumerate(buckets):
+        pairs = tree_a.query_pairs(radius[a, a], output_type="ndarray")
+        yield idx_a[pairs[:, 0]], idx_a[pairs[:, 1]]
+        for b in range(a + 1, len(buckets)):
+            idx_b, tree_b = buckets[b]
+            cross = tree_a.sparse_distance_matrix(tree_b, radius[a, b], output_type="ndarray")
+            yield idx_a[cross["i"]], idx_b[cross["j"]]
+
+
+def _candidate_pairs(ball, thr):
+    """Index pairs (i, j) that may satisfy d_hyp < min(thr_i, thr_j).
+
+    The bucketed query of estimate_cut_time, each bucket pair at half the
+    smaller of the two buckets' largest thresholds; particles with a zero
+    threshold cannot collide and are left out.
+    """
+    members, heads = _octaves(thr)
+    top = np.maximum.reduceat(thr[members], heads)
+    pairs = list(_bucket_pairs(ball, members, heads, np.minimum.outer(top, top) / 2.0))
+    return np.concatenate([i for i, _ in pairs]), np.concatenate([j for _, j in pairs])
+
+
+def _frame(pos, thr):
+    """A step's frame coordinates z = (x - c) / s and reaches need = thr / (2 s).
+
+    x are the Poincare ball coordinates of the positions, c their mean and
+    s their RMS distance from c.  As d_euc <= d_hyp / 2 in the ball, a pair
+    that hits has |z_i - z_j| < min(need_i, need_j).  None when s is not a
+    positive finite number.
+    """
+    z = hypgeo.hyper_to_ball(pos)
+    z -= np.mean(z, axis=0)
+    s = math.sqrt(float(np.mean(hypgeo._row_fold(np.add, z * z))))
+    if not 0.0 < s < math.inf:
+        return None
+    z /= s
+    return z, thr / (2.0 * s)
+
+
+def _far(particles: FlowParticles, i, j, d_init) -> np.ndarray:
+    """Which pairs (i, j) with initial distances d_init are far: at least
+    EXCLUSION spacings apart at t = 0."""
+    return d_init >= EXCLUSION * np.maximum(particles.spacing0[i], particles.spacing0[j])
+
+
+class _FarList:
+    """The far pairs of the scan's first time, listed with a skin.
+
+    The anchor's particles go into the octave buckets of their reaches
+    need0 in its frame z0 (see _frame).  For each bucket pair (a, b) the
+    list holds every far pair within reach[a, b] = (1 + SKIN) min(top_a,
+    top_b) of each other in z0, top being a bucket's largest need0, so
+    every far hit at the anchor is on it.  The exclusion rule runs on
+    FAR_CHUNK pairs at a time.
+    """
+
+    def __init__(self, particles: FlowParticles, z0, need0):
+        self.z0 = z0
+        self.members, self.heads = _octaves(need0)
+        top = np.maximum.reduceat(need0[self.members], self.heads)
+        self.reach = (1.0 + SKIN) * np.minimum.outer(top, top)
+        # the normal equations of every later fit z ~ z0 A
+        self.gram_pinv = np.linalg.pinv(z0.T @ z0)
+        firsts, seconds = [self.members[:0]], [self.members[:0]]
+        for i, j in _bucket_pairs(z0, self.members, self.heads, self.reach):
+            for lo in range(0, i.shape[0], FAR_CHUNK):
+                ic, jc = i[lo:lo + FAR_CHUNK], j[lo:lo + FAR_CHUNK]
+                far = _far(particles, ic, jc, hypgeo._pair_dist(particles.y, ic, jc))
+                firsts.append(ic[far])
+                seconds.append(jc[far])
+        self.i, self.j = np.concatenate(firsts), np.concatenate(seconds)
+
+    def covers(self, z, need) -> bool:
+        """Whether every far pair that can hit in frame z with reaches need
+        is on the list.
+
+        Fits z ~ z0 A by least squares and takes the residuals r_i = |z_i -
+        z0_i A| and A's smallest singular value sigma.  An unlisted pair of
+        buckets a, b has |z0_i - z0_j| >= reach[a, b], so |z_i - z_j| >=
+        sigma reach[a, b] - r_i - r_j.  The step is covered when that bound
+        exceeds min(nmax_a, nmax_b) for every bucket pair, nmax and rmax
+        being the buckets' largest need and r, with a relative CERT_MARGIN
+        for rounding: then no unlisted pair comes within its reach.
+        """
+        A = self.gram_pinv @ (self.z0.T @ z)
+        sigma = np.linalg.svd(A, compute_uv=False)[-1]
+        res = z - self.z0 @ A
+        r = np.sqrt(hypgeo._row_fold(np.add, res * res))
+        nmax = np.maximum.reduceat(need[self.members], self.heads)
+        rmax = np.maximum.reduceat(r[self.members], self.heads)
+        bound = np.minimum.outer(nmax, nmax) + rmax[:, None] + rmax
+        return bool(np.all(bound * (1.0 + CERT_MARGIN) < sigma * self.reach))
 
 
 def estimate_cut_time(particles: FlowParticles, t_grid) -> tuple[float, dict | None]:
@@ -215,10 +314,34 @@ def estimate_cut_time(particles: FlowParticles, t_grid) -> tuple[float, dict | N
     distances go through hypgeo.dist itself, the call on which
     perfbench's tracer counts the scan's pairs.
 
+    Most steps skip that query: a Verlet list (Verlet, Phys. Rev. 159, 98,
+    1967) of far pairs, built once, answers every step that provably has
+    no far hit off it.  A step's frame coordinates are z = (x - c) / s,
+    with x the ball coordinates, c their mean and s their RMS distance
+    from c; a hit then has |z_i - z_j| < min(need_i, need_j), need =
+    thr / (2 s).  The first grid time, the anchor, buckets its particles
+    by need and lists every far pair within (1 + SKIN) times its bucket
+    pair's smaller top need, and answers itself from that list.  A later
+    step fits z ~ z0 A to the anchor's frame z0 by least squares.  With
+    sigma the smallest singular value of A and r_i = |z_i - z0_i A|, an
+    unlisted pair is at least sigma R - r_i - r_j apart, R being the
+    radius its bucket pair was listed at.  When, for every bucket pair,
+    that bound exceeds the smaller of the two buckets' largest reaches,
+    checked with a relative margin CERT_MARGIN, no unlisted pair can come
+    within its reach, so none can hit: the list holds every far hit, and
+    the step tests the list with the same kernels.  Otherwise the step
+    runs the query.  Either path finds the same far
+    hits, so the outcome never depends on which one ran.  A round sphere
+    shrinks without changing shape and is answered from the list at every
+    step; a degenerate frame (two particles) has sigma = 0 and never is.
+
     The grid times are independent steps, and their tree builds, queries
     and array kernels run without the GIL, so they go to a thread pool
     with one worker per available CPU.  At most one step per worker is in
-    flight.  Results are taken in time order: the first step with a far
+    flight, and each calls positions_at once.  A later step waits for the
+    anchor's list, and once the main thread has taken a step that the
+    list could not answer, the steps submitted after it go straight to
+    the query.  Results are taken in time order: the first step with a far
     hit wins and the steps still pending are cancelled, and an error in an
     earlier step propagates unchanged.  Steps after the winning one may
     already have run; their results, errors included, are discarded.  So
@@ -229,26 +352,37 @@ def estimate_cut_time(particles: FlowParticles, t_grid) -> tuple[float, dict | N
     smallest focal time; a particle's window is min(cut, own focal time).
     cut_pair is the colliding far pair with the smallest ratio of distance
     to threshold (i < j, d_init, d_hit and threshold), or None when there
-    is no collision.
+    is no collision.  A NaN grid time is refused with ValueError.
     """
     if particles.count() < 2:
         raise ValueError("need at least two particles to estimate a cut time")
+    grid = np.asarray(t_grid, dtype=float)
+    nan = np.flatnonzero(np.isnan(grid.ravel()))
+    if nan.size:
+        raise ValueError(f"t_grid[{int(nan[0])}] is NaN, not a time")
+    focal_min = float(np.min(particles.t_focal))
+    taus = [float(tau) for tau in np.sort(grid)
+            if not (tau >= focal_min or tau < 0.0)]
+    if not taus:
+        return math.inf, None
     cut = math.inf
     cut_pair = None
-    focal_min = float(np.min(particles.t_focal))
-    taus = [float(tau) for tau in np.sort(np.asarray(t_grid, dtype=float))
-            if not (tau >= focal_min or tau < 0.0)]
     workers = _scan_workers()
     pool = ThreadPoolExecutor(workers)
     try:
-        steps = [pool.submit(_scan_step, particles, tau) for tau in taus[:workers]]
+        anchor = pool.submit(_anchor_step, particles, taus[0])
+        steps = [anchor] + [pool.submit(_scan_step, particles, tau, anchor)
+                            for tau in taus[1:workers]]
         for k, tau in enumerate(taus):
-            hit = steps[k].result()
+            hit, listed = steps[k].result()
             if hit is not None:
                 cut, cut_pair = tau, hit
                 break
+            if listed is None:
+                # the drift left the skin: later steps go straight to the query
+                anchor = None
             if k + workers < len(taus):
-                steps.append(pool.submit(_scan_step, particles, taus[k + workers]))
+                steps.append(pool.submit(_scan_step, particles, taus[k + workers], anchor))
     finally:
         # waits for the running steps; the queued ones never start
         pool.shutdown(cancel_futures=True)
@@ -263,15 +397,59 @@ def _scan_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _scan_step(particles: FlowParticles, tau: float) -> dict | None:
-    """One collision-scan time: the deepest far hit at tau, or None."""
-    thr = particles.spacing0 * np.maximum(
+def _thresholds(particles: FlowParticles, tau: float) -> np.ndarray:
+    """The particles' collision thresholds at tau."""
+    return particles.spacing0 * np.maximum(
         np.cosh(tau) - particles.kappa0[:, 0] * np.sinh(tau), 0.0
     )
+
+
+def _anchor_step(particles: FlowParticles, tau: float):
+    """The scan's first time: (its deepest far hit or None, its far list).
+
+    The list answers the step itself.  Without a list, when a threshold is
+    zero or the frame is degenerate, the step runs the query and returns
+    None for the list.
+    """
+    thr = _thresholds(particles, tau)
     if float(np.max(thr)) <= 0.0:
-        return None
+        return None, None
     pos = particles.positions_at(tau)
+    frame = _frame(pos, thr) if np.all(thr > 0.0) else None
+    if frame is None:
+        return _queried_hit(particles, pos, thr), None
+    far = _FarList(particles, *frame)
+    return _deepest_far_hit(particles, pos, thr, far.i, far.j), far
+
+
+def _scan_step(particles: FlowParticles, tau: float, anchor):
+    """A later scan time: (its deepest far hit or None, the list that
+    answered it or None when the query ran).
+
+    `anchor` is the anchor step's future, or None to skip the list.
+    """
+    thr = _thresholds(particles, tau)
+    if float(np.max(thr)) <= 0.0:
+        return None, None
+    pos = particles.positions_at(tau)
+    far = None
+    if anchor is not None and anchor.exception() is None:
+        far = anchor.result()[1]
+    if far is not None:
+        frame = _frame(pos, thr)
+        if frame is not None and far.covers(*frame):
+            return _deepest_far_hit(particles, pos, thr, far.i, far.j), far
+    return _queried_hit(particles, pos, thr), None
+
+
+def _queried_hit(particles: FlowParticles, pos, thr) -> dict | None:
+    """The deepest far hit among the bucketed query's candidates, or None."""
     i, j = _candidate_pairs(hypgeo.hyper_to_ball(pos), thr)
+    return _deepest_far_hit(particles, pos, thr, i, j)
+
+
+def _deepest_far_hit(particles: FlowParticles, pos, thr, i, j) -> dict | None:
+    """The deepest far hit among the pairs (i, j) at positions pos, or None."""
     if i.shape[0] == 0:
         return None
     d = hypgeo._pair_dist(pos, i, j)
@@ -281,9 +459,7 @@ def _scan_step(particles: FlowParticles, tau: float) -> dict | None:
         return None
     ih, jh = i[hit], j[hit]
     d_init = hypgeo.dist(particles.y[ih], particles.y[jh])
-    far = d_init >= EXCLUSION * np.maximum(
-        particles.spacing0[ih], particles.spacing0[jh]
-    )
+    far = _far(particles, ih, jh, d_init)
     if not np.any(far):
         return None
     return _deepest_pair(np.minimum(ih, jh)[far], np.maximum(ih, jh)[far],

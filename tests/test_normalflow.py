@@ -336,6 +336,21 @@ def antipodal_pair(R=1.0, s0=0.05):
     )
 
 
+def count_queries(monkeypatch):
+    """Ball coordinates of the scan's bucketed queries, recorded under a lock."""
+    lock = threading.Lock()
+    balls = []
+    candidate_pairs = normalflow._candidate_pairs
+
+    def counted(ball, thr):
+        with lock:
+            balls.append(ball)
+        return candidate_pairs(ball, thr)
+
+    monkeypatch.setattr(normalflow, "_candidate_pairs", counted)
+    return balls
+
+
 def brute_force_cut(particles, t_grid, exclusion=normalflow.EXCLUSION, chunk=512):
     """O(N^2) reference for the collision rule in estimate_cut_time's docstring.
 
@@ -414,10 +429,12 @@ class TestCutTime:
         assert cut == math.inf
         assert pair is None
 
-    @pytest.mark.parametrize("case", ["sphere", "lobe", "pair"])
-    def test_matches_brute_force(self, case):
-        # the bucketed candidate query must find exactly the collisions of
-        # an all-pairs scan: the same cut float, the same windows
+    @pytest.mark.parametrize("case", ["sphere", "lobe", "near-round", "pair"])
+    def test_matches_brute_force(self, monkeypatch, case):
+        # the bucketed candidate query and the far list must find exactly
+        # the collisions of an all-pairs scan: the same cut float, the same
+        # windows
+        queries = count_queries(monkeypatch)
         if case == "pair":
             # spacings 0.05 and 0.0005 put the two particles six threshold
             # buckets apart, so the hit comes from a cross-bucket query
@@ -426,22 +443,36 @@ class TestCutTime:
         else:
             if case == "sphere":
                 g = gen_sphere(1.0, grid=(32, 64))
-            else:
+            elif case == "lobe":
                 g = gen_perturbed_sphere(1.0, 0.2, (2, 0), grid=(48, 96))
+            else:
+                # a lobe whose far list answers its early steps, not its late ones
+                g = gen_perturbed_sphere(1.0, 0.05, (2, 0), grid=(48, 96))
             geom = build_geometry(g)
             make = lambda: FlowParticles.from_geometry(geom)
             grid = np.linspace(0.0, float(np.min(make().t_focal)), 96, endpoint=False)
         cut, cut_pair = estimate_cut_time(make(), grid)
+        steps = int(np.count_nonzero(grid <= cut))
         want, pair = brute_force_cut(make(), grid)
         assert cut == want
         # the same deepest far pair, so the scan found the same far-hit set
         assert cut_pair == pair
         if case == "sphere":
             assert cut == math.inf and pair is None
+            assert len(queries) == 0
         elif case == "lobe":
             assert cut == pytest.approx(0.7488, abs=1e-4)
+        elif case == "near-round":
+            assert cut == math.inf and pair is None
+            assert 0 < len(queries) < steps - 1
         else:
             assert math.isfinite(cut) and cut_pair["threshold"] < 0.001
+
+    def test_nan_grid_time_is_refused(self):
+        # NaN passes the grid filter's comparisons; it must not reach the
+        # geodesics, whose refusal would blame the particles
+        with pytest.raises(ValueError, match="t_grid"):
+            estimate_cut_time(antipodal_pair(), [0.1, math.nan])
 
     def test_needs_two_particles(self, surface):
         _, geom = surface("sphere", radius=1.0, grid=(32, 64))
@@ -564,6 +595,91 @@ class TestScanPool:
         # steps after the first hit may fail: the serial scan never ran them
         monkeypatch.setattr(FlowParticles, "positions_at", failing_from(want + 1e-9))
         assert estimate_cut_time(antipodal_pair(), grid)[0] == want
+
+
+@functools.cache
+def sphere_far_list():
+    """The 32x64 sphere's particles and the far list of its first scan time."""
+    p = FlowParticles.from_geometry(build_geometry(gen_sphere(1.0, grid=(32, 64))))
+    thr = normalflow._thresholds(p, 0.0)
+    z0, need0 = normalflow._frame(p.positions_at(0.0), thr)
+    return p, normalflow._FarList(p, z0, need0), z0, need0
+
+
+class TestFarList:
+    """The first scan time's far list answers every step it provably covers."""
+
+    def test_holds_every_far_pair_within_reach(self):
+        # against all pairs of the 24x48 wide lobe's anchor frame
+        geom = build_geometry(gen_perturbed_sphere(1.0, 0.2, (2, 0), grid=(24, 48)))
+        p = FlowParticles.from_geometry(geom)
+        z0, need0 = normalflow._frame(p.positions_at(0.0), normalflow._thresholds(p, 0.0))
+        far = normalflow._FarList(p, z0, need0)
+        bucket = np.empty(p.count(), dtype=int)
+        bucket[far.members] = np.repeat(np.arange(far.heads.size),
+                                        np.diff(far.heads, append=p.count()))
+        i, j = np.triu_indices(p.count(), 1)
+        gap = np.sqrt(np.sum((z0[i] - z0[j]) ** 2, axis=1))
+        d_init = hypgeo.dist(p.y[i], p.y[j])
+        want = normalflow._far(p, i, j, d_init) & (gap <= far.reach[bucket[i], bucket[j]])
+        listed = set(zip(np.minimum(far.i, far.j).tolist(), np.maximum(far.i, far.j).tolist()))
+        assert len(listed) == far.i.size > 0
+        assert listed == set(zip(i[want].tolist(), j[want].tolist()))
+
+    def test_the_anchor_and_its_rigid_motions_are_covered(self):
+        _, far, z0, need0 = sphere_far_list()
+        assert far.covers(z0, need0)
+        # reaches grown to just inside the skin
+        assert far.covers(z0, need0 * (1.0 + normalflow.SKIN) * (1.0 - 1e-6))
+        # the fitted frame follows a rotation
+        c, s = math.cos(0.7), math.sin(0.7)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        assert far.covers(z0 @ turn, need0)
+
+    def test_reaches_within_the_rounding_margin_are_not_covered(self):
+        _, far, z0, need0 = sphere_far_list()
+        assert not far.covers(z0, need0 * (1.0 + normalflow.SKIN) * (1.0 - 1e-12))
+
+    def test_a_shrunk_frame_is_not_covered(self):
+        # sigma_min(A) = 1/2 halves every unlisted pair's gap
+        _, far, z0, need0 = sphere_far_list()
+        assert not far.covers(0.5 * z0, need0)
+
+    def test_a_moved_particle_is_not_covered(self):
+        # one particle on top of its antipode, a far pair that is not listed:
+        # the fit barely changes, the residual does
+        p, far, z0, need0 = sphere_far_list()
+        j = int(np.argmax(np.sum((z0 - z0[0]) ** 2, axis=1)))
+        assert (0, j) not in set(zip(far.i.tolist(), far.j.tolist()))
+        assert (j, 0) not in set(zip(far.i.tolist(), far.j.tolist()))
+        z = z0.copy()
+        z[0] = z0[j]
+        assert not far.covers(z, need0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_first_step_hit_comes_from_the_list(self, monkeypatch, workers):
+        monkeypatch.setattr(normalflow, "_scan_workers", lambda: workers)
+        queries = count_queries(monkeypatch)
+        grid = PAIR_GRIDS["first-step"]
+        cut, cut_pair = estimate_cut_time(antipodal_pair(), grid)
+        assert (cut, cut_pair) == brute_force_cut(antipodal_pair(), grid)
+        assert cut == grid[0]
+        # a second worker may have queried the next step, never the first
+        first = hypgeo.hyper_to_ball(antipodal_pair().positions_at(grid[0]))
+        assert not any(oracle.same_bits(ball, first) for ball in queries)
+        assert len(queries) <= workers - 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", ["last-step", "no-hit"])
+    def test_two_particles_certify_no_step(self, monkeypatch, case, workers):
+        # their frame is a line: sigma_min(A) = 0, so every step after the
+        # anchor runs the query
+        monkeypatch.setattr(normalflow, "_scan_workers", lambda: workers)
+        queries = count_queries(monkeypatch)
+        grid = PAIR_GRIDS[case]
+        cut, cut_pair = estimate_cut_time(antipodal_pair(), grid)
+        assert (cut, cut_pair) == brute_force_cut(antipodal_pair(), grid)
+        assert len(queries) == len(grid) - 1
 
 
 class TestQFunctional:
