@@ -52,6 +52,9 @@ EXIT_CHECK_FAILED = 6
 EXIT_USAGE = 64
 
 ORDER_GATE = 1.7
+# The rounding level of a convergence residual: a series may grow to it or
+# end on it at a low fitted order without an anomaly.
+ROUNDING_PLATEAU = 1e-13
 _EPS_DEFAULT = ",".join(f"{e:g}" for e in identities.DEFAULT_EPS_SWEEP)
 
 
@@ -236,7 +239,7 @@ def cmd_convergence(args) -> int:
             pairwise.append(float(np.log(floored[i - 1] / floored[i])
                                   / np.log(hs[i - 1] / hs[i])))
             # a plateau at rounding level is convergence, not an anomaly
-            if vals[i] >= vals[i - 1] and vals[i] > 1e-13:
+            if vals[i] >= vals[i - 1] and vals[i] > ROUNDING_PLATEAU:
                 anomalies.append(f"{name}: residual grew from level {levels[i-1]} "
                                  f"to {levels[i]}")
         for n_phi, h, resid, pair in zip(levels, hs, vals, pairwise):
@@ -251,7 +254,8 @@ def cmd_convergence(args) -> int:
     # the umbilicity spread is a shape descriptor with no order to gate, but
     # like any series it is an anomaly when it grows: non-round shapes exit 5
     anomalies += [f"{n} fitted order {fitted[n]:.3f} < {ORDER_GATE}" for n in series
-                  if n != "umbilic-spread" and fitted[n] < ORDER_GATE and series[n][-1] > 1e-13]
+                  if n != "umbilic-spread" and fitted[n] < ORDER_GATE
+                  and series[n][-1] > ROUNDING_PLATEAU]
     for msg in anomalies:
         print(f"anomaly: {msg}", file=sys.stderr)
     return EXIT_CONVERGENCE if anomalies else EXIT_OK

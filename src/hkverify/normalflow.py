@@ -19,12 +19,13 @@ scans a fixed grid of CUT_SAMPLES times below the smallest focal
 time for a pair that collides, never counting pairs closer than EXCLUSION
 spacings at t = 0; estimate_cut_time returns the cut and the pair behind
 it, and verify_flow derives every particle's window from them.  The scan
-takes candidate pairs from KD-trees on Poincare ball coordinates and
-runs its steps on a thread pool with one worker per available CPU, with
-the serial scan's result whatever the worker count.  Its first step lists
-the far pairs within a skin of their reach, in a frame of the ball
-coordinates centred at their mean and scaled by their RMS spread.  A
-later step fits its frame to that one by a linear map A; when A's
+takes candidate pairs from KD-trees on Poincare ball coordinates.  Its
+first step runs in the calling thread and lists the far pairs within a
+skin of their reach, in a frame of the ball coordinates centred at their
+mean and scaled by their RMS spread.  The later steps are independent,
+take that list as a value and run on a thread pool with one worker per
+available CPU, with the serial scan's result whatever the worker count.
+A later step fits its frame to the first one by a linear map A; when A's
 smallest singular value, the fit's residuals and the particles' reaches
 prove that no unlisted pair can come within reach, the list answers the
 step and its KD-tree query is skipped.  That proof is exact, up to a
@@ -335,29 +336,34 @@ def estimate_cut_time(particles: FlowParticles, t_grid) -> tuple[float, dict | N
     shrinks without changing shape and is answered from the list at every
     step; a degenerate frame (two particles) has sigma = 0 and never is.
 
-    The grid times are independent steps, and their tree builds, queries
-    and array kernels run without the GIL, so they go to a thread pool
-    with one worker per available CPU.  At most one step per worker is in
-    flight, and each calls positions_at once.  A later step waits for the
-    anchor's list, and once the main thread has taken a step that the
-    list could not answer, the steps submitted after it go straight to
-    the query.  Results are taken in time order: the first step with a far
-    hit wins and the steps still pending are cancelled, and an error in an
-    earlier step propagates unchanged.  Steps after the winning one may
-    already have run; their results, errors included, are discarded.  So
-    the outcome is the serial scan's, bit for bit, for any worker count.
+    The anchor runs in the calling thread and builds the list; a hit
+    there returns before any worker starts.  The later grid times are
+    independent steps that take the list as a value, and their tree
+    builds, queries and array kernels run without the GIL, so they go to
+    a thread pool with one worker per available CPU.  At most one step
+    per worker is in flight, and each grid time calls positions_at once.
+    Once the calling thread has taken a step that the list could not
+    answer, the steps submitted after it go straight to the query.
+    Results are taken in time order: the first step with a far hit wins,
+    and an error in an earlier step propagates unchanged.  Steps after
+    the winning one may already have run; their results, errors
+    included, are discarded.  So the outcome is the serial scan's, bit
+    for bit, for any worker count.
 
     Returns (cut, cut_pair) and writes nothing into the particles.  cut is
     the first grid time with a collision, +inf if none occurs before the
     smallest focal time; a particle's window is min(cut, own focal time).
     cut_pair is the colliding far pair with the smallest ratio of distance
     to threshold (i < j, d_init, d_hit and threshold), or None when there
-    is no collision.  A NaN grid time is refused with ValueError.
+    is no collision.  A t_grid that is not one-dimensional, or that holds a
+    NaN time, is refused with ValueError.
     """
     if particles.count() < 2:
         raise ValueError("need at least two particles to estimate a cut time")
     grid = np.asarray(t_grid, dtype=float)
-    nan = np.flatnonzero(np.isnan(grid.ravel()))
+    if grid.ndim != 1:
+        raise ValueError(f"t_grid must be one-dimensional, not of shape {grid.shape}")
+    nan = np.flatnonzero(np.isnan(grid))
     if nan.size:
         raise ValueError(f"t_grid[{int(nan[0])}] is NaN, not a time")
     focal_min = float(np.min(particles.t_focal))
@@ -365,28 +371,23 @@ def estimate_cut_time(particles: FlowParticles, t_grid) -> tuple[float, dict | N
             if not (tau >= focal_min or tau < 0.0)]
     if not taus:
         return math.inf, None
-    cut = math.inf
-    cut_pair = None
+    hit, far = _first_step(particles, taus[0])
+    if hit is not None:
+        return taus[0], hit
+    later = taus[1:]
     workers = _scan_workers()
-    pool = ThreadPoolExecutor(workers)
-    try:
-        anchor = pool.submit(_anchor_step, particles, taus[0])
-        steps = [anchor] + [pool.submit(_scan_step, particles, tau, anchor)
-                            for tau in taus[1:workers]]
-        for k, tau in enumerate(taus):
+    with ThreadPoolExecutor(workers) as pool:
+        steps = [pool.submit(_scan_step, particles, tau, far) for tau in later[:workers]]
+        for k, tau in enumerate(later):
             hit, listed = steps[k].result()
             if hit is not None:
-                cut, cut_pair = tau, hit
-                break
+                return tau, hit
             if listed is None:
                 # the drift left the skin: later steps go straight to the query
-                anchor = None
-            if k + workers < len(taus):
-                steps.append(pool.submit(_scan_step, particles, taus[k + workers], anchor))
-    finally:
-        # waits for the running steps; the queued ones never start
-        pool.shutdown(cancel_futures=True)
-    return cut, cut_pair
+                far = None
+            if k + workers < len(later):
+                steps.append(pool.submit(_scan_step, particles, later[k + workers], far))
+    return math.inf, None
 
 
 def _scan_workers() -> int:
@@ -404,7 +405,7 @@ def _thresholds(particles: FlowParticles, tau: float) -> np.ndarray:
     )
 
 
-def _anchor_step(particles: FlowParticles, tau: float):
+def _first_step(particles: FlowParticles, tau: float):
     """The scan's first time: (its deepest far hit or None, its far list).
 
     The list answers the step itself.  Without a list, when a threshold is
@@ -416,40 +417,33 @@ def _anchor_step(particles: FlowParticles, tau: float):
         return None, None
     pos = particles.positions_at(tau)
     frame = _frame(pos, thr) if np.all(thr > 0.0) else None
-    if frame is None:
-        return _queried_hit(particles, pos, thr), None
-    far = _FarList(particles, *frame)
-    return _deepest_far_hit(particles, pos, thr, far.i, far.j), far
+    far = None if frame is None else _FarList(particles, *frame)
+    return _deepest_far_hit(particles, pos, thr, far), far
 
 
-def _scan_step(particles: FlowParticles, tau: float, anchor):
-    """A later scan time: (its deepest far hit or None, the list that
-    answered it or None when the query ran).
+def _scan_step(particles: FlowParticles, tau: float, far):
+    """A later scan time: (its deepest far hit or None, `far` when it
+    answered the step, None when the query ran).
 
-    `anchor` is the anchor step's future, or None to skip the list.
+    `far` is the first time's _FarList, or None to skip it.
     """
     thr = _thresholds(particles, tau)
     if float(np.max(thr)) <= 0.0:
         return None, None
     pos = particles.positions_at(tau)
-    far = None
-    if anchor is not None and anchor.exception() is None:
-        far = anchor.result()[1]
-    if far is not None:
-        frame = _frame(pos, thr)
-        if frame is not None and far.covers(*frame):
-            return _deepest_far_hit(particles, pos, thr, far.i, far.j), far
-    return _queried_hit(particles, pos, thr), None
+    frame = None if far is None else _frame(pos, thr)
+    if frame is None or not far.covers(*frame):
+        far = None
+    return _deepest_far_hit(particles, pos, thr, far), far
 
 
-def _queried_hit(particles: FlowParticles, pos, thr) -> dict | None:
-    """The deepest far hit among the bucketed query's candidates, or None."""
-    i, j = _candidate_pairs(hypgeo.hyper_to_ball(pos), thr)
-    return _deepest_far_hit(particles, pos, thr, i, j)
-
-
-def _deepest_far_hit(particles: FlowParticles, pos, thr, i, j) -> dict | None:
-    """The deepest far hit among the pairs (i, j) at positions pos, or None."""
+def _deepest_far_hit(particles: FlowParticles, pos, thr, far) -> dict | None:
+    """The deepest far hit at positions pos among the pairs of the _FarList
+    far, or of the bucketed query when far is None; None when there is none."""
+    if far is None:
+        i, j = _candidate_pairs(hypgeo.hyper_to_ball(pos), thr)
+    else:
+        i, j = far.i, far.j
     if i.shape[0] == 0:
         return None
     d = hypgeo._pair_dist(pos, i, j)
@@ -459,11 +453,11 @@ def _deepest_far_hit(particles: FlowParticles, pos, thr, i, j) -> dict | None:
         return None
     ih, jh = i[hit], j[hit]
     d_init = hypgeo.dist(particles.y[ih], particles.y[jh])
-    far = _far(particles, ih, jh, d_init)
-    if not np.any(far):
+    keep = _far(particles, ih, jh, d_init)
+    if not np.any(keep):
         return None
-    return _deepest_pair(np.minimum(ih, jh)[far], np.maximum(ih, jh)[far],
-                         d_init[far], d[hit][far], limit[hit][far])
+    return _deepest_pair(np.minimum(ih, jh)[keep], np.maximum(ih, jh)[keep],
+                         d_init[keep], d[hit][keep], limit[hit][keep])
 
 
 def _deepest_pair(i, j, d_init, d_hit, limit) -> dict:

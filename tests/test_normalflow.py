@@ -682,6 +682,48 @@ class TestFarList:
         assert len(queries) == len(grid) - 1
 
 
+class TestFirstStep:
+    """The first grid time runs in the calling thread, before any worker."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_far_list_is_built_in_the_calling_thread(self, monkeypatch, workers):
+        monkeypatch.setattr(normalflow, "_scan_workers", lambda: workers)
+        threads = []
+        init = normalflow._FarList.__init__
+
+        def recorded(far, *args):
+            threads.append(threading.current_thread())
+            init(far, *args)
+
+        monkeypatch.setattr(normalflow._FarList, "__init__", recorded)
+        make, grid, (want, pair) = lobe_scan_case()
+        assert estimate_cut_time(make(), grid) == (want, pair)
+        assert threads == [threading.current_thread()]
+
+    def test_a_first_step_hit_runs_no_worker_step(self, monkeypatch):
+        monkeypatch.setattr(normalflow, "_scan_workers", lambda: 2)
+        calls = []
+        positions_at = FlowParticles.positions_at
+
+        def recorded(particles, t):
+            calls.append((float(t), threading.current_thread()))
+            return positions_at(particles, t)
+
+        monkeypatch.setattr(FlowParticles, "positions_at", recorded)
+        grid = PAIR_GRIDS["first-step"]
+        cut, _ = estimate_cut_time(antipodal_pair(), grid)
+        assert cut == grid[0]
+        assert calls == [(grid[0], threading.current_thread())]
+
+
+class TestGridShape:
+    # the shape is refused before a NaN, and an empty 2-D grid is no grid
+    @pytest.mark.parametrize("t_grid", [0.5, [[0.1, 0.2]], [[0.1, math.nan]], np.zeros((0, 3))])
+    def test_a_grid_that_is_not_one_dimensional_is_refused(self, t_grid):
+        with pytest.raises(ValueError, match="t_grid must be one-dimensional"):
+            estimate_cut_time(antipodal_pair(), t_grid)
+
+
 class TestQFunctional:
     def test_sphere_is_stationary(self, surface):
         # closed forms cancel exactly; only the trapezoid tail error is left
